@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import (
@@ -133,6 +134,64 @@ class Scheme:
     def p(self) -> int:
         return len(self.z_labels)
 
+    @cached_property
+    def _joint(self) -> "_Joint":
+        # Memoised outside the dataclass fields: eq, hash and repr ignore it.
+        return _Joint(self)
+
+
+class _Joint:
+    """The scheme joint Q(x_i, y_j, z_k) = alpha_k * P_X(x_i) * [sigma_k(i) = j]
+    over real state rows, compiled in one O(p*n) pass; verification and the
+    runtime read nothing else.  ``mass[k][i]`` is Q_XZ(x_i, z_k) (zero where
+    signal k leaves row i unassigned); ``inverse[k][j]`` holds the state rows
+    signal k sends to column j; ``phi[i][j]`` the signals pairing row i with
+    column j.  The same pass yields ``q_z`` (Q_Z per signal) and ``clash``,
+    the first (column, signal) in (y, z) order reached by two states, or
+    None.  Row and signal lists are ascending.
+    """
+
+    __slots__ = ("mass", "inverse", "phi", "q_z", "clash")
+
+    def __init__(self, scheme: Scheme):
+        n, m, px = scheme.n, scheme.m, scheme.px
+        zero = Fraction(0)
+        px_total = sum(px, zero)
+        singles = [(i,) for i in range(n)]
+        self.mass, self.inverse, self.q_z, self.clash = [], [], [], None
+        self.phi = [[[] for _ in range(m)] for _ in range(n)]
+        for k, (weight, sigma) in enumerate(zip(scheme.weights, scheme.assignments)):
+            rows = sigma[:n]
+            mass = [zero if j is None else weight * px[i] for i, j in enumerate(rows)]
+            inverse: list[tuple[int, ...]] = [()] * m
+            for i, j in enumerate(rows):
+                if j is None:
+                    continue
+                self.phi[i][j].append(k)
+                if inverse[j]:
+                    inverse[j] += (i,)
+                    self.clash = min(self.clash or (j, k), (j, k))
+                else:
+                    inverse[j] = singles[i]
+            self.mass.append(mass)
+            self.inverse.append(inverse)
+            self.q_z.append(sum(mass, zero) if None in rows else weight * px_total)
+
+
+def _column_condition(
+    cm: ConditionalMatrix, *, strict: bool = False
+) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
+    """Exact column sums of P_{Y|X} and the columns summing beyond one,
+    which with ``strict`` raise :class:`InfeasibleError` instead."""
+    sums = column_sums(cm)
+    bad = tuple(j for j, s in enumerate(sums) if s > 1)
+    if bad and strict:
+        raise InfeasibleError(
+            f"column {bad[0]} sums to {sums[bad[0]]} > 1; no scheme exists",
+            violations=bad,
+        )
+    return sums, bad
+
 
 def extend(cm: ConditionalMatrix) -> ExtendedMatrix:
     """Pad a feasible conditional matrix to a doubly stochastic square.
@@ -141,13 +200,7 @@ def extend(cm: ConditionalMatrix) -> ExtendedMatrix:
     which is nonnegative exactly when the column condition holds.  A column
     summing beyond 1 raises :class:`InfeasibleError` naming the columns.
     """
-    sums = column_sums(cm)
-    bad = tuple(j for j, s in enumerate(sums) if s > 1)
-    if bad:
-        raise InfeasibleError(
-            f"column {bad[0]} sums to {sums[bad[0]]} > 1; no scheme exists",
-            violations=bad,
-        )
+    sums, _ = _column_condition(cm, strict=True)
     n, m = cm.n, cm.m
     if n == m:
         if any(s != 1 for s in sums):
@@ -172,14 +225,30 @@ def perfect_matching(support: Sequence[Sequence[bool]]) -> tuple[int, ...] | Non
     col_of = [-1] * m  # row -> column
     row_of = [-1] * m  # column -> row
 
-    def augment(i: int, visited: set[int]) -> bool:
-        for j in range(m):
-            if support[i][j] and j not in visited:
-                visited.add(j)
-                if row_of[j] == -1 or augment(row_of[j], visited):
-                    row_of[j] = i
-                    col_of[i] = j
-                    return True
+    def augment(root: int) -> bool:
+        # Depth-first search on an explicit stack, in the recursive scan
+        # order: stack[d] is [row, next column to try], path[d] the column
+        # frame d descended through.
+        visited = [False] * m
+        stack, path = [[root, 0]], []
+        while stack:
+            frame = stack[-1]
+            row = support[frame[0]]
+            j = next((j for j in range(frame[1], m) if row[j] and not visited[j]), -1)
+            if j == -1:
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+            visited[j] = True
+            frame[1] = j + 1
+            path.append(j)
+            if row_of[j] == -1:
+                for (r, _), c in zip(stack, path):
+                    row_of[c] = r
+                    col_of[r] = c
+                return True
+            stack.append([row_of[j], 0])
         return False
 
     for i in range(m):
@@ -189,7 +258,7 @@ def perfect_matching(support: Sequence[Sequence[bool]]) -> tuple[int, ...] | Non
         if free is not None:
             row_of[free] = i
             col_of[i] = free
-        elif not augment(i, set()):
+        elif not augment(i):
             return None
     return tuple(col_of)
 
@@ -295,13 +364,7 @@ def find_deterministic_scheme(
             f"deterministic search caps at m={max_m} columns; got {inst.m}"
         )
     cm = conditional_y_given_x(inst)
-    sums = column_sums(cm)
-    bad = tuple(j for j, s in enumerate(sums) if s > 1)
-    if bad:
-        raise InfeasibleError(
-            f"column {bad[0]} sums to {sums[bad[0]]} > 1; no scheme exists",
-            violations=bad,
-        )
+    _column_condition(cm, strict=True)
     if limit < 1:
         raise InputError(f"node budget must be >= 1, got {limit}")
 

@@ -16,15 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .construction import build_scheme
+from .construction import _column_condition, build_scheme
 from .errors import InputError
 from .model import (
     Instance,
     RationalLike,
     as_fraction,
-    column_sums,
     conditional_y_given_x,
     instance_from_conditional,
     marginal_x,
@@ -85,8 +84,7 @@ def shannon_reduce(inst: Instance) -> ShannonCase:
 
 def check_feasible(inst: Instance) -> FeasibilityReport:
     """Decide feasibility from the exact column sums of P_{Y|X}."""
-    sums = column_sums(conditional_y_given_x(inst))
-    violations = tuple(j for j, s in enumerate(sums) if s > 1)
+    sums, violations = _column_condition(conditional_y_given_x(inst))
     return FeasibilityReport(
         feasible=not violations,
         column_sums=sums,

@@ -6,7 +6,9 @@ breaks are cosmetic everywhere except that the serializers emit a fixed
 canonical layout.  Rational tokens use the forms accepted by
 :func:`sidepad.model.rat_parse` (``a/b``, integer, finite decimal) and are
 written back canonically via ``str(Fraction)``, so serialize/parse
-round-trips reproduce values exactly.
+round-trips reproduce values exactly.  Numbers and counts use ASCII digits
+only: counts and column indices are plain ``[0-9]+`` (no sign, no ``_``),
+and other scripts' digits are refused.
 
 ``INSTANCE v1`` token order::
 
@@ -64,10 +66,9 @@ class _Cursor:
 
     def next_int(self, what: str, minimum: int = 1) -> int:
         token = self.next(what)
-        try:
-            value = int(token)
-        except ValueError:
-            raise InputError(f"expected {what}, got {token!r}") from None
+        if not (token.isascii() and token.isdigit()):
+            raise InputError(f"expected {what}, got {token!r}")
+        value = int(token)
         if value < minimum:
             raise InputError(f"{what} must be >= {minimum}, got {value}")
         return value

@@ -20,16 +20,19 @@ Rational = Fraction
 
 RationalLike = Union[Fraction, int, str]
 
-_INT_RE = re.compile(r"[+-]?\d+")
-_DEN_RE = re.compile(r"\d+")
-_DEC_RE = re.compile(r"[+-]?(?:\d+\.\d*|\.\d+)")
+# ASCII digits only: without re.ASCII, \d would also match e.g. Arabic-Indic
+# digits, which int() and Fraction() then silently accept.
+_INT_RE = re.compile(r"[+-]?\d+", re.ASCII)
+_DEN_RE = re.compile(r"\d+", re.ASCII)
+_DEC_RE = re.compile(r"[+-]?(?:\d+\.\d*|\.\d+)", re.ASCII)
 
 # Labels are single whitespace-free tokens so documents stay unambiguous.
 _LABEL_RE = re.compile(r"[^\s#]+")
 
 
 def rat_parse(token: str) -> Fraction:
-    """Parse one rational token: ``a/b``, a bare integer, or a finite decimal.
+    """Parse one rational token: ``a/b``, a bare integer, or a finite decimal,
+    written with ASCII digits.
 
     Scientific notation, floats with exponents, and empty/garbage tokens are
     rejected with :class:`InputError`.  ``2/4`` parses to the canonical 1/2.

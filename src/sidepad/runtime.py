@@ -29,7 +29,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from .construction import Scheme
 from .errors import (
@@ -39,8 +39,8 @@ from .errors import (
     OffSupportError,
     UnverifiedSchemeError,
 )
-from .model import Instance, supp_x
-from .verification import decode_table, verify_scheme
+from .model import Instance
+from .verification import _decoder, _scheme_rows, _signals_at, verify_scheme
 
 _SEED_LIMIT = 2**64
 
@@ -113,9 +113,7 @@ def _conditional_signals(
 ) -> Union[int, _Sampler]:
     """Encoder distribution for one supported pair: a bare signal index when
     deterministic, an exact sampler otherwise."""
-    ks = [
-        k for k in range(scheme.p) if scheme.assignments[k][x_index] == y_index
-    ]
+    ks = _signals_at(scheme, x_index, y_index)
     if not ks:
         raise OffSupportError(
             f"pair ({scheme.x_labels[x_index]}, {scheme.y_labels[y_index]}) "
@@ -134,10 +132,6 @@ def encode(scheme: Scheme, x_index: int, y_index: int, rng: RandomSource) -> int
     Raises :class:`OffSupportError` for pairs the scheme gives zero mass.
     A deterministic cell returns without consuming randomness.
     """
-    if not (0 <= x_index < scheme.n and 0 <= y_index < scheme.m):
-        raise DimensionMismatchError(
-            f"no cell ({x_index}, {y_index}) in a {scheme.n}x{scheme.m} scheme"
-        )
     choice = _conditional_signals(scheme, x_index, y_index)
     if isinstance(choice, int):
         return choice
@@ -155,14 +149,13 @@ def decode(scheme: Scheme, y_index: int, z_index: int) -> int:
             f"no pair (y={y_index}, z={z_index}) in a "
             f"{scheme.m}-column, {scheme.p}-signal scheme"
         )
-    table = decode_table(scheme)
-    try:
-        return table[(y_index, z_index)]
-    except KeyError:
+    rows = _decoder(scheme)[z_index][y_index]
+    if not rows:
         raise OffSupportError(
             f"pair ({scheme.y_labels[y_index]}, {scheme.z_labels[z_index]}) "
             "has zero probability under the scheme"
-        ) from None
+        )
+    return rows[0]
 
 
 @dataclass(frozen=True)
@@ -214,29 +207,12 @@ def simulate(
     if min_count < 1:
         raise InputError(f"min_count must be >= 1, got {min_count}")
 
-    supp = supp_x(inst)
-    expected_x = tuple(inst.x_labels[i] for i in supp)
-    if (
-        scheme.m != inst.m
-        or scheme.n != len(supp)
-        or scheme.x_labels != expected_x
-        or scheme.y_labels != inst.y_labels
-    ):
-        raise DimensionMismatchError(
-            "scheme and instance do not share shape and labels"
-        )
+    supp = _scheme_rows(scheme, inst)
     if not allow_unverified:
         report = verify_scheme(scheme, inst)
         if not report.all_ok:
-            failed = [
-                name
-                for name, result in (
-                    ("consistency", report.consistency),
-                    ("informativeness", report.informativeness),
-                    ("secrecy", report.secrecy),
-                )
-                if not result.ok
-            ]
+            laws = ("consistency", "informativeness", "secrecy")
+            failed = [name for name in laws if not getattr(report, name).ok]
             raise UnverifiedSchemeError(
                 f"refusing to simulate: scheme fails {', '.join(failed)} "
                 "(pass allow_unverified=True to force)"
@@ -252,16 +228,9 @@ def simulate(
     encoders = {
         cell: _conditional_signals(scheme, *cell) for cell in world.values
     }
-    table = decode_table(scheme) if allow_unverified is False else None
-    if table is None:
-        # Broken schemes may lack a well-defined table; fall back to "first
-        # state assigned there" so the success rate still means something.
-        table = {}
-        for k in range(scheme.p):
-            for i in range(scheme.n):
-                j = scheme.assignments[k][i]
-                if j is not None:
-                    table.setdefault((j, k), i)
+    # Each signal's inverse decodes; a broken scheme may send several states
+    # to one (y, z), and then the lowest state row wins.
+    inverse = scheme._joint.inverse
 
     counts_z = [0] * scheme.p
     counts_xz = [[0] * scheme.p for _ in range(scheme.n)]
@@ -277,7 +246,8 @@ def simulate(
             i, j = cell
             counts_z[k] += 1
             counts_xz[i][k] += 1
-            if table.get((j, k)) == i:
+            rows = inverse[k][j]
+            if rows and rows[0] == i:
                 successes += 1
 
     tv: list[Optional[float]] = []

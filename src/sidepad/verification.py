@@ -4,10 +4,13 @@ A scheme together with an instance determines the joint distribution
 
     Q(x_i, y_j, z_k) = weight_k * px_i * [assignments[k][i] == j]
 
-over real state rows i (padding rows carry no mass).  Verification
-recomputes every marginal from that joint by enumeration — never from the
-construction's intermediate values — and checks the three defining laws
-exactly:
+over real state rows i (padding rows carry no mass).  The scheme compiles
+that joint once, in a single pass over its assignments, into a sparse form
+(``Scheme._joint``): the masses Q_XZ(x_i, z_k), each signal's inverse
+(column -> state rows) and the support sets phi(x, y) = { z : Q(x,y,z) > 0 }.
+Everything here is derived from that one enumeration — never from the
+construction's intermediate values — and the three defining laws are
+checked exactly:
 
 * consistency: Q_XY equals the instance's P_XY cell by cell;
 * informativeness: whenever Q_YZ(y,z) > 0, exactly one state is possible,
@@ -17,9 +20,9 @@ exactly:
 
 ``necessity_audit`` additionally recomputes the quantities that make a
 verified scheme *certify* the column condition: the triple bound
-Q_XYZ <= Q_XZ, disjointness across states of the signal sets
-phi(x,y) = { z : Q(x,y,z) > 0 } for fixed y, and the per-column signal
-mass sums they force to stay at or below one.
+Q_XYZ <= Q_XZ, disjointness across states of the sets phi(x, y) for fixed
+y, and the per-column signal mass sums they force to stay at or below one.
+The decode table and the runtime's encoder and decoder read the same form.
 
 ``feasibility_oracle`` answers "does any scheme exist?" by brute force —
 an exact phase-1 simplex over weights on all m! permutations — sharing no
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .construction import Scheme
+from .construction import Scheme, _Joint
 from .errors import (
     CapExceededError,
     DimensionMismatchError,
@@ -43,6 +46,8 @@ from .model import Instance, conditional_y_given_x, supp_x
 from .simplex import feasible_nonnegative_solution
 
 Witness = dict[str, object]
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -69,68 +74,38 @@ class VerificationReport:
         return self.consistency.ok and self.informativeness.ok and self.secrecy.ok
 
 
-def _q_xy(scheme: Scheme) -> tuple[tuple[Fraction, ...], ...]:
-    grid = [[Fraction(0)] * scheme.m for _ in range(scheme.n)]
-    for k in range(scheme.p):
-        w = scheme.weights[k]
-        sigma = scheme.assignments[k]
-        for i in range(scheme.n):
-            j = sigma[i]
-            if j is not None:
-                grid[i][j] += w * scheme.px[i]
-    return tuple(tuple(row) for row in grid)
-
-
-def _q_xz(scheme: Scheme) -> tuple[tuple[Fraction, ...], ...]:
+def _joint_xy(joint: _Joint) -> tuple[tuple[Fraction, ...], ...]:
+    """Q_XY: each cell sums the masses of the signals in phi(x, y)."""
     return tuple(
-        tuple(
-            scheme.weights[k] * scheme.px[i]
-            if scheme.assignments[k][i] is not None
-            else Fraction(0)
-            for k in range(scheme.p)
-        )
-        for i in range(scheme.n)
+        tuple(sum((joint.mass[k][i] for k in ks), _ZERO) for ks in row)
+        for i, row in enumerate(joint.phi)
     )
 
 
-def _q_yz(scheme: Scheme) -> tuple[tuple[Fraction, ...], ...]:
-    grid = [[Fraction(0)] * scheme.p for _ in range(scheme.m)]
-    for k in range(scheme.p):
-        sigma = scheme.assignments[k]
-        for i in range(scheme.n):
-            j = sigma[i]
-            if j is not None:
-                grid[j][k] += scheme.weights[k] * scheme.px[i]
-    return tuple(tuple(row) for row in grid)
-
-
-def _q_z(scheme: Scheme) -> tuple[Fraction, ...]:
-    q_xz = _q_xz(scheme)
-    return tuple(
-        sum((q_xz[i][k] for i in range(scheme.n)), Fraction(0))
-        for k in range(scheme.p)
-    )
-
-
-def check_consistency(scheme: Scheme, inst: Instance) -> CheckResult:
-    """Does the scheme's Q_XY reproduce the instance's P_XY exactly?
-
-    Shapes and labels must line up (scheme states are the instance's
-    supported states, in order); otherwise this is a different problem and
-    :class:`DimensionMismatchError` is raised rather than a quiet fail.
-    """
+def _scheme_rows(scheme: Scheme, inst: Instance) -> tuple[int, ...]:
+    """The instance rows behind the scheme's states: its supported states,
+    in order.  Unless shapes and labels line up, scheme and instance pose
+    different problems, and :class:`DimensionMismatchError` is raised."""
     supp = supp_x(inst)
-    expected_x = tuple(inst.x_labels[i] for i in supp)
     if (
         scheme.m != inst.m
         or scheme.n != len(supp)
-        or scheme.x_labels != expected_x
+        or scheme.x_labels != tuple(inst.x_labels[i] for i in supp)
         or scheme.y_labels != inst.y_labels
     ):
         raise DimensionMismatchError(
             "scheme and instance do not share shape and labels"
         )
-    got = _q_xy(scheme)
+    return supp
+
+
+def check_consistency(scheme: Scheme, inst: Instance) -> CheckResult:
+    """Does the scheme's Q_XY reproduce the instance's P_XY exactly?
+
+    Mismatched shapes or labels raise rather than fail (see _scheme_rows).
+    """
+    supp = _scheme_rows(scheme, inst)
+    got = _joint_xy(scheme._joint)
     for i in range(scheme.n):
         for j in range(scheme.m):
             want = inst.p_xy[supp[i]][j]
@@ -149,21 +124,18 @@ def check_consistency(scheme: Scheme, inst: Instance) -> CheckResult:
 
 def check_informativeness(scheme: Scheme) -> CheckResult:
     """For every (y, z) with Q_YZ > 0, is exactly one state possible?"""
-    for j in range(scheme.m):
-        for k in range(scheme.p):
-            states = [
-                i for i in range(scheme.n) if scheme.assignments[k][i] == j
-            ]
-            if len(states) > 1:
-                return CheckResult(
-                    ok=False,
-                    witness={
-                        "y": scheme.y_labels[j],
-                        "z": scheme.z_labels[k],
-                        "xs": tuple(scheme.x_labels[i] for i in states),
-                    },
-                )
-    return CheckResult(ok=True)
+    joint = scheme._joint
+    if joint.clash is None:
+        return CheckResult(ok=True)
+    j, k = joint.clash
+    return CheckResult(
+        ok=False,
+        witness={
+            "y": scheme.y_labels[j],
+            "z": scheme.z_labels[k],
+            "xs": tuple(scheme.x_labels[i] for i in joint.inverse[k][j]),
+        },
+    )
 
 
 def check_secrecy(scheme: Scheme) -> CheckResult:
@@ -172,23 +144,19 @@ def check_secrecy(scheme: Scheme) -> CheckResult:
     States outside the scheme (zero instance mass) satisfy this vacuously;
     signals with Q_Z(z) = 0 impose no condition.
     """
-    q_xz = _q_xz(scheme)
-    q_z = tuple(
-        sum((q_xz[i][k] for i in range(scheme.n)), Fraction(0))
-        for k in range(scheme.p)
-    )
+    joint = scheme._joint
     for i in range(scheme.n):
-        for k in range(scheme.p):
-            if q_z[k] == 0:
+        for k, q_z in enumerate(joint.q_z):
+            if q_z == 0:
                 continue
-            want = q_z[k] * scheme.px[i]
-            if q_xz[i][k] != want:
+            want = q_z * scheme.px[i]
+            if joint.mass[k][i] != want:
                 return CheckResult(
                     ok=False,
                     witness={
                         "x": scheme.x_labels[i],
                         "z": scheme.z_labels[k],
-                        "got": q_xz[i][k],
+                        "got": joint.mass[k][i],
                         "expected": want,
                     },
                 )
@@ -197,27 +165,47 @@ def check_secrecy(scheme: Scheme) -> CheckResult:
 
 def verify_scheme(scheme: Scheme, inst: Instance) -> VerificationReport:
     """Run all three checks and report them with the enumerated marginals."""
+    joint = scheme._joint
+    q_yz = [[_ZERO] * scheme.p for _ in range(scheme.m)]
+    for k, (mass, inverse) in enumerate(zip(joint.mass, joint.inverse)):
+        for j, rows in enumerate(inverse):
+            if rows:  # one row when informative: reuse its mass, no new Fraction
+                q_yz[j][k] = sum((mass[i] for i in rows[1:]), mass[rows[0]])
     return VerificationReport(
         consistency=check_consistency(scheme, inst),
         informativeness=check_informativeness(scheme),
         secrecy=check_secrecy(scheme),
-        q_z=_q_z(scheme),
-        q_xz=_q_xz(scheme),
-        q_yz=_q_yz(scheme),
-        q_xy=_q_xy(scheme),
+        q_z=tuple(joint.q_z),
+        q_xz=tuple(zip(*joint.mass)),
+        q_yz=tuple(tuple(row) for row in q_yz),
+        q_xy=_joint_xy(joint),
     )
+
+
+def _signals_at(scheme: Scheme, x_index: int, y_index: int) -> list[int]:
+    """phi(x, y) as ascending signal indices; the cell must exist."""
+    if not (0 <= x_index < scheme.n and 0 <= y_index < scheme.m):
+        raise DimensionMismatchError(
+            f"no cell ({x_index}, {y_index}) in a {scheme.n}x{scheme.m} scheme"
+        )
+    return scheme._joint.phi[x_index][y_index]
 
 
 def support_signals(scheme: Scheme, x_index: int, y_index: int) -> frozenset[int]:
     """phi(x, y): indices of signals that pair state row ``x_index`` with
     column ``y_index``.  Empty for pairs the scheme never produces."""
-    if not (0 <= x_index < scheme.n and 0 <= y_index < scheme.m):
-        raise DimensionMismatchError(
-            f"no cell ({x_index}, {y_index}) in a {scheme.n}x{scheme.m} scheme"
+    return frozenset(_signals_at(scheme, x_index, y_index))
+
+
+def _decoder(scheme: Scheme) -> list[list[tuple[int, ...]]]:
+    """Each signal's inverse, column -> state rows, for a scheme passing
+    informativeness; :class:`UnverifiedSchemeError` otherwise."""
+    info = check_informativeness(scheme)
+    if not info.ok:
+        raise UnverifiedSchemeError(
+            f"decode table undefined: scheme fails informativeness at {info.witness}"
         )
-    return frozenset(
-        k for k in range(scheme.p) if scheme.assignments[k][x_index] == y_index
-    )
+    return scheme._joint.inverse
 
 
 def decode_table(scheme: Scheme) -> dict[tuple[int, int], int]:
@@ -227,18 +215,12 @@ def decode_table(scheme: Scheme) -> dict[tuple[int, int], int]:
     would be ambiguous); keys exist exactly for the (y, z) pairs with
     positive probability, so a missing key means off-support.
     """
-    info = check_informativeness(scheme)
-    if not info.ok:
-        raise UnverifiedSchemeError(
-            f"decode table undefined: scheme fails informativeness at {info.witness}"
-        )
-    table: dict[tuple[int, int], int] = {}
-    for k in range(scheme.p):
-        for i in range(scheme.n):
-            j = scheme.assignments[k][i]
-            if j is not None:
-                table[(j, k)] = i
-    return table
+    return {
+        (j, k): rows[0]
+        for k, inverse in enumerate(_decoder(scheme))
+        for j, rows in enumerate(inverse)
+        if rows
+    }
 
 
 @dataclass(frozen=True)
@@ -265,23 +247,21 @@ def necessity_audit(scheme: Scheme) -> NecessityAudit:
     Meant for schemes that already pass the three checks; it still runs on
     anything and reports whichever obligation breaks first.
     """
-    q_xz = _q_xz(scheme)
-    q_z = tuple(
-        sum((q_xz[i][k] for i in range(scheme.n)), Fraction(0))
-        for k in range(scheme.p)
-    )
-    phi = [
-        [support_signals(scheme, i, j) for j in range(scheme.m)]
-        for i in range(scheme.n)
-    ]
+    joint = scheme._joint
+    phi = joint.phi
     witness: Optional[Witness] = None
 
+    # Q_XZ marginalised over y from the joint's cells, then the bound.
+    q_xz = [[_ZERO] * scheme.p for _ in range(scheme.n)]
+    for i, row in enumerate(phi):
+        for ks in row:
+            for k in ks:
+                q_xz[i][k] += joint.mass[k][i]
     triple_ok = True
     for i in range(scheme.n):
         for j in range(scheme.m):
             for k in phi[i][j]:
-                mass = scheme.weights[k] * scheme.px[i]
-                if mass > q_xz[i][k]:
+                if joint.mass[k][i] > q_xz[i][k]:
                     triple_ok = False
                     witness = witness or {
                         "law": "triple_bound",
@@ -308,25 +288,15 @@ def necessity_audit(scheme: Scheme) -> NecessityAudit:
                     }
                 seen.setdefault(k, i)
 
-    q_y = [
-        sum(
-            (
-                scheme.weights[k] * scheme.px[i]
-                for i in range(scheme.n)
-                for k in phi[i][j]
-            ),
-            Fraction(0),
-        )
-        for j in range(scheme.m)
-    ]
+    q_xy = _joint_xy(joint)
     column_mass: list[Optional[Fraction]] = []
     mass_ok = True
     for j in range(scheme.m):
-        if q_y[j] == 0:
+        if sum((row[j] for row in q_xy), _ZERO) == 0:
             column_mass.append(None)
             continue
         total = sum(
-            (q_z[k] for i in range(scheme.n) for k in phi[i][j]), Fraction(0)
+            (joint.q_z[k] for i in range(scheme.n) for k in phi[i][j]), _ZERO
         )
         column_mass.append(total)
         if total > 1:

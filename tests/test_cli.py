@@ -422,3 +422,35 @@ def test_unknown_subcommand(capsys):
 
 def test_no_arguments(capsys):
     assert run(capsys)[0] == 2
+
+
+
+# '٣' is Arabic-Indic three; int() and Fraction() would read it, and 1_0.
+NON_ASCII_INSTANCES = [
+    "INSTANCE v1\n٢ 3\nx1 x2\ny1 y2 y3\n1/4 1/4 0\n0 1/4 1/4\n",
+    "INSTANCE v1\n1_0 3\nx1 x2\ny1 y2 y3\n1/4 1/4 0\n0 1/4 1/4\n",
+    "INSTANCE v1\n2 3\nx1 x2\ny1 y2 y3\n١/٤ 1/4 0\n0 1/4 1/4\n",
+]
+
+
+@pytest.mark.parametrize("text", NON_ASCII_INSTANCES)
+def test_check_refuses_non_ascii_numbers(capsys, tmp_path, text):
+    path = tmp_path / "bad.inst"
+    path.write_text(text, encoding="utf-8")
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "old, new", [("2 3 2\n", "2 3 ٢\n"), ("2 3 2\n", "2 3 0_2\n"),
+                 ("z1 1/2", "z1 ١/٢")]
+)
+def test_verify_refuses_non_ascii_numbers(capsys, paths, tmp_path, old, new):
+    doc = sp.serialize_scheme(sp.build_scheme(corr23()))
+    assert old in doc
+    path = tmp_path / "bad.scheme"
+    path.write_text(doc.replace(old, new, 1), encoding="utf-8")
+    code, _, err = run(capsys, "verify", str(path), "--against", paths["corr23"])
+    assert code == 2
+    assert "error:" in err

@@ -308,3 +308,47 @@ def test_decomposition_size_bound_on_random_instances():
         scheme = sp.build_scheme(inst)
         assert scheme.p <= m * m - 2 * m + 2
         assert sum(scheme.weights) == 1
+
+
+def test_perfect_matching_long_augmenting_path():
+    # Row i covers columns {i, i+1} and the last row only column 0: rows
+    # 0..m-2 grab their diagonal, and the last row then needs an augmenting
+    # path through all m rows, far deeper than the interpreter's recursion
+    # limit.  The unique perfect matching shifts every row right by one.
+    m = 1500
+    support = [[j == i or j == i + 1 for j in range(m)] for i in range(m - 1)]
+    support.append([j == 0 for j in range(m)])
+    assert sp.perfect_matching(support) == tuple(range(1, m)) + (0,)
+
+
+def _recursive_matching(support):
+    """The textbook recursive augmenting-path matcher with the documented
+    scan order: a reference for the iterative implementation."""
+    m = len(support)
+    col_of, row_of = [-1] * m, [-1] * m
+
+    def augment(i, visited):
+        for j in range(m):
+            if support[i][j] and j not in visited:
+                visited.add(j)
+                if row_of[j] == -1 or augment(row_of[j], visited):
+                    row_of[j], col_of[i] = i, j
+                    return True
+        return False
+
+    for i in range(m):
+        free = next((j for j in range(m) if support[i][j] and row_of[j] == -1), None)
+        if free is not None:
+            row_of[free], col_of[i] = i, free
+        elif not augment(i, set()):
+            return None
+    return tuple(col_of)
+
+
+def test_perfect_matching_keeps_the_recursive_scan_order():
+    rng = random.Random(1500)
+    for _ in range(400):
+        m = rng.randrange(1, 9)
+        density = rng.choice((0.2, 0.4, 0.6))
+        support = [[rng.random() < density for _ in range(m)] for _ in range(m)]
+        assert sp.perfect_matching(support) == _recursive_matching(support)

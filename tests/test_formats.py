@@ -143,3 +143,31 @@ def test_scheme_shape_validation():
             x_labels=("x1", "x2"), y_labels=("y1",), z_labels=("z1",),
             px=(F(1, 2), F(1, 2)), weights=(F(1),), assignments=((0,),),
         )
+
+
+# Header counts are plain ASCII digit strings: int() alone would also read
+# '1_0' as 10 and '٣' (Arabic-Indic three) as 3.
+NON_ASCII_COUNT_DOCS = [
+    CORR23_DOC.replace("2 3\n", "٢ 3\n", 1),
+    CORR23_DOC.replace("2 3\n", "2 ٣\n", 1),
+    CORR23_DOC.replace("2 3\n", "1_0 3\n", 1),
+    CORR23_DOC.replace("2 3\n", "+2 3\n", 1),
+    CORR23_DOC.replace("1/4 1/4 0\n", "١/٤ 1/4 0\n", 1),
+]
+
+
+@pytest.mark.parametrize("text", NON_ASCII_COUNT_DOCS)
+def test_parse_instance_counts_and_numbers_are_ascii(text):
+    with pytest.raises(sp.InputError):
+        sp.parse_instance(text)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("2 3 2\n", "2 3 ٢\n"), ("2 3 2\n", "2 3 0_2\n"), ("z1 1/2 1", "z1 1/2 ١")],
+)
+def test_parse_scheme_counts_and_indices_are_ascii(old, new):
+    doc = sp.serialize_scheme(sp.build_scheme(corr23()))
+    assert old in doc
+    with pytest.raises(sp.InputError):
+        sp.parse_scheme(doc.replace(old, new, 1))

@@ -197,3 +197,9 @@ def test_conditional_rows_are_distributions(inst):
 def test_column_sums_total_equals_supported_states(inst):
     cm = sp.conditional_y_given_x(inst)
     assert sum(sp.column_sums(cm)) == len(cm.rows)
+
+
+@pytest.mark.parametrize("token", ["٣/٤", "1/٤", "٣", "-٣", "٣.5", "0.٥", "1_0"])
+def test_rat_parse_accepts_ascii_digits_only(token):
+    with pytest.raises(sp.InputError):
+        sp.rat_parse(token)

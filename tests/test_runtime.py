@@ -231,3 +231,48 @@ def test_simulate_statistics_converge():
     for k, weight in enumerate(scheme.weights):
         assert abs(report.empirical_qz[k] - float(weight)) < 0.01
     assert report.max_tv < 0.02
+
+
+# Seeded outputs pinned across code versions: a change to any of them
+# changes what a user's seed reproduces.
+GOLDEN_MIXED23_REPORT = sp.SimReport(
+    samples=20000,
+    decode_success=1.0,
+    empirical_qz=(0.33055, 0.17105, 0.4984),
+    tv_secrecy=(
+        0.0061261533807290824,
+        0.0021923414206372616,
+        0.006420545746388423,
+    ),
+    max_tv=0.006420545746388423,
+    min_count=1000,
+    shards=3,
+    seed=202608,
+)
+
+
+def test_simulate_golden_report():
+    inst = mixed23()
+    report = sp.simulate(sp.build_scheme(inst), inst, 20000, PINNED_SEEDS[0], shards=3)
+    assert report == GOLDEN_MIXED23_REPORT
+
+
+def test_encode_golden_draws():
+    # corr23: every supported cell is deterministic, so 20 draws cycling
+    # over the four cells give a fixed sequence and consume no randomness.
+    inst = corr23()
+    scheme = sp.build_scheme(inst)
+    cells = [(0, 0), (0, 1), (1, 1), (1, 2)]
+    rng = sp.RandomSource(PINNED_SEEDS[0])
+    draws = [sp.encode(scheme, *cells[t % 4], rng) for t in range(20)]
+    assert draws == [0, 1] * 10
+    assert rng.randbelow(2**32) == sp.RandomSource(PINNED_SEEDS[0]).randbelow(2**32)
+    # mixed23: cells (x1, y1) and (x2, y3) each split over two signals.
+    scheme = sp.build_scheme(mixed23())
+    rng = sp.RandomSource(PINNED_SEEDS[0])
+    assert [sp.encode(scheme, 0, 0, rng) for _ in range(20)] == [
+        1, 1, 0, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1
+    ]
+    assert [sp.encode(scheme, 1, 2, rng) for _ in range(20)] == [
+        2, 2, 2, 1, 2, 2, 1, 2, 1, 1, 2, 2, 1, 2, 2, 2, 2, 1, 2, 1
+    ]
