@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from .errors import (
     CapExceededError,
@@ -142,16 +143,15 @@ class Scheme:
 
 class _Joint:
     """The scheme joint Q(x_i, y_j, z_k) = alpha_k * P_X(x_i) * [sigma_k(i) = j]
-    over real state rows, compiled in one O(p*n) pass; verification and the
-    runtime read nothing else.  ``mass[k][i]`` is Q_XZ(x_i, z_k) (zero where
-    signal k leaves row i unassigned); ``inverse[k][j]`` holds the state rows
-    signal k sends to column j; ``phi[i][j]`` the signals pairing row i with
-    column j.  The same pass yields ``q_z`` (Q_Z per signal) and ``clash``,
-    the first (column, signal) in (y, z) order reached by two states, or
-    None.  Row and signal lists are ascending.
+    over real state rows, compiled in one O(p*n) pass.  Only verification
+    reads it; the runtime goes through verification.  ``mass[k][i]`` is
+    Q_XZ(x_i, z_k) (zero where signal k leaves row i unassigned);
+    ``inverse[k][j]`` holds the state rows signal k sends to column j;
+    ``phi[i][j]`` the signals pairing row i with column j.  The same pass
+    yields ``q_z`` (Q_Z per signal) and ``clash``, the first (column,
+    signal) in (y, z) order reached by two states, or None.  Row and signal
+    lists are ascending.
     """
-
-    __slots__ = ("mass", "inverse", "phi", "q_z", "clash")
 
     def __init__(self, scheme: Scheme):
         n, m, px = scheme.n, scheme.m, scheme.px
@@ -176,6 +176,23 @@ class _Joint:
             self.mass.append(mass)
             self.inverse.append(inverse)
             self.q_z.append(sum(mass, zero) if None in rows else weight * px_total)
+
+    @cached_property
+    def q_xy(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Q_XY: each cell sums the masses of the signals in phi(x, y)."""
+        return tuple(
+            tuple(sum((self.mass[k][i] for k in ks), Fraction(0)) for ks in row)
+            for i, row in enumerate(self.phi)
+        )
+
+    @cached_property
+    def table(self) -> Mapping[tuple[int, int], int]:
+        """Read-only (column, signal) -> lowest state row, built on first use."""
+        return MappingProxyType({
+            (j, k): rows[0]
+            for k, inverse in enumerate(self.inverse)
+            for j, rows in enumerate(inverse) if rows
+        })
 
 
 def _column_condition(
@@ -227,28 +244,24 @@ def perfect_matching(support: Sequence[Sequence[bool]]) -> tuple[int, ...] | Non
 
     def augment(root: int) -> bool:
         # Depth-first search on an explicit stack, in the recursive scan
-        # order: stack[d] is [row, next column to try], path[d] the column
-        # frame d descended through.
+        # order: rows[d] is frame d's row, todo[d] its untried columns and
+        # cols[d] the column frame d descended through.
         visited = [False] * m
-        stack, path = [[root, 0]], []
-        while stack:
-            frame = stack[-1]
-            row = support[frame[0]]
-            j = next((j for j in range(frame[1], m) if row[j] and not visited[j]), -1)
+        rows, cols, todo = [root], [], [iter(range(m))]
+        while todo:
+            row = support[rows[-1]]
+            j = next((j for j in todo[-1] if row[j] and not visited[j]), -1)
             if j == -1:
-                stack.pop()
-                if path:
-                    path.pop()
+                del rows[-1], todo[-1], cols[-1:]
                 continue
             visited[j] = True
-            frame[1] = j + 1
-            path.append(j)
+            cols.append(j)
             if row_of[j] == -1:
-                for (r, _), c in zip(stack, path):
-                    row_of[c] = r
-                    col_of[r] = c
+                for r, c in zip(rows, cols):
+                    row_of[c], col_of[r] = r, c
                 return True
-            stack.append([row_of[j], 0])
+            rows.append(row_of[j])
+            todo.append(iter(range(m)))
         return False
 
     for i in range(m):
@@ -297,14 +310,19 @@ def build_scheme(inst: Instance) -> Scheme:
     """
     cm = conditional_y_given_x(inst)
     terms = birkhoff_decompose(extend(cm))
+    return _named_scheme(inst, cm, [a for a, _ in terms], [s for _, s in terms])
+
+
+def _named_scheme(inst: Instance, cm: ConditionalMatrix, weights, assignments):
+    """The scheme over ``inst``'s supported states with signals z1..zp."""
     px = marginal_x(inst)
     return Scheme(
         x_labels=tuple(inst.x_labels[i] for i in cm.rows),
         y_labels=inst.y_labels,
-        z_labels=tuple(f"z{k+1}" for k in range(len(terms))),
+        z_labels=tuple(f"z{k+1}" for k in range(len(weights))),
         px=tuple(px[i] for i in cm.rows),
-        weights=tuple(a for a, _ in terms),
-        assignments=tuple(sigma for _, sigma in terms),
+        weights=tuple(weights),
+        assignments=tuple(assignments),
     )
 
 
@@ -417,18 +435,9 @@ def find_deterministic_scheme(
     if not found:
         return DeterministicSearch(status="none_found", scheme=None, nodes=nodes)
 
-    assignments = []
-    for k in range(p):
-        sigma: list[Optional[int]] = [chosen[i][k] for i in range(n)]
-        sigma.extend(sorted(set(range(m)) - used[k]))
-        assignments.append(tuple(sigma))
-    px = marginal_x(inst)
-    scheme = Scheme(
-        x_labels=tuple(inst.x_labels[i] for i in cm.rows),
-        y_labels=inst.y_labels,
-        z_labels=tuple(f"z{k+1}" for k in range(p)),
-        px=tuple(px[i] for i in cm.rows),
-        weights=tuple(alphas),
-        assignments=tuple(assignments),
-    )
+    assignments = [
+        [chosen[i][k] for i in range(n)] + sorted(set(range(m)) - used[k])
+        for k in range(p)
+    ]
+    scheme = _named_scheme(inst, cm, alphas, assignments)
     return DeterministicSearch(status="found", scheme=scheme, nodes=nodes)

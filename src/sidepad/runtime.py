@@ -40,7 +40,8 @@ from .errors import (
     UnverifiedSchemeError,
 )
 from .model import Instance
-from .verification import _decoder, _scheme_rows, _signals_at, verify_scheme
+from .verification import _inverse, _scheme_rows, _signals_at
+from .verification import decode_table, verify_scheme
 
 _SEED_LIMIT = 2**64
 
@@ -149,13 +150,13 @@ def decode(scheme: Scheme, y_index: int, z_index: int) -> int:
             f"no pair (y={y_index}, z={z_index}) in a "
             f"{scheme.m}-column, {scheme.p}-signal scheme"
         )
-    rows = _decoder(scheme)[z_index][y_index]
-    if not rows:
+    try:
+        return decode_table(scheme)[(y_index, z_index)]
+    except KeyError:
         raise OffSupportError(
             f"pair ({scheme.y_labels[y_index]}, {scheme.z_labels[z_index]}) "
             "has zero probability under the scheme"
-        )
-    return rows[0]
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -223,14 +224,13 @@ def simulate(
         ((scheme_row[i], j), inst.p_xy[i][j])
         for i in supp
         for j in range(inst.m)
-        if inst.p_xy[i][j] > 0
     )
     encoders = {
         cell: _conditional_signals(scheme, *cell) for cell in world.values
     }
     # Each signal's inverse decodes; a broken scheme may send several states
     # to one (y, z), and then the lowest state row wins.
-    inverse = scheme._joint.inverse
+    inverse = _inverse(scheme)
 
     counts_z = [0] * scheme.p
     counts_xz = [[0] * scheme.p for _ in range(scheme.n)]

@@ -34,9 +34,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Mapping, Optional
 
-from .construction import Scheme, _Joint
+from .construction import Scheme
 from .errors import (
     CapExceededError,
     DimensionMismatchError,
@@ -74,14 +74,6 @@ class VerificationReport:
         return self.consistency.ok and self.informativeness.ok and self.secrecy.ok
 
 
-def _joint_xy(joint: _Joint) -> tuple[tuple[Fraction, ...], ...]:
-    """Q_XY: each cell sums the masses of the signals in phi(x, y)."""
-    return tuple(
-        tuple(sum((joint.mass[k][i] for k in ks), _ZERO) for ks in row)
-        for i, row in enumerate(joint.phi)
-    )
-
-
 def _scheme_rows(scheme: Scheme, inst: Instance) -> tuple[int, ...]:
     """The instance rows behind the scheme's states: its supported states,
     in order.  Unless shapes and labels line up, scheme and instance pose
@@ -105,7 +97,7 @@ def check_consistency(scheme: Scheme, inst: Instance) -> CheckResult:
     Mismatched shapes or labels raise rather than fail (see _scheme_rows).
     """
     supp = _scheme_rows(scheme, inst)
-    got = _joint_xy(scheme._joint)
+    got = scheme._joint.q_xy
     for i in range(scheme.n):
         for j in range(scheme.m):
             want = inst.p_xy[supp[i]][j]
@@ -166,19 +158,19 @@ def check_secrecy(scheme: Scheme) -> CheckResult:
 def verify_scheme(scheme: Scheme, inst: Instance) -> VerificationReport:
     """Run all three checks and report them with the enumerated marginals."""
     joint = scheme._joint
-    q_yz = [[_ZERO] * scheme.p for _ in range(scheme.m)]
-    for k, (mass, inverse) in enumerate(zip(joint.mass, joint.inverse)):
-        for j, rows in enumerate(inverse):
-            if rows:  # one row when informative: reuse its mass, no new Fraction
-                q_yz[j][k] = sum((mass[i] for i in rows[1:]), mass[rows[0]])
+    # Q_ZY row by row; a cell with one state reuses its mass, no new Fraction.
+    q_zy = (
+        [sum((mass[i] for i in r[1:]), mass[r[0]]) if r else _ZERO for r in inverse]
+        for mass, inverse in zip(joint.mass, joint.inverse)
+    )
     return VerificationReport(
         consistency=check_consistency(scheme, inst),
         informativeness=check_informativeness(scheme),
         secrecy=check_secrecy(scheme),
         q_z=tuple(joint.q_z),
         q_xz=tuple(zip(*joint.mass)),
-        q_yz=tuple(tuple(row) for row in q_yz),
-        q_xy=_joint_xy(joint),
+        q_yz=tuple(zip(*q_zy)),
+        q_xy=joint.q_xy,
     )
 
 
@@ -197,30 +189,25 @@ def support_signals(scheme: Scheme, x_index: int, y_index: int) -> frozenset[int
     return frozenset(_signals_at(scheme, x_index, y_index))
 
 
-def _decoder(scheme: Scheme) -> list[list[tuple[int, ...]]]:
-    """Each signal's inverse, column -> state rows, for a scheme passing
-    informativeness; :class:`UnverifiedSchemeError` otherwise."""
+def _inverse(scheme: Scheme) -> list[list[tuple[int, ...]]]:
+    """Each signal's inverse: column -> the state rows sent there, ascending."""
+    return scheme._joint.inverse
+
+
+def decode_table(scheme: Scheme) -> Mapping[tuple[int, int], int]:
+    """The receiver's lookup: (y column, z index) -> state row.
+
+    Defined only for schemes passing informativeness (otherwise some cell
+    would be ambiguous); keys exist exactly for the (y, z) pairs with
+    positive probability, so a missing key means off-support.  The table
+    is built once per scheme and returned as a read-only mapping.
+    """
     info = check_informativeness(scheme)
     if not info.ok:
         raise UnverifiedSchemeError(
             f"decode table undefined: scheme fails informativeness at {info.witness}"
         )
-    return scheme._joint.inverse
-
-
-def decode_table(scheme: Scheme) -> dict[tuple[int, int], int]:
-    """The receiver's lookup: (y column, z index) -> state row.
-
-    Defined only for schemes passing informativeness (otherwise some cell
-    would be ambiguous); keys exist exactly for the (y, z) pairs with
-    positive probability, so a missing key means off-support.
-    """
-    return {
-        (j, k): rows[0]
-        for k, inverse in enumerate(_decoder(scheme))
-        for j, rows in enumerate(inverse)
-        if rows
-    }
+    return scheme._joint.table
 
 
 @dataclass(frozen=True)
@@ -254,9 +241,8 @@ def necessity_audit(scheme: Scheme) -> NecessityAudit:
     # Q_XZ marginalised over y from the joint's cells, then the bound.
     q_xz = [[_ZERO] * scheme.p for _ in range(scheme.n)]
     for i, row in enumerate(phi):
-        for ks in row:
-            for k in ks:
-                q_xz[i][k] += joint.mass[k][i]
+        for k in itertools.chain.from_iterable(row):
+            q_xz[i][k] += joint.mass[k][i]
     triple_ok = True
     for i in range(scheme.n):
         for j in range(scheme.m):
@@ -288,11 +274,10 @@ def necessity_audit(scheme: Scheme) -> NecessityAudit:
                     }
                 seen.setdefault(k, i)
 
-    q_xy = _joint_xy(joint)
     column_mass: list[Optional[Fraction]] = []
     mass_ok = True
     for j in range(scheme.m):
-        if sum((row[j] for row in q_xy), _ZERO) == 0:
+        if sum((row[j] for row in joint.q_xy), _ZERO) == 0:
             column_mass.append(None)
             continue
         total = sum(

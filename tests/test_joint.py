@@ -203,7 +203,32 @@ def broken_schemes():
             sp.build_scheme(mixed23()),
             assignments=((0, 1, 2), (1, 1, 0), (0, 0, 1)),
         ), mixed23()),
+        ("shared_signals", shared_signals(), collapsed_inst),
     ]
+
+
+def shared_signals():
+    """Nine signals; x1 and x2 share z2 and z9 at y1, everything else is
+    disjoint."""
+    return sp.Scheme(
+        x_labels=("x1", "x2"), y_labels=("y1", "y2"),
+        z_labels=tuple(f"z{k+1}" for k in range(9)),
+        px=(F(1, 2), F(1, 2)), weights=(F(1, 9),) * 9,
+        assignments=tuple((0, 0) if k in (1, 8) else (0, 1) for k in range(9)),
+    )
+
+
+def test_disjointness_witness_names_the_lowest_shared_signal():
+    # Signals in a cell are scanned in ascending index, so the witness is
+    # z2 rather than z9 (a frozenset of {1, 8} would iterate 8 first).
+    audit = sp.necessity_audit(shared_signals())
+    assert (audit.triple_bound_ok, audit.disjoint_ok, audit.column_mass_ok) == (
+        True, False, False,
+    )
+    assert audit.witness == {
+        "law": "disjoint_support", "y": "y1", "z": "z2", "xs": ("x1", "x2"),
+    }
+    assert audit.column_mass == (F(11, 9), F(7, 9))
 
 
 @pytest.mark.parametrize(
@@ -212,3 +237,13 @@ def broken_schemes():
 def test_compiled_joint_matches_brute_force_on_broken_schemes(name, scheme, inst):
     assert_matches_brute_force(scheme, inst)
     assert not sp.verify_scheme(scheme, inst).all_ok or not sp.necessity_audit(scheme).ok
+
+
+def test_decode_table_is_built_once_and_read_only():
+    scheme = sp.build_scheme(mixed23())
+    table = sp.decode_table(scheme)
+    assert sp.decode_table(scheme) is table
+    with pytest.raises(TypeError):
+        table[(0, 0)] = 1
+    for (j, k), i in table.items():
+        assert sp.decode(scheme, j, k) == i
