@@ -12,9 +12,10 @@ The pipeline that turns a feasible instance into a working scheme:
    with probability alpha_k, and under it state row i is paired with
    column sigma_k(i).
 
-Everything is exact rational arithmetic; the decomposition terminates in
-at most m*m - 2m + 2 rounds because each subtraction zeroes at least one
-positive cell while both stochasticity constraints keep holding.
+Everything is exact: the decomposition peels integer residuals over one
+common denominator L, with Fractions only at its boundary.  It terminates
+in at most m*m - 2m + 2 rounds because each subtraction zeroes at least
+one positive cell while both stochasticity constraints keep holding.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
+from math import lcm
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -228,17 +231,20 @@ def extend(cm: ConditionalMatrix) -> ExtendedMatrix:
     return ExtendedMatrix(n=n, m=m, entries=cm.entries + (pad,) * (m - n))
 
 
-def perfect_matching(support: Sequence[Sequence[bool]]) -> tuple[int, ...] | None:
-    """Deterministic perfect matching on a square boolean grid, or None.
+def perfect_matching(support: Sequence[Sequence[object]]) -> tuple[int, ...] | None:
+    """Deterministic perfect matching on a square grid, or None.
 
-    Augmenting-path search with a fixed scan order: rows are processed in
-    ascending index; each row first grabs its lowest-indexed free column,
-    otherwise the lowest-indexed augmenting path (columns tried ascending
-    at every step) wins.  The same grid always yields the same matching.
+    A cell is usable when it is truthy (``True``, a positive residual) and
+    unusable when falsy (``False``, ``0``).  Augmenting-path search with a
+    fixed scan order: rows are processed in ascending index; each row first
+    grabs its lowest-indexed free column, otherwise the lowest-indexed
+    augmenting path (columns tried ascending at every step) wins.  The same
+    support always yields the same matching, whatever the cell type.
     """
     m = len(support)
     if m == 0 or any(len(row) != m for row in support):
         raise InputError("support grid must be square and non-empty")
+    adj = [list(compress(range(m), row)) for row in support]  # ascending
     col_of = [-1] * m  # row -> column
     row_of = [-1] * m  # column -> row
 
@@ -247,11 +253,12 @@ def perfect_matching(support: Sequence[Sequence[bool]]) -> tuple[int, ...] | Non
         # order: rows[d] is frame d's row, todo[d] its untried columns and
         # cols[d] the column frame d descended through.
         visited = [False] * m
-        rows, cols, todo = [root], [], [iter(range(m))]
+        rows, cols, todo = [root], [], [iter(adj[root])]
         while todo:
-            row = support[rows[-1]]
-            j = next((j for j in todo[-1] if row[j] and not visited[j]), -1)
-            if j == -1:
+            for j in todo[-1]:
+                if not visited[j]:
+                    break
+            else:
                 del rows[-1], todo[-1], cols[-1:]
                 continue
             visited[j] = True
@@ -261,13 +268,11 @@ def perfect_matching(support: Sequence[Sequence[bool]]) -> tuple[int, ...] | Non
                     row_of[c], col_of[r] = r, c
                 return True
             rows.append(row_of[j])
-            todo.append(iter(range(m)))
+            todo.append(iter(adj[row_of[j]]))
         return False
 
     for i in range(m):
-        free = next(
-            (j for j in range(m) if support[i][j] and row_of[j] == -1), None
-        )
+        free = next((j for j in adj[i] if row_of[j] == -1), None)
         if free is not None:
             row_of[free] = i
             col_of[i] = free
@@ -280,25 +285,28 @@ def birkhoff_decompose(
     ext: ExtendedMatrix,
 ) -> tuple[tuple[Fraction, tuple[int, ...]], ...]:
     """Exact Birkhoff decomposition: weights and permutations, in extraction
-    order, with weights summing to exactly 1 and every weight positive."""
-    m = ext.m
-    work = [list(row) for row in ext.entries]
-    terms: list[tuple[Fraction, tuple[int, ...]]] = []
-    while any(v > 0 for row in work for v in row):
-        sigma = perfect_matching([[v > 0 for v in row] for row in work])
+    order, with weights summing to exactly 1 and every weight positive.
+    Residuals are ints over L, the lcm of the entry denominators; weights
+    become Fractions only on return."""
+    L = lcm(*(v.denominator for row in ext.entries for v in row))
+    work = [[v.numerator * (L // v.denominator) for v in row] for row in ext.entries]
+    terms: list[tuple[int, tuple[int, ...]]] = []
+    while any(map(any, work)):
+        sigma = perfect_matching(work)
         if sigma is None:
             # Birkhoff's theorem guarantees a matching on any doubly
             # stochastic residual; reaching this means corrupted arithmetic.
             raise InternalInvariantError("no perfect matching on positive residual")
-        alpha = min(work[i][sigma[i]] for i in range(m))
+        alpha = min(row[j] for row, j in zip(work, sigma))
         if alpha <= 0:
             raise InternalInvariantError("matching hit a zero entry")
-        for i in range(m):
-            work[i][sigma[i]] -= alpha
+        for row, j in zip(work, sigma):
+            row[j] -= alpha
         terms.append((alpha, sigma))
-    if sum((a for a, _ in terms), Fraction(0)) != 1:
+    if sum(a for a, _ in terms) != L:
         raise InternalInvariantError("decomposition weights do not sum to 1")
-    return tuple(terms)
+    weights = {a: Fraction(a, L) for a, _ in terms}  # one object per distinct weight
+    return tuple((weights[a], sigma) for a, sigma in terms)
 
 
 def build_scheme(inst: Instance) -> Scheme:

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sidepad as sp
-from corpus import corr23, det22, mixed23, otp2, skew22
+from corpus import corpus, corr23, det22, mixed23, otp2, skew22
 
 
 def _conditional(inst):
@@ -352,3 +352,87 @@ def test_perfect_matching_keeps_the_recursive_scan_order():
         density = rng.choice((0.2, 0.4, 0.6))
         support = [[rng.random() < density for _ in range(m)] for _ in range(m)]
         assert sp.perfect_matching(support) == _recursive_matching(support)
+
+
+def test_perfect_matching_reads_any_truthy_cells():
+    # The grids of the scan-order test above, each also given as residuals:
+    # 0 where the bool grid is False, a positive int where it is True.
+    rng, values = random.Random(1500), random.Random(1501)
+    for _ in range(400):
+        m = rng.randrange(1, 9)
+        density = rng.choice((0.2, 0.4, 0.6))
+        support = [[rng.random() < density for _ in range(m)] for _ in range(m)]
+        residual = [[values.randrange(1, 10**12) if cell else 0 for cell in row]
+                    for row in support]
+        assert sp.perfect_matching(residual) == sp.perfect_matching(support)
+
+
+def _reference_birkhoff(ext):
+    """The Fraction decomposition the integer engine replaced, on the
+    recursive matcher: a reference for ``birkhoff_decompose``."""
+    m = ext.m
+    work = [list(row) for row in ext.entries]
+    terms = []
+    while any(v > 0 for row in work for v in row):
+        sigma = _recursive_matching([[v > 0 for v in row] for row in work])
+        assert sigma is not None
+        alpha = min(work[i][sigma[i]] for i in range(m))
+        assert alpha > 0
+        for i in range(m):
+            work[i][sigma[i]] -= alpha
+        terms.append((alpha, sigma))
+    assert sum((a for a, _ in terms), F(0)) == 1
+    return tuple(terms)
+
+
+def _assert_same_terms(ext):
+    terms = sp.birkhoff_decompose(ext)
+    assert terms == _reference_birkhoff(ext)
+    assert all(type(alpha) is F for alpha, _ in terms)
+
+
+def test_birkhoff_matches_the_fraction_reference_on_corpus():
+    feasible = [inst for inst in corpus() if sp.check_feasible(inst).feasible]
+    assert feasible
+    for inst in feasible:
+        _assert_same_terms(sp.extend(_conditional(inst)))
+
+
+@given(doubly_stochastic())
+def test_birkhoff_matches_the_fraction_reference_on_mixtures(ext):
+    _assert_same_terms(ext)
+
+
+@pytest.mark.parametrize("m", [16, 24, 32])
+@pytest.mark.parametrize("ratio", [2, 4])
+def test_birkhoff_matches_the_fraction_reference_at_scale(m, ratio):
+    # Uniform P_X over the first m/ratio rows of a mixture of m random
+    # permutations with integer weights summing to 4m.
+    rng = random.Random(f"birkhoff/{m}/{ratio}")
+    n, total = m // ratio, 4 * m
+    cuts = sorted(rng.sample(range(1, total), m - 1))
+    grid = [[F(0)] * m for _ in range(n)]
+    for weight in (b - a for a, b in zip([0, *cuts], [*cuts, total])):
+        perm = rng.sample(range(m), m)
+        for i in range(n):
+            grid[i][perm[i]] += F(weight, total)
+    inst = sp.instance_from_conditional([F(1, n)] * n, grid)
+    _assert_same_terms(sp.extend(_conditional(inst)))
+
+
+def test_birkhoff_raises_when_the_matcher_finds_none(monkeypatch):
+    monkeypatch.setattr(sp.construction, "perfect_matching", lambda support: None)
+    with pytest.raises(sp.InternalInvariantError):
+        sp.birkhoff_decompose(sp.extend(_conditional(corr23())))
+
+
+def test_birkhoff_raises_when_the_matching_hits_a_zero_cell(monkeypatch):
+    # The only permutation through positive cells is the swap; the matcher
+    # first offers the identity, through two zero cells.
+    offers = iter([(0, 1)])
+    monkeypatch.setattr(
+        sp.construction, "perfect_matching", lambda support: next(offers, (1, 0))
+    )
+    ext = sp.ExtendedMatrix(n=2, m=2, entries=((F(0), F(1)), (F(1), F(0))))
+    with pytest.raises(sp.InternalInvariantError):
+        sp.birkhoff_decompose(ext)
