@@ -153,7 +153,8 @@ class _Joint:
     ``phi[i][j]`` the signals pairing row i with column j.  The same pass
     yields ``q_z`` (Q_Z per signal) and ``clash``, the first (column,
     signal) in (y, z) order reached by two states, or None.  Row and signal
-    lists are ascending.
+    lists are ascending.  ``encoders`` starts empty: the runtime memoises
+    each cell's encoder distribution there on first use.
     """
 
     def __init__(self, scheme: Scheme):
@@ -162,6 +163,7 @@ class _Joint:
         px_total = sum(px, zero)
         singles = [(i,) for i in range(n)]
         self.mass, self.inverse, self.q_z, self.clash = [], [], [], None
+        self.encoders: dict[tuple[int, int], object] = {}
         self.phi = [[[] for _ in range(m)] for _ in range(n)]
         for k, (weight, sigma) in enumerate(zip(scheme.weights, scheme.assignments)):
             rows = sigma[:n]
@@ -363,10 +365,6 @@ class DeterministicSearch:
     nodes: int
 
 
-class _Budget(Exception):
-    pass
-
-
 def find_deterministic_scheme(
     inst: Instance, *, limit: int = 1_000_000, max_m: int = 8
 ) -> DeterministicSearch:
@@ -405,43 +403,41 @@ def find_deterministic_scheme(
     chosen = [[j for j, _ in first]] + [[-1] * p for _ in range(n - 1)]
     nodes = 0
 
-    def fill_row(i: int) -> bool:
-        if i == n:
-            return True
-        options = cells[i]
-        if len(options) != p:
-            return False
-        taken = [False] * p
-
-        def place(k: int) -> bool:
-            nonlocal nodes
-            if k == p:
-                return fill_row(i + 1)
-            for t, (j, v) in enumerate(options):
-                if taken[t]:
-                    continue
-                nodes += 1
-                if nodes > limit:
-                    raise _Budget
-                if v != alphas[k] or j in used[k]:
-                    continue
-                taken[t] = True
-                used[k].add(j)
-                chosen[i][k] = j
-                if place(k + 1):
-                    return True
-                taken[t] = False
-                used[k].remove(j)
-            return False
-
-        return place(0)
-
-    try:
-        found = fill_row(1)
-    except _Budget:
-        return DeterministicSearch(status="budget_exhausted", scheme=None, nodes=nodes)
-    if not found:
-        return DeterministicSearch(status="none_found", scheme=None, nodes=nodes)
+    # Depth-first over the slots (row i, signal k) in row-major order, on an
+    # explicit stack of the option index placed in each filled slot: a loop,
+    # not recursive closures, so the search state is freed on return.  A row
+    # whose support size differs from p offers no options.  Backtracking out
+    # of a row has undone all its placements, so ``taken`` needs no reset.
+    taken = [[False] * p for _ in range(n)]
+    picks: list[int] = []
+    i, k, t = 1, 0, 0  # the slot to fill and the first option to try there
+    while i < n:
+        options = cells[i] if len(cells[i]) == p else []
+        for t in range(t, len(options)):
+            if taken[i][t]:
+                continue
+            nodes += 1
+            if nodes > limit:
+                return DeterministicSearch(
+                    status="budget_exhausted", scheme=None, nodes=nodes
+                )
+            j, v = options[t]
+            if v != alphas[k] or j in used[k]:
+                continue
+            taken[i][t] = True
+            used[k].add(j)
+            chosen[i][k] = j
+            picks.append(t)
+            i, k, t = (i, k + 1, 0) if k + 1 < p else (i + 1, 0, 0)
+            break
+        else:  # slot exhausted: undo the previous slot and try its next option
+            if not picks:
+                return DeterministicSearch(status="none_found", scheme=None, nodes=nodes)
+            i, k = (i, k - 1) if k else (i - 1, p - 1)
+            t = picks.pop()
+            taken[i][t] = False
+            used[k].remove(cells[i][t][0])
+            t += 1
 
     assignments = [
         [chosen[i][k] for i in range(n)] + sorted(set(range(m)) - used[k])

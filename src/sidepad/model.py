@@ -10,11 +10,14 @@ probabilities never are.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Sequence, Union
 
-from .errors import InputError
+from .errors import InputError, InternalInvariantError
 
 Rational = Fraction
 
@@ -129,6 +132,41 @@ class Instance:
     @property
     def m(self) -> int:
         return len(self.y_labels)
+
+    @cached_property
+    def _world(self) -> "_Sampler":
+        """Exact sampler of (x row, y column) pairs from P_XY, row-major.
+        Memoised outside the dataclass fields: eq, hash and repr ignore it."""
+        return _Sampler(
+            ((i, j), v) for i, row in enumerate(self.p_xy) for j, v in enumerate(row)
+        )
+
+
+class _Sampler:
+    """Exact inverse-transform sampler for a rational pmf summing to 1: one
+    uniform integer below the lcm of the mass denominators, bisected into a
+    table of integer thresholds.  Zero masses are dropped."""
+
+    __slots__ = ("limit", "thresholds", "values")
+
+    def __init__(self, pairs: Iterable[tuple[object, Fraction]]):
+        items = [(value, mass) for value, mass in pairs if mass > 0]
+        if not items:
+            raise InternalInvariantError("sampler needs positive mass")
+        self.limit = lcm(*(mass.denominator for _, mass in items))
+        acc = 0
+        self.thresholds: list[int] = []
+        self.values: list[object] = []
+        for value, mass in items:
+            acc += mass.numerator * (self.limit // mass.denominator)
+            self.thresholds.append(acc)
+            self.values.append(value)
+        if acc != self.limit:
+            raise InternalInvariantError("sampler masses must sum to 1")
+
+    def draw(self, rng) -> object:
+        """One value; ``rng`` offers ``randbelow`` (a runtime RandomSource)."""
+        return self.values[bisect_right(self.thresholds, rng.randbelow(self.limit))]
 
 
 def make_instance(

@@ -18,30 +18,34 @@ with rational masses is sampled by drawing one uniform integer below
 L = lcm of the mass denominators and bisecting a table of integer
 thresholds.  No floats are compared anywhere; floats appear only in the
 *report* of empirical frequencies.  Events with exactly one possible
-outcome consume no randomness at all.
+outcome consume no randomness at all.  Each table is built once: an
+instance keeps the sampler of its joint, and a scheme's compiled joint
+keeps each cell's encoder distribution.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .construction import Scheme
 from .errors import (
     DimensionMismatchError,
     InputError,
-    InternalInvariantError,
     OffSupportError,
     UnverifiedSchemeError,
 )
-from .model import Instance
-from .verification import _inverse, _scheme_rows, _signals_at
-from .verification import decode_table, verify_scheme
+from .model import Instance, _Sampler
+from .verification import _encoders, _inverse, _scheme_rows, _signals_at
+from .verification import (
+    check_consistency,
+    check_informativeness,
+    check_secrecy,
+    decode_table,
+)
 
 _SEED_LIMIT = 2**64
 
@@ -75,45 +79,20 @@ class RandomSource:
         return RandomSource(int.from_bytes(digest[:8], "big"))
 
 
-class _Sampler:
-    """Exact inverse-transform sampler for a rational pmf summing to 1."""
-
-    __slots__ = ("limit", "thresholds", "values")
-
-    def __init__(self, pairs: Iterable[tuple[object, Fraction]]):
-        items = [(value, mass) for value, mass in pairs if mass > 0]
-        if not items:
-            raise InternalInvariantError("sampler needs positive mass")
-        self.limit = lcm(*(mass.denominator for _, mass in items))
-        acc = 0
-        self.thresholds: list[int] = []
-        self.values: list[object] = []
-        for value, mass in items:
-            acc += mass.numerator * (self.limit // mass.denominator)
-            self.thresholds.append(acc)
-            self.values.append(value)
-        if acc != self.limit:
-            raise InternalInvariantError("sampler masses must sum to 1")
-
-    def draw(self, rng: RandomSource):
-        return self.values[bisect_right(self.thresholds, rng.randbelow(self.limit))]
-
-
 def sample_world(inst: Instance, rng: RandomSource) -> tuple[int, int]:
     """Draw one (x row, y column) pair from the instance's joint, exactly."""
-    sampler = _Sampler(
-        ((i, j), inst.p_xy[i][j])
-        for i in range(inst.n)
-        for j in range(inst.m)
-    )
-    return sampler.draw(rng)  # type: ignore[return-value]
+    return inst._world.draw(rng)  # type: ignore[return-value]
 
 
 def _conditional_signals(
     scheme: Scheme, x_index: int, y_index: int
 ) -> Union[int, _Sampler]:
     """Encoder distribution for one supported pair: a bare signal index when
-    deterministic, an exact sampler otherwise."""
+    deterministic, an exact sampler otherwise.  Memoised per cell."""
+    memo = _encoders(scheme)
+    choice = memo.get((x_index, y_index))
+    if choice is not None:
+        return choice
     ks = _signals_at(scheme, x_index, y_index)
     if not ks:
         raise OffSupportError(
@@ -121,9 +100,12 @@ def _conditional_signals(
             "has zero probability under the scheme"
         )
     if len(ks) == 1:
-        return ks[0]
-    total = sum((scheme.weights[k] for k in ks), Fraction(0))
-    return _Sampler((k, scheme.weights[k] / total) for k in ks)
+        choice = ks[0]
+    else:
+        total = sum((scheme.weights[k] for k in ks), Fraction(0))
+        choice = _Sampler((k, scheme.weights[k] / total) for k in ks)
+    memo[x_index, y_index] = choice
+    return choice
 
 
 def encode(scheme: Scheme, x_index: int, y_index: int, rng: RandomSource) -> int:
@@ -210,10 +192,13 @@ def simulate(
 
     supp = _scheme_rows(scheme, inst)
     if not allow_unverified:
-        report = verify_scheme(scheme, inst)
-        if not report.all_ok:
-            laws = ("consistency", "informativeness", "secrecy")
-            failed = [name for name in laws if not getattr(report, name).ok]
+        laws = {
+            "consistency": check_consistency(scheme, inst),
+            "informativeness": check_informativeness(scheme),
+            "secrecy": check_secrecy(scheme),
+        }
+        failed = [name for name, result in laws.items() if not result.ok]
+        if failed:
             raise UnverifiedSchemeError(
                 f"refusing to simulate: scheme fails {', '.join(failed)} "
                 "(pass allow_unverified=True to force)"

@@ -1,9 +1,16 @@
-"""Exact phase-1 simplex over rationals.
+"""Exact phase-1 simplex on an integer tableau.
 
 Decides whether ``A x = b`` has a nonnegative solution and returns one.
 Minimizes the sum of artificial variables with Bland's smallest-index
-pivoting rule, which rules out cycling, so termination is unconditional;
-all arithmetic is :class:`fractions.Fraction`, so the verdict is exact.
+pivoting rule, which rules out cycling, so termination is unconditional.
+
+Each tableau row, the objective row included, is a list of integer
+numerators over one positive row denominator, reduced by its gcd after
+every pivot.  Every cell equals the rational a Fraction tableau would
+hold, so pivots, verdict and solution are exactly those of rational
+arithmetic, at integer cost.  Entries may be ints or Fractions (read
+through ``numerator``/``denominator``); Fractions appear again only in
+the returned solution, which is checked exactly against the input.
 
 This backs the brute-force feasibility oracle, which must stay
 structurally independent of the constructive pipeline it cross-checks.
@@ -12,13 +19,22 @@ structurally independent of the constructive pipeline it cross-checks.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import InputError, InternalInvariantError
 
 
+def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
+    """The same rationals ``row / den`` with the common factor divided out."""
+    g = gcd(den, *row)
+    if g == 1:
+        return row, den
+    return [v // g for v in row], den // g
+
+
 def feasible_nonnegative_solution(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+    rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction]
 ) -> Optional[tuple[Fraction, ...]]:
     """Return x >= 0 with ``rows @ x == rhs`` exactly, or None if none exists."""
     n_rows = len(rows)
@@ -31,67 +47,78 @@ def feasible_nonnegative_solution(
         return ()
 
     # Tableau: real columns, artificial identity, rhs; flip rows to b >= 0.
-    tableau: list[list[Fraction]] = []
-    for r in range(n_rows):
-        sign = -1 if rhs[r] < 0 else 1
-        row = [sign * Fraction(v) for v in rows[r]]
-        row += [Fraction(0)] * n_rows
-        row[n_vars + r] = Fraction(1)
-        row.append(sign * Fraction(rhs[r]))
-        tableau.append(row)
-    basis = [n_vars + r for r in range(n_rows)]
+    # Row r holds the rationals tableau[r][j] / dens[r].
     width = n_vars + n_rows
+    tableau: list[list[int]] = []
+    dens: list[int] = []
+    for r in range(n_rows):
+        cells = [*rows[r], rhs[r]]
+        den = lcm(*(v.denominator for v in cells))
+        sign = -1 if rhs[r] < 0 else 1
+        row = [sign * v.numerator * (den // v.denominator) for v in cells]
+        row[n_vars:n_vars] = [0] * n_rows
+        row[n_vars + r] = den
+        row, den = _reduced(row, den)
+        tableau.append(row)
+        dens.append(den)
+    basis = [n_vars + r for r in range(n_rows)]
 
     # Reduced costs for minimizing the artificial sum: objective row holds
     # c_j - c_B.col_j; the last cell tracks minus the objective value.
-    obj = [Fraction(0)] * (width + 1)
-    for j in range(n_vars):
-        obj[j] = -sum((tableau[r][j] for r in range(n_rows)), Fraction(0))
-    obj[width] = -sum((tableau[r][width] for r in range(n_rows)), Fraction(0))
+    obj_den = lcm(*dens)
+    scales = [obj_den // d for d in dens]
+    obj = [0] * (width + 1)
+    for j in (*range(n_vars), width):
+        obj[j] = -sum(row[j] * s for row, s in zip(tableau, scales))
+    obj, obj_den = _reduced(obj, obj_den)
 
     while True:
         entering = next((j for j in range(width) if obj[j] < 0), None)
         if entering is None:
             break
+        # Bland's ratio test: the least rhs/coeff over positive coefficients
+        # (row denominators cancel), ties to the smallest basic variable.
         pivot_row = None
-        best = None
         for r in range(n_rows):
             coeff = tableau[r][entering]
             if coeff > 0:
-                ratio = tableau[r][width] / coeff
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[r] < basis[pivot_row])
-                ):
-                    best = ratio
+                if pivot_row is None:
+                    pivot_row = r
+                    continue
+                here = tableau[r][width] * tableau[pivot_row][entering]
+                best = tableau[pivot_row][width] * coeff
+                if here < best or (here == best and basis[r] < basis[pivot_row]):
                     pivot_row = r
         if pivot_row is None:
             raise InternalInvariantError("phase-1 objective unbounded")
-        pivot = tableau[pivot_row][entering]
-        tableau[pivot_row] = [v / pivot for v in tableau[pivot_row]]
+        # Scaling the pivot row to a unit pivot is a change of denominator.
+        pivot, pivot_den = _reduced(tableau[pivot_row], tableau[pivot_row][entering])
+        tableau[pivot_row], dens[pivot_row] = pivot, pivot_den
         for r in range(n_rows):
-            if r != pivot_row and tableau[r][entering] != 0:
-                factor = tableau[r][entering]
-                tableau[r] = [
-                    v - factor * pv for v, pv in zip(tableau[r], tableau[pivot_row])
-                ]
-        if obj[entering] != 0:
-            factor = obj[entering]
-            obj = [v - factor * pv for v, pv in zip(obj, tableau[pivot_row])]
+            factor = tableau[r][entering]
+            if r != pivot_row and factor != 0:
+                tableau[r], dens[r] = _reduced(
+                    [v * pivot_den - factor * pv for v, pv in zip(tableau[r], pivot)],
+                    dens[r] * pivot_den,
+                )
+        factor = obj[entering]
+        if factor != 0:
+            obj, obj_den = _reduced(
+                [v * pivot_den - factor * pv for v, pv in zip(obj, pivot)],
+                obj_den * pivot_den,
+            )
         basis[pivot_row] = entering
 
     if obj[width] != 0:
         return None
 
-    solution = [Fraction(0)] * n_vars
+    zero = Fraction(0)
+    solution = [zero] * n_vars
     for r, var in enumerate(basis):
         if var < n_vars:
-            solution[var] = tableau[r][width]
+            solution[var] = Fraction(tableau[r][width], dens[r])
+    support = [j for j, v in enumerate(solution) if v]
     for r in range(n_rows):
-        total = sum(
-            (Fraction(rows[r][j]) * solution[j] for j in range(n_vars)), Fraction(0)
-        )
-        if total != rhs[r]:
+        if sum((rows[r][j] * solution[j] for j in support), zero) != rhs[r]:
             raise InternalInvariantError("phase-1 solution fails its constraints")
     return tuple(solution)

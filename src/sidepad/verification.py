@@ -194,6 +194,11 @@ def _inverse(scheme: Scheme) -> list[list[tuple[int, ...]]]:
     return scheme._joint.inverse
 
 
+def _encoders(scheme: Scheme) -> dict[tuple[int, int], object]:
+    """The runtime's per-cell encoder memo, kept with the compiled joint."""
+    return scheme._joint.encoders
+
+
 def decode_table(scheme: Scheme) -> Mapping[tuple[int, int], int]:
     """The receiver's lookup: (y column, z index) -> state row.
 
@@ -335,7 +340,7 @@ def feasibility_oracle(inst: Instance, *, max_m: int = 6) -> OracleReport:
     rhs = []
     for i in range(cm.n):
         for j in range(cm.m):
-            rows.append([Fraction(1 if perm[i] == j else 0) for perm in perms])
+            rows.append([1 if perm[i] == j else 0 for perm in perms])
             rhs.append(cm.entries[i][j])
     solution = feasible_nonnegative_solution(rows, rhs)
     if solution is None:

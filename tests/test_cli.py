@@ -305,6 +305,37 @@ def test_oracle_json_support_reconstructs(capsys, paths):
     assert total == 1
 
 
+# ``sidepad oracle`` text and --json output on the fixtures, pinned across
+# solver versions: (exit code, text line, support as (weight, perm) pairs).
+ORACLE_GOLDEN = {
+    "corr23": (0, "oracle: feasible (mixture of 2 permutations)",
+               [("1/2", [1, 2, 3]), ("1/2", [2, 3, 1])]),
+    "mixed23": (0, "oracle: feasible (mixture of 3 permutations)",
+                [("1/3", [1, 2, 3]), ("1/6", [1, 3, 2]), ("1/2", [2, 3, 1])]),
+    "otp2": (0, "oracle: feasible (mixture of 2 permutations)",
+             [("1/2", [1, 2]), ("1/2", [2, 1])]),
+    "det22": (0, "oracle: feasible (mixture of 2 permutations)",
+              [("2/3", [1, 2]), ("1/3", [2, 1])]),
+    "skew22": (1, "oracle: infeasible", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GOLDEN))
+def test_oracle_output_is_pinned(capsys, paths, name):
+    code, line, support = ORACLE_GOLDEN[name]
+    assert run(capsys, "oracle", paths[name]) == (code, line + "\n", "")
+    payload = {
+        "kind": "oracle",
+        "feasible": support is not None,
+        "support": None if support is None else [
+            {"weight": weight, "perm": perm} for weight, perm in support
+        ],
+    }
+    assert run(capsys, "oracle", paths[name], "--json") == (
+        code, json.dumps(payload, indent=2) + "\n", ""
+    )
+
+
 def test_oracle_refuses_large_alphabets(capsys, tmp_path):
     path = tmp_path / "wide.inst"
     path.write_text(sp.serialize_instance(uniform_independent(2, 7)))

@@ -1,5 +1,8 @@
 """Extension, matchings, the exact decomposition, and scheme building."""
 
+import collections
+import gc
+import hashlib
 import itertools
 import random
 from fractions import Fraction as F
@@ -218,6 +221,63 @@ def test_deterministic_search_budget_exhaustion():
     assert outcome.status == "budget_exhausted"
     assert outcome.scheme is None
     assert outcome.nodes >= 1
+
+
+def test_deterministic_search_leaves_no_cyclic_garbage():
+    # Found, none found and budget exhausted: each call's search state must
+    # be freed by reference counting on return, not left for the collector.
+    instances = [(det22(), 1_000_000), (mixed23(), 1_000_000), (det22(), 1)]
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        statuses = [
+            sp.find_deterministic_scheme(inst, limit=limit).status
+            for inst, limit in instances
+        ]
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert statuses == ["found", "none_found", "budget_exhausted"]
+
+
+def _search_cases():
+    """Every feasible corpus instance under four node budgets, plus uniform
+    rows whose last row cannot match, whose long searches the budget cuts."""
+    for inst in corpus():
+        if sp.check_feasible(inst).feasible:
+            for limit in (1, 3, 17, 1_000_000):
+                yield inst, limit
+    for m in range(3, 8):
+        for n in range(2, m):
+            rows = [[F(1, m)] * m for _ in range(n - 1)]
+            for last in (
+                [F(1, m - 1)] * (m - 1) + [F(0)],
+                [F(2, m + 1)] + [F(1, m + 1)] * (m - 1),
+            ):
+                inst = sp.instance_from_conditional([F(1, n)] * n, rows + [last])
+                if sp.check_feasible(inst).feasible:
+                    for limit in (1000, 30000):
+                        yield inst, limit
+
+
+def test_deterministic_search_golden_outcomes():
+    # Status, node count and scheme of every case, pinned across code
+    # versions: the search order and the budget cut must not move.
+    digest = hashlib.sha256()
+    statuses = collections.Counter()
+    nodes = 0
+    for inst, limit in _search_cases():
+        result = sp.find_deterministic_scheme(inst, limit=limit)
+        digest.update(repr((result.status, result.nodes, result.scheme)).encode())
+        statuses[result.status] += 1
+        nodes += result.nodes
+    assert statuses == {"found": 1283, "none_found": 620, "budget_exhausted": 193}
+    assert nodes == 360115
+    assert digest.hexdigest() == (
+        "4a6904a7651a30ac6223ae59db456126980c7a3ef00c074cdb798f4c9c5f3090"
+    )
 
 
 def test_deterministic_search_caps_width():

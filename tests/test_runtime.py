@@ -55,6 +55,39 @@ def test_sample_world_reproducible_sequence():
     assert seq[0] == (1, 1)
 
 
+def test_sample_world_builds_its_sampler_once():
+    inst, twin = corr23(), corr23()
+    rng = sp.RandomSource(7)
+    sp.sample_world(inst, rng)
+    sampler = vars(inst)["_world"]
+    sp.sample_world(inst, rng)
+    assert vars(inst)["_world"] is sampler
+    # The memo sits outside the dataclass fields.
+    assert "_world" not in vars(twin)
+    assert inst == twin and hash(inst) == hash(twin) and repr(inst) == repr(twin)
+
+
+def test_encode_memoises_each_cell_and_simulate_shares_it():
+    inst = mixed23()
+    scheme = sp.build_scheme(inst)
+    memo = scheme._joint.encoders
+    rng = sp.RandomSource(PINNED_SEEDS[0])
+    sp.encode(scheme, 0, 0, rng)
+    split = memo[(0, 0)]
+    sp.encode(scheme, 0, 0, rng)
+    assert memo[(0, 0)] is split
+    sp.simulate(scheme, inst, 10, 1)
+    assert memo[(0, 0)] is split
+    supported = {
+        (i, j) for i in range(scheme.n) for j in range(scheme.m)
+        if sp.support_signals(scheme, i, j)
+    }
+    assert set(memo) == supported
+    with pytest.raises(sp.OffSupportError):
+        sp.encode(scheme, 0, 2, rng)
+    assert (0, 2) not in memo
+
+
 def test_sample_world_frequencies_uniform_2x2():
     inst = otp2()
     rng = sp.RandomSource(PINNED_SEEDS[0])
@@ -208,6 +241,33 @@ def test_simulate_refuses_broken_schemes():
         sp.simulate(perturbed, inst, 100, 1)
     report = sp.simulate(perturbed, inst, 100, 1, allow_unverified=True)
     assert report.samples == 100
+
+
+@pytest.mark.parametrize(
+    "assignments, failed",
+    [
+        (((1, 1, 0), (1, 2, 0)), "consistency, informativeness"),
+        (((1, 1, 0), (None, 2, 1)), "consistency, informativeness, secrecy"),
+        (((0, 1, 2), (None, 2, 1)), "consistency, secrecy"),
+    ],
+)
+def test_simulate_refusal_names_every_failed_law(assignments, failed):
+    inst = corr23()
+    scheme = sp.build_scheme(inst)
+    broken = sp.Scheme(
+        x_labels=scheme.x_labels,
+        y_labels=scheme.y_labels,
+        z_labels=scheme.z_labels,
+        px=scheme.px,
+        weights=scheme.weights,
+        assignments=assignments,
+    )
+    with pytest.raises(sp.UnverifiedSchemeError) as refused:
+        sp.simulate(broken, inst, 10, 1)
+    assert str(refused.value) == (
+        f"refusing to simulate: scheme fails {failed} "
+        "(pass allow_unverified=True to force)"
+    )
 
 
 def test_simulate_validates_arguments():
