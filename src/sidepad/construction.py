@@ -146,28 +146,37 @@ class Scheme:
 
 class _Joint:
     """The scheme joint Q(x_i, y_j, z_k) = alpha_k * P_X(x_i) * [sigma_k(i) = j]
-    over real state rows, compiled in one O(p*n) pass.  Only verification
-    reads it; the runtime goes through verification.  ``mass[k][i]`` is
-    Q_XZ(x_i, z_k) (zero where signal k leaves row i unassigned);
-    ``inverse[k][j]`` holds the state rows signal k sends to column j;
-    ``phi[i][j]`` the signals pairing row i with column j.  The same pass
-    yields ``q_z`` (Q_Z per signal) and ``clash``, the first (column,
-    signal) in (y, z) order reached by two states, or None.  Row and signal
-    lists are ascending.  ``encoders`` starts empty: the runtime memoises
-    each cell's encoder distribution there on first use.
+    over real state rows, compiled in one O(p*n) pass on integers.  Only
+    verification reads it; the runtime goes through verification.
+
+    With D the lcm of the weight denominators and E that of the state
+    masses, ``a[k]`` is alpha_k * D and ``b[i]`` is P_X(x_i) * E, so every
+    mass is an integer numerator over ``den`` = D * E: Q_XZ(x_i, z_k) is
+    ``a[k] * b[i]`` (zero where signal k leaves row i unassigned),
+    ``q_z[k]`` is Q_Z and ``q_xy[i][j]`` is Q_XY.  ``inverse[k][j]`` holds
+    the state rows signal k sends to column j; ``phi[i][j]`` the signals
+    pairing row i with column j.  The same pass yields ``clash``, the first
+    (column, signal) in (y, z) order reached by two states, or None.  Row
+    and signal lists are ascending.  Fractions appear only in the reports
+    verification builds from these numerators.  ``encoders`` starts empty:
+    the runtime memoises each cell's encoder distribution there on first
+    use.
     """
 
     def __init__(self, scheme: Scheme):
-        n, m, px = scheme.n, scheme.m, scheme.px
-        zero = Fraction(0)
-        px_total = sum(px, zero)
+        n, m = scheme.n, scheme.m
+        d = lcm(*(w.denominator for w in scheme.weights))
+        self.e = lcm(*(v.denominator for v in scheme.px))
+        self.den = d * self.e
+        self.a = [w.numerator * (d // w.denominator) for w in scheme.weights]
+        self.b = [v.numerator * (self.e // v.denominator) for v in scheme.px]
+        b_total = sum(self.b)
         singles = [(i,) for i in range(n)]
-        self.mass, self.inverse, self.q_z, self.clash = [], [], [], None
+        self.inverse, self.q_z, self.clash = [], [], None
         self.encoders: dict[tuple[int, int], object] = {}
         self.phi = [[[] for _ in range(m)] for _ in range(n)]
-        for k, (weight, sigma) in enumerate(zip(scheme.weights, scheme.assignments)):
+        for k, (a, sigma) in enumerate(zip(self.a, scheme.assignments)):
             rows = sigma[:n]
-            mass = [zero if j is None else weight * px[i] for i, j in enumerate(rows)]
             inverse: list[tuple[int, ...]] = [()] * m
             for i, j in enumerate(rows):
                 if j is None:
@@ -178,17 +187,20 @@ class _Joint:
                     self.clash = min(self.clash or (j, k), (j, k))
                 else:
                     inverse[j] = singles[i]
-            self.mass.append(mass)
             self.inverse.append(inverse)
-            self.q_z.append(sum(mass, zero) if None in rows else weight * px_total)
+            assigned = b_total if None not in rows else sum(
+                b for b, j in zip(self.b, rows) if j is not None
+            )
+            self.q_z.append(a * assigned)
 
     @cached_property
-    def q_xy(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Q_XY: each cell sums the masses of the signals in phi(x, y)."""
-        return tuple(
-            tuple(sum((self.mass[k][i] for k in ks), Fraction(0)) for ks in row)
-            for i, row in enumerate(self.phi)
-        )
+    def q_xy(self) -> list[list[int]]:
+        """Q_XY numerators: row i's mass times the weights in phi(x, y)."""
+        a = self.a
+        return [
+            [b * sum(a[k] for k in ks) for ks in row]
+            for b, row in zip(self.b, self.phi)
+        ]
 
     @cached_property
     def table(self) -> Mapping[tuple[int, int], int]:

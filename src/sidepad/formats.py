@@ -41,7 +41,7 @@ from fractions import Fraction
 
 from .construction import Scheme
 from .errors import InputError
-from .model import Instance, make_instance, rat_parse, rat_str
+from .model import Instance, _clip, make_instance, rat_parse, rat_str
 
 INSTANCE_MAGIC = ("INSTANCE", "v1")
 SCHEME_MAGIC = ("SCHEME", "v1")
@@ -67,8 +67,14 @@ class _Cursor:
     def next_int(self, what: str, minimum: int = 1) -> int:
         token = self.next(what)
         if not (token.isascii() and token.isdigit()):
-            raise InputError(f"expected {what}, got {token!r}")
-        value = int(token)
+            raise InputError(f"expected {what}, got {_clip(token)}")
+        try:
+            value = int(token)
+        except ValueError:
+            # int()'s limit on digits per conversion (4,300 by default).
+            raise InputError(
+                f"{what} too long ({len(token)} digits): {_clip(token)}"
+            ) from None
         if value < minimum:
             raise InputError(f"{what} must be >= {minimum}, got {value}")
         return value
@@ -77,8 +83,8 @@ class _Cursor:
         token = self.next(what)
         try:
             return rat_parse(token)
-        except InputError:
-            raise InputError(f"expected {what}, got {token!r}") from None
+        except InputError as exc:
+            raise InputError(f"{what}: {exc}") from None
 
     def finish(self, kind: str) -> None:
         if self._pos != len(self._tokens):

@@ -14,7 +14,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from itertools import accumulate
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import InputError, InternalInvariantError
@@ -38,21 +39,32 @@ def rat_parse(token: str) -> Fraction:
     written with ASCII digits.
 
     Scientific notation, floats with exponents, and empty/garbage tokens are
-    rejected with :class:`InputError`.  ``2/4`` parses to the canonical 1/2.
+    rejected with :class:`InputError`, and so are numbers longer than the
+    interpreter's integer-conversion digit limit (4,300 digits by default).
+    ``2/4`` parses to the canonical 1/2.
     """
     text = token.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        if not (_INT_RE.fullmatch(num) and _DEN_RE.fullmatch(den)):
-            raise InputError(f"not a rational token: {token!r}")
-        if int(den) == 0:
-            raise InputError(f"zero denominator in {token!r}")
-        return Fraction(int(num), int(den))
-    if _INT_RE.fullmatch(text):
-        return Fraction(int(text))
-    if _DEC_RE.fullmatch(text):
-        return Fraction(text)
-    raise InputError(f"not a rational token: {token!r}")
+    num, slash, den = text.partition("/")
+    try:
+        if slash and _INT_RE.fullmatch(num) and _DEN_RE.fullmatch(den):
+            return Fraction(int(num), int(den))
+        if _INT_RE.fullmatch(text):
+            return Fraction(int(text))
+        if _DEC_RE.fullmatch(text):
+            return Fraction(text)
+    except ZeroDivisionError:
+        raise InputError(f"zero denominator in {_clip(token)}") from None
+    except ValueError:
+        # Well-formed, so this is int()'s limit on digits per conversion.
+        raise InputError(
+            f"rational token too long ({len(text)} characters): {_clip(token)}"
+        ) from None
+    raise InputError(f"not a rational token: {_clip(token)}")
+
+
+def _clip(token: str) -> str:
+    """``repr(token)`` for error messages, cut short past 40 characters."""
+    return repr(token) if len(token) <= 40 else f"{token[:40]!r}..."
 
 
 def rat_str(value: Fraction) -> str:
@@ -163,6 +175,21 @@ class _Sampler:
             self.values.append(value)
         if acc != self.limit:
             raise InternalInvariantError("sampler masses must sum to 1")
+
+    @classmethod
+    def from_weights(
+        cls, values: Sequence[object], weights: Sequence[int]
+    ) -> "_Sampler":
+        """Sampler of ``values[k]`` with probability ``weights[k] / S`` for
+        positive integer weights summing to S.  With G their gcd, the limit
+        is S / G and the thresholds the running sums of ``weights[k] / G``:
+        the same table the Fraction masses ``weights[k] / S`` would give."""
+        g = gcd(*weights)
+        sampler = cls.__new__(cls)
+        sampler.values = list(values)
+        sampler.thresholds = list(accumulate(w // g for w in weights))
+        sampler.limit = sampler.thresholds[-1]
+        return sampler
 
     def draw(self, rng) -> object:
         """One value; ``rng`` offers ``randbelow`` (a runtime RandomSource)."""

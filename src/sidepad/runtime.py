@@ -16,11 +16,15 @@ Exactness contract
 Every discrete draw is an exact inverse transform: a probability vector
 with rational masses is sampled by drawing one uniform integer below
 L = lcm of the mass denominators and bisecting a table of integer
-thresholds.  No floats are compared anywhere; floats appear only in the
-*report* of empirical frequencies.  Events with exactly one possible
-outcome consume no randomness at all.  Each table is built once: an
-instance keeps the sampler of its joint, and a scheme's compiled joint
-keeps each cell's encoder distribution.
+thresholds.  An encoder cell is built from the integer numerators a_k of
+its signals' weights over one common denominator: with S their sum and G
+their gcd, L = S / G and the thresholds are the running sums of a_k / G,
+the same table the Fraction masses alpha_k / sum(alpha) give.  No floats
+are compared anywhere; floats appear only in the *report* of empirical
+frequencies.  Events with exactly one possible outcome consume no
+randomness at all.  Each table is built once: an instance keeps the
+sampler of its joint, and a scheme's compiled joint keeps each cell's
+encoder distribution.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Union
 
 from .construction import Scheme
@@ -39,8 +42,12 @@ from .errors import (
     UnverifiedSchemeError,
 )
 from .model import Instance, _Sampler
-from .verification import _encoders, _inverse, _scheme_rows, _signals_at
 from .verification import (
+    _encoders,
+    _inverse,
+    _scheme_rows,
+    _signals_at,
+    _weight_numerators,
     check_consistency,
     check_informativeness,
     check_secrecy,
@@ -102,8 +109,8 @@ def _conditional_signals(
     if len(ks) == 1:
         choice = ks[0]
     else:
-        total = sum((scheme.weights[k] for k in ks), Fraction(0))
-        choice = _Sampler((k, scheme.weights[k] / total) for k in ks)
+        a = _weight_numerators(scheme)
+        choice = _Sampler.from_weights(ks, [a[k] for k in ks])
     memo[x_index, y_index] = choice
     return choice
 

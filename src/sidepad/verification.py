@@ -6,11 +6,15 @@ A scheme together with an instance determines the joint distribution
 
 over real state rows i (padding rows carry no mass).  The scheme compiles
 that joint once, in a single pass over its assignments, into a sparse form
-(``Scheme._joint``): the masses Q_XZ(x_i, z_k), each signal's inverse
-(column -> state rows) and the support sets phi(x, y) = { z : Q(x,y,z) > 0 }.
-Everything here is derived from that one enumeration — never from the
-construction's intermediate values — and the three defining laws are
-checked exactly:
+on integers (``Scheme._joint``): with D the lcm of the weight denominators
+and E that of the state masses, every mass is an integer numerator over
+D * E — Q_XZ(x_i, z_k) is alpha_k * D times P_X(x_i) * E — next to each
+signal's inverse (column -> state rows) and the support sets
+phi(x, y) = { z : Q(x,y,z) > 0 }.  Everything here is derived from that one
+enumeration — never from the construction's intermediate values — and the
+three defining laws are checked exactly, by integer sums and
+cross-multiplication; Fractions are built only for what a report or a
+witness returns:
 
 * consistency: Q_XY equals the instance's P_XY cell by cell;
 * informativeness: whenever Q_YZ(y,z) > 0, exactly one state is possible,
@@ -97,17 +101,17 @@ def check_consistency(scheme: Scheme, inst: Instance) -> CheckResult:
     Mismatched shapes or labels raise rather than fail (see _scheme_rows).
     """
     supp = _scheme_rows(scheme, inst)
-    got = scheme._joint.q_xy
-    for i in range(scheme.n):
-        for j in range(scheme.m):
-            want = inst.p_xy[supp[i]][j]
-            if got[i][j] != want:
+    joint = scheme._joint
+    for i, got_row in enumerate(joint.q_xy):
+        for j, (got, want) in enumerate(zip(got_row, inst.p_xy[supp[i]])):
+            # got / den == want, cross-multiplied.
+            if got * want.denominator != want.numerator * joint.den:
                 return CheckResult(
                     ok=False,
                     witness={
                         "x": scheme.x_labels[i],
                         "y": scheme.y_labels[j],
-                        "got": got[i][j],
+                        "got": Fraction(got, joint.den),
                         "expected": want,
                     },
                 )
@@ -137,40 +141,62 @@ def check_secrecy(scheme: Scheme) -> CheckResult:
     signals with Q_Z(z) = 0 impose no condition.
     """
     joint = scheme._joint
-    for i in range(scheme.n):
-        for k, q_z in enumerate(joint.q_z):
+    signals = list(zip(joint.a, joint.q_z, scheme.assignments))
+    for i, b in enumerate(joint.b):
+        for k, (a, q_z, sigma) in enumerate(signals):
             if q_z == 0:
                 continue
-            want = q_z * scheme.px[i]
-            if joint.mass[k][i] != want:
+            # Q_XZ = got / den against Q_Z * P_X = q_z * b / (den * e).
+            got = 0 if sigma[i] is None else a * b
+            if got * joint.e != q_z * b:
                 return CheckResult(
                     ok=False,
                     witness={
                         "x": scheme.x_labels[i],
                         "z": scheme.z_labels[k],
-                        "got": joint.mass[k][i],
-                        "expected": want,
+                        "got": Fraction(got, joint.den),
+                        "expected": Fraction(q_z * b, joint.den * joint.e),
                     },
                 )
     return CheckResult(ok=True)
 
 
+def _fractions(den: int):
+    """num -> Fraction(num, den), building each distinct value once."""
+    memo = {0: _ZERO}
+
+    def fraction(num: int) -> Fraction:
+        value = memo.get(num)
+        if value is None:
+            value = memo[num] = Fraction(num, den)
+        return value
+
+    return fraction
+
+
 def verify_scheme(scheme: Scheme, inst: Instance) -> VerificationReport:
     """Run all three checks and report them with the enumerated marginals."""
     joint = scheme._joint
-    # Q_ZY row by row; a cell with one state reuses its mass, no new Fraction.
+    a, b, fraction = joint.a, joint.b, _fractions(joint.den)
+    q_xz = tuple(
+        tuple(
+            _ZERO if sigma[i] is None else fraction(a_k * b_i)
+            for a_k, sigma in zip(a, scheme.assignments)
+        )
+        for i, b_i in enumerate(b)
+    )
     q_zy = (
-        [sum((mass[i] for i in r[1:]), mass[r[0]]) if r else _ZERO for r in inverse]
-        for mass, inverse in zip(joint.mass, joint.inverse)
+        [fraction(a_k * sum(b[i] for i in rows)) for rows in inverse]
+        for a_k, inverse in zip(a, joint.inverse)
     )
     return VerificationReport(
         consistency=check_consistency(scheme, inst),
         informativeness=check_informativeness(scheme),
         secrecy=check_secrecy(scheme),
-        q_z=tuple(joint.q_z),
-        q_xz=tuple(zip(*joint.mass)),
+        q_z=tuple(map(fraction, joint.q_z)),
+        q_xz=q_xz,
         q_yz=tuple(zip(*q_zy)),
-        q_xy=joint.q_xy,
+        q_xy=tuple(tuple(map(fraction, row)) for row in joint.q_xy),
     )
 
 
@@ -197,6 +223,11 @@ def _inverse(scheme: Scheme) -> list[list[tuple[int, ...]]]:
 def _encoders(scheme: Scheme) -> dict[tuple[int, int], object]:
     """The runtime's per-cell encoder memo, kept with the compiled joint."""
     return scheme._joint.encoders
+
+
+def _weight_numerators(scheme: Scheme) -> list[int]:
+    """The signal weights as integer numerators over one common denominator."""
+    return scheme._joint.a
 
 
 def decode_table(scheme: Scheme) -> Mapping[tuple[int, int], int]:
@@ -240,19 +271,20 @@ def necessity_audit(scheme: Scheme) -> NecessityAudit:
     anything and reports whichever obligation breaks first.
     """
     joint = scheme._joint
-    phi = joint.phi
+    phi, a, b = joint.phi, joint.a, joint.b
     witness: Optional[Witness] = None
 
-    # Q_XZ marginalised over y from the joint's cells, then the bound.
-    q_xz = [[_ZERO] * scheme.p for _ in range(scheme.n)]
+    # Numerators over joint.den throughout.  Q_XZ marginalised over y from
+    # the joint's cells, then the bound.
+    q_xz = [[0] * scheme.p for _ in range(scheme.n)]
     for i, row in enumerate(phi):
         for k in itertools.chain.from_iterable(row):
-            q_xz[i][k] += joint.mass[k][i]
+            q_xz[i][k] += a[k] * b[i]
     triple_ok = True
     for i in range(scheme.n):
         for j in range(scheme.m):
             for k in phi[i][j]:
-                if joint.mass[k][i] > q_xz[i][k]:
+                if a[k] * b[i] > q_xz[i][k]:
                     triple_ok = False
                     witness = witness or {
                         "law": "triple_bound",
@@ -282,19 +314,17 @@ def necessity_audit(scheme: Scheme) -> NecessityAudit:
     column_mass: list[Optional[Fraction]] = []
     mass_ok = True
     for j in range(scheme.m):
-        if sum((row[j] for row in joint.q_xy), _ZERO) == 0:
+        if not any(row[j] for row in joint.q_xy):
             column_mass.append(None)
             continue
-        total = sum(
-            (joint.q_z[k] for i in range(scheme.n) for k in phi[i][j]), _ZERO
-        )
-        column_mass.append(total)
-        if total > 1:
+        total = sum(joint.q_z[k] for i in range(scheme.n) for k in phi[i][j])
+        column_mass.append(Fraction(total, joint.den))
+        if total > joint.den:
             mass_ok = False
             witness = witness or {
                 "law": "column_mass",
                 "y": scheme.y_labels[j],
-                "mass": total,
+                "mass": column_mass[j],
             }
 
     return NecessityAudit(

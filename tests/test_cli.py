@@ -7,6 +7,7 @@ import pytest
 import sidepad as sp
 from sidepad.cli import main
 from corpus import corr23, det22, mixed23, otp2, skew22, uniform_independent
+from test_model import DIGIT_LIMIT, needs_digit_limit
 
 
 def run(capsys, *argv):
@@ -485,3 +486,18 @@ def test_verify_refuses_non_ascii_numbers(capsys, paths, tmp_path, old, new):
     code, _, err = run(capsys, "verify", str(path), "--against", paths["corr23"])
     assert code == 2
     assert "error:" in err
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("command", ["check", "build", "oracle"])
+def test_numbers_past_the_digit_limit_exit_2(capsys, tmp_path, command):
+    digits = "7" * (DIGIT_LIMIT + 700)
+    path = tmp_path / "long.inst"
+    path.write_text(
+        f"INSTANCE v1\n1 1\nx1\ny1\n{digits}/{digits}\n", encoding="utf-8"
+    )
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "too long" in err
+    assert "Traceback" not in err and len(err) < 300

@@ -7,7 +7,7 @@ from hypothesis import given
 
 import sidepad as sp
 from corpus import corr23, det22, mixed23, otp2
-from test_model import instances
+from test_model import DIGIT_LIMIT, instances, needs_digit_limit
 
 CORR23_DOC = """\
 INSTANCE v1
@@ -171,3 +171,19 @@ def test_parse_scheme_counts_and_indices_are_ascii(old, new):
     assert old in doc
     with pytest.raises(sp.InputError):
         sp.parse_scheme(doc.replace(old, new, 1))
+
+
+@needs_digit_limit
+@pytest.mark.parametrize(
+    "old, new",
+    [("2 3 2\n", "2 3 {d}\n"), ("z1 1/2 1 ", "z1 1/2 {d} "),
+     ("\n1/2 1/2\n", "\n1/{d} 1/2\n")],
+    ids=["signal count", "column index", "state mass"],
+)
+def test_parse_scheme_refuses_numbers_past_the_digit_limit(old, new):
+    doc = sp.serialize_scheme(sp.build_scheme(corr23()))
+    assert old in doc
+    long_doc = doc.replace(old, new.format(d="1" * (DIGIT_LIMIT + 1)), 1)
+    with pytest.raises(sp.InputError, match="too long") as caught:
+        sp.parse_scheme(long_doc)
+    assert len(str(caught.value)) < 200

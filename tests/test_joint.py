@@ -6,6 +6,8 @@ over all (i, j, k) triples."""
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sidepad as sp
 from corpus import corpus, corr23, mixed23
@@ -247,3 +249,62 @@ def test_decode_table_is_built_once_and_read_only():
         table[(0, 0)] = 1
     for (j, k), i in table.items():
         assert sp.decode(scheme, j, k) == i
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+
+
+@st.composite
+def scrambled_schemes(draw):
+    """A scheme with arbitrary positive rational state masses and weights
+    over pairwise-coprime denominators (neither summing to 1), ``None``
+    rows and clashing columns, paired with an instance of the same shape:
+    random, or the scheme's own Q_XY after rescaling its weights, and
+    sometimes with an extra zero-mass row."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(n, 4))
+    p = draw(st.integers(1, 4))
+    primes = iter(draw(st.permutations(PRIMES)))
+
+    def masses(count):
+        out = []
+        for _ in range(count):
+            den = next(primes) ** draw(st.integers(0, 2))
+            out.append(F(draw(st.integers(1, 3 * den)), den))
+        return tuple(out)
+
+    px, weights = masses(n), masses(p)
+    cells = st.one_of(st.none(), st.integers(0, m - 1))
+    assignments = tuple(
+        tuple(draw(st.lists(cells, min_size=m, max_size=m))) for _ in range(p)
+    )
+    scheme = sp.Scheme(
+        x_labels=tuple(f"x{i+1}" for i in range(n)),
+        y_labels=tuple(f"y{j+1}" for j in range(m)),
+        z_labels=tuple(f"z{k+1}" for k in range(p)),
+        px=px, weights=weights, assignments=assignments,
+    )
+    q_xy = marginal(brute_joint(scheme), scheme, "xy")
+    total = sum(map(sum, q_xy))
+    if total and all(map(any, q_xy)) and draw(st.booleans()):
+        # Rescaled weights make the scheme's Q_XY the instance's P_XY.
+        scheme = _variant(scheme, weights=tuple(w / total for w in weights))
+        grid = [[v / total for v in row] for row in q_xy]
+    else:
+        units = [
+            draw(st.lists(st.integers(0, 5), min_size=m, max_size=m).filter(any))
+            for _ in range(n)
+        ]
+        grid = [[F(u, sum(map(sum, units))) for u in row] for row in units]
+    labels = list(scheme.x_labels)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, n))
+        grid.insert(at, [F(0)] * m)
+        labels.insert(at, "x0")
+    return scheme, sp.make_instance(labels, scheme.y_labels, grid)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scrambled_schemes())
+def test_compiled_joint_matches_brute_force_on_random_schemes(case):
+    assert_matches_brute_force(*case)

@@ -1,5 +1,6 @@
 """Exact rational parsing and the instance data model."""
 
+import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
@@ -203,3 +204,30 @@ def test_column_sums_total_equals_supported_states(inst):
 def test_rat_parse_accepts_ascii_digits_only(token):
     with pytest.raises(sp.InputError):
         sp.rat_parse(token)
+
+
+# Python refuses int() on more digits than sys.get_int_max_str_digits()
+# (4,300 by default); 0 means no limit.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not DIGIT_LIMIT, reason="int() has no digit limit in this interpreter"
+)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize(
+    "template", ["{d}", "-{d}", "{d}/{d}", "1/{d}", "{d}/3", "0.{d}", "{d}.5"]
+)
+def test_rat_parse_refuses_numbers_past_the_digit_limit(template):
+    digits = "7" * (DIGIT_LIMIT + 1)
+    with pytest.raises(sp.InputError, match="too long") as caught:
+        sp.rat_parse(template.format(d=digits))
+    assert len(str(caught.value)) < 200
+
+
+@needs_digit_limit
+def test_rat_parse_reads_numbers_at_the_digit_limit():
+    digits = "7" * DIGIT_LIMIT
+    assert sp.rat_parse(digits) == int(digits)
+    assert sp.rat_parse(f"{digits}/{digits}") == 1
+    assert sp.rat_parse(f"0.{digits[1:]}") == F(int(digits[1:]), 10 ** (DIGIT_LIMIT - 1))

@@ -2,12 +2,17 @@
 
 import collections
 import hashlib
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
 import sidepad as sp
-from corpus import PINNED_SEEDS, corr23, det22, mixed23, otp2
+from corpus import PINNED_SEEDS, corpus, corr23, det22, mixed23, otp2
+from sidepad.model import _Sampler
+from sidepad.runtime import _conditional_signals
+from test_joint import scrambled_schemes
 
 
 def test_random_source_validates_seed():
@@ -336,3 +341,56 @@ def test_encode_golden_draws():
     assert [sp.encode(scheme, 1, 2, rng) for _ in range(20)] == [
         2, 2, 2, 1, 2, 2, 1, 2, 1, 1, 2, 2, 1, 2, 2, 2, 2, 1, 2, 1
     ]
+
+
+def _assert_encoders_match_fraction_samplers(scheme):
+    """Each supported cell's encoder equals the sampler built from the
+    normalised Fraction weights; returns how many cells were randomized."""
+    randomized = 0
+    for i in range(scheme.n):
+        for j in range(scheme.m):
+            ks = sorted(sp.support_signals(scheme, i, j))
+            if not ks:
+                continue
+            choice = _conditional_signals(scheme, i, j)
+            if len(ks) == 1:
+                assert choice == ks[0]
+                continue
+            total = sum((scheme.weights[k] for k in ks), F(0))
+            want = _Sampler((k, scheme.weights[k] / total) for k in ks)
+            assert (choice.limit, choice.thresholds, choice.values) == (
+                want.limit, want.thresholds, want.values,
+            )
+            randomized += 1
+    return randomized
+
+
+def test_encoder_samplers_equal_fraction_samplers_on_corpus():
+    randomized = sum(
+        _assert_encoders_match_fraction_samplers(sp.build_scheme(inst))
+        for inst in corpus()
+        if sp.check_feasible(inst).feasible
+    )
+    assert randomized > 100
+
+
+def test_encoder_samplers_equal_fraction_samplers_at_m32():
+    # Uniform P_X over the first 16 rows of a mixture of 32 random
+    # permutations with integer weights summing to 128.
+    rng = random.Random("encoders/32")
+    n, m, total = 16, 32, 128
+    cuts = sorted(rng.sample(range(1, total), m - 1))
+    grid = [[F(0)] * m for _ in range(n)]
+    for weight in (b - a for a, b in zip([0, *cuts], [*cuts, total])):
+        perm = rng.sample(range(m), m)
+        for i in range(n):
+            grid[i][perm[i]] += F(weight, total)
+    scheme = sp.build_scheme(sp.instance_from_conditional([F(1, n)] * n, grid))
+    assert _assert_encoders_match_fraction_samplers(scheme) > 100
+
+
+@settings(max_examples=200, deadline=None)
+@given(scrambled_schemes())
+def test_encoder_samplers_equal_fraction_samplers_on_random_weights(case):
+    # Weights over pairwise-coprime denominators, not summing to one.
+    _assert_encoders_match_fraction_samplers(case[0])
