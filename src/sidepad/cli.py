@@ -3,7 +3,8 @@
 Exit codes, uniformly: 0 success (feasible / verified / built / decoded),
 1 semantic failure (infeasible, verification failed, off-support event,
 no deterministic scheme), 2 malformed input (documents, labels, argument
-values), 3 capability refusal (exact-search size caps, search budget).
+values), 3 capability refusal (exact-search size caps, search budget, a
+rational too long to print).
 
 Every subcommand takes ``--json`` for a machine-readable report in which
 all rationals are printed exactly as "numerator/denominator" strings.
@@ -39,7 +40,7 @@ from .formats import (
     serialize_instance,
     serialize_scheme,
 )
-from .model import Instance, conditional_y_given_x, make_instance
+from .model import Instance, conditional_y_given_x, make_instance, rat_str
 from .runtime import RandomSource, decode, encode, simulate
 from .verification import (
     CheckResult,
@@ -51,13 +52,12 @@ from .verification import (
 
 def _jsonable(value):
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        text = rat_str(value)
+        return f"{text}/1" if value.denominator == 1 else text
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, frozenset):
-        return sorted(_jsonable(v) for v in value)
     return value
 
 
@@ -81,7 +81,7 @@ def _fmt_witness(witness: dict) -> str:
     parts = []
     for key, value in witness.items():
         if isinstance(value, Fraction):
-            value = str(value)
+            value = rat_str(value)
         elif isinstance(value, tuple):
             value = ",".join(str(v) for v in value)
         parts.append(f"{key}={value}")
@@ -147,7 +147,7 @@ def cmd_check(args) -> int:
         )
     else:
         sums = " ".join(
-            f"{label}={value}"
+            f"{label}={rat_str(value)}"
             for label, value in zip(inst.y_labels, report.column_sums)
         )
         print(f"column sums: {sums}")
@@ -229,7 +229,7 @@ def cmd_verify(args) -> int:
         elif audit.ok:
             masses = [v for v in audit.column_mass if v is not None]
             top = max(masses) if masses else Fraction(0)
-            print(f"necessity audit: pass (max column mass {top})")
+            print(f"necessity audit: pass (max column mass {rat_str(top)})")
         else:
             print(f"necessity audit: FAIL ({_fmt_witness(audit.witness or {})})")
         print(f"verified: {'yes' if ok else 'no'}")
@@ -364,6 +364,10 @@ def cmd_deterministic(args) -> int:
         print(_infeasible_detail(inst, exc), file=sys.stderr)
         return 1
     condition = row_value_multisets_equal(conditional_y_given_x(inst))
+    if outcome.scheme is not None:
+        document = serialize_scheme(outcome.scheme)
+        if args.output:
+            Path(args.output).write_text(document, encoding="utf-8")
     if args.json:
         _emit_json(
             {
@@ -377,17 +381,14 @@ def cmd_deterministic(args) -> int:
             }
         )
         return {"found": 0, "none_found": 1, "budget_exhausted": 3}[outcome.status]
-    if outcome.status == "found":
-        document = serialize_scheme(outcome.scheme)
-        if args.output:
-            Path(args.output).write_text(document, encoding="utf-8")
-            print(f"row value multisets equal: {'yes' if condition else 'no'}")
-            print(f"wrote deterministic scheme to {args.output}")
-        else:
-            # Bare document on stdout so the result pipes into verify.
-            print(document, end="")
+    if outcome.status == "found" and not args.output:
+        # Bare document on stdout so the result pipes into verify.
+        print(document, end="")
         return 0
     print(f"row value multisets equal: {'yes' if condition else 'no'}")
+    if outcome.status == "found":
+        print(f"wrote deterministic scheme to {args.output}")
+        return 0
     if outcome.status == "none_found":
         print(f"no deterministic scheme exists (searched {outcome.nodes} nodes)")
         return 1

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
-from math import lcm
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -37,10 +36,13 @@ from .errors import (
 from .model import (
     ConditionalMatrix,
     Instance,
+    _fractions,
+    _numerators,
     as_fraction,
     column_sums,
     conditional_y_given_x,
     marginal_x,
+    rat_str,
 )
 
 
@@ -149,9 +151,10 @@ class _Joint:
     over real state rows, compiled in one O(p*n) pass on integers.  Only
     verification reads it; the runtime goes through verification.
 
-    With D the lcm of the weight denominators and E that of the state
-    masses, ``a[k]`` is alpha_k * D and ``b[i]`` is P_X(x_i) * E, so every
-    mass is an integer numerator over ``den`` = D * E: Q_XZ(x_i, z_k) is
+    ``a`` and ``b`` are the weights and the state masses as integer
+    numerators over D and E, the lcms of their denominators (see
+    ``model._numerators``), so every mass is an integer numerator over
+    ``den`` = D * E: Q_XZ(x_i, z_k) is
     ``a[k] * b[i]`` (zero where signal k leaves row i unassigned),
     ``q_z[k]`` is Q_Z and ``q_xy[i][j]`` is Q_XY.  ``inverse[k][j]`` holds
     the state rows signal k sends to column j; ``phi[i][j]`` the signals
@@ -165,11 +168,9 @@ class _Joint:
 
     def __init__(self, scheme: Scheme):
         n, m = scheme.n, scheme.m
-        d = lcm(*(w.denominator for w in scheme.weights))
-        self.e = lcm(*(v.denominator for v in scheme.px))
+        self.a, d = _numerators(scheme.weights)
+        self.b, self.e = _numerators(scheme.px)
         self.den = d * self.e
-        self.a = [w.numerator * (d // w.denominator) for w in scheme.weights]
-        self.b = [v.numerator * (self.e // v.denominator) for v in scheme.px]
         b_total = sum(self.b)
         singles = [(i,) for i in range(n)]
         self.inverse, self.q_z, self.clash = [], [], None
@@ -221,7 +222,7 @@ def _column_condition(
     bad = tuple(j for j, s in enumerate(sums) if s > 1)
     if bad and strict:
         raise InfeasibleError(
-            f"column {bad[0]} sums to {sums[bad[0]]} > 1; no scheme exists",
+            f"column {bad[0]} sums to {rat_str(sums[bad[0]])} > 1; no scheme exists",
             violations=bad,
         )
     return sums, bad
@@ -302,8 +303,8 @@ def birkhoff_decompose(
     order, with weights summing to exactly 1 and every weight positive.
     Residuals are ints over L, the lcm of the entry denominators; weights
     become Fractions only on return."""
-    L = lcm(*(v.denominator for row in ext.entries for v in row))
-    work = [[v.numerator * (L // v.denominator) for v in row] for row in ext.entries]
+    cells, L = _numerators(v for row in ext.entries for v in row)
+    work = [cells[i:i + ext.m] for i in range(0, len(cells), ext.m)]
     terms: list[tuple[int, tuple[int, ...]]] = []
     while any(map(any, work)):
         sigma = perfect_matching(work)
@@ -319,8 +320,8 @@ def birkhoff_decompose(
         terms.append((alpha, sigma))
     if sum(a for a, _ in terms) != L:
         raise InternalInvariantError("decomposition weights do not sum to 1")
-    weights = {a: Fraction(a, L) for a, _ in terms}  # one object per distinct weight
-    return tuple((weights[a], sigma) for a, sigma in terms)
+    fraction = _fractions(L)  # one object per distinct weight
+    return tuple((fraction(a), sigma) for a, sigma in terms)
 
 
 def build_scheme(inst: Instance) -> Scheme:

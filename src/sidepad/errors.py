@@ -34,7 +34,8 @@ class OffSupportError(SidepadError):
 
 
 class CapExceededError(SidepadError):
-    """An exact-search operation refused an input above its size cap."""
+    """An operation refused a size above its cap: an exact search's
+    alphabet or node budget, or a rational too long to print."""
 
 
 class UnverifiedSchemeError(SidepadError):

@@ -28,8 +28,8 @@ from .model import (
     instance_from_conditional,
     marginal_x,
     marginal_y,
+    rat_str,
     supp_x,
-    supp_y,
 )
 
 
@@ -71,14 +71,13 @@ def shannon_reduce(inst: Instance) -> ShannonCase:
         for i in range(inst.n)
         for j in range(inst.m)
     )
-    sy = supp_y(inst)
-    uniform_mass = Fraction(1, len(sy))
-    y_uniform = all(py[j] == uniform_mass for j in sy)
+    py_support = [v for v in py if v > 0]
+    uniform_mass = Fraction(1, len(py_support))
     return ShannonCase(
         independent=independent,
-        y_uniform=y_uniform,
-        n=len(supp_x(inst)),
-        m=len(sy),
+        y_uniform=all(v == uniform_mass for v in py_support),
+        n=sum(1 for v in px if v > 0),
+        m=len(py_support),
     )
 
 
@@ -110,7 +109,9 @@ def marginal_invariance_witness(
     if any(v < 0 for v in alt):
         raise InputError("state masses must be nonnegative")
     if sum(alt, Fraction(0)) != 1:
-        raise InputError(f"state masses sum to {sum(alt, Fraction(0))}, expected 1")
+        raise InputError(
+            f"state masses sum to {rat_str(sum(alt, Fraction(0)))}, expected 1"
+        )
     supp = set(supp_x(inst))
     for i, v in enumerate(alt):
         if (i in supp) != (v > 0):

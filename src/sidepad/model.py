@@ -10,6 +10,7 @@ probabilities never are.
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +19,7 @@ from itertools import accumulate
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
-from .errors import InputError, InternalInvariantError
+from .errors import CapExceededError, InputError, InternalInvariantError
 
 Rational = Fraction
 
@@ -69,8 +70,21 @@ def _clip(token: str) -> str:
 
 def rat_str(value: Fraction) -> str:
     """Canonical text for a rational: ``0``, ``3``, ``1/2``.  Round-trips
-    exactly through :func:`rat_parse`."""
-    return str(value)
+    exactly through :func:`rat_parse`.
+
+    Every rational sidepad prints, in documents, reports and messages,
+    goes through here.  A numerator or denominator past the interpreter's
+    integer-to-text digit limit (4,300 digits by default) raises
+    :class:`CapExceededError`; derived values such as column sums can
+    reach it from inputs whose every token parses.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        raise CapExceededError(
+            "rational too long to print: numerator or denominator has more "
+            f"than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -129,10 +143,12 @@ class Instance:
         for row in grid:
             for v in row:
                 if v < 0:
-                    raise InputError(f"negative probability {v}")
+                    raise InputError(f"negative probability {rat_str(v)}")
         total = sum(v for row in grid for v in row)
         if total != 1:
-            raise InputError(f"probability mass sums to {total}, expected 1")
+            raise InputError(
+                f"probability mass sums to {rat_str(total)}, expected 1"
+            )
         object.__setattr__(self, "x_labels", xl)
         object.__setattr__(self, "y_labels", yl)
         object.__setattr__(self, "p_xy", grid)
@@ -147,53 +163,57 @@ class Instance:
 
     @cached_property
     def _world(self) -> "_Sampler":
-        """Exact sampler of (x row, y column) pairs from P_XY, row-major.
-        Memoised outside the dataclass fields: eq, hash and repr ignore it."""
-        return _Sampler(
-            ((i, j), v) for i, row in enumerate(self.p_xy) for j, v in enumerate(row)
-        )
+        """Exact sampler of (x row, y column) pairs from P_XY, row-major over
+        the positive cells: their numerators over the lcm of their
+        denominators, which sum to that lcm.  Memoised outside the dataclass
+        fields: eq, hash and repr ignore it."""
+        cells = [(i, j) for i, row in enumerate(self.p_xy)
+                 for j, v in enumerate(row) if v > 0]
+        weights, den = _numerators(self.p_xy[i][j] for i, j in cells)
+        if sum(weights) != den:
+            raise InternalInvariantError("sampler masses must sum to 1")
+        return _Sampler(cells, weights)
 
 
 class _Sampler:
-    """Exact inverse-transform sampler for a rational pmf summing to 1: one
-    uniform integer below the lcm of the mass denominators, bisected into a
-    table of integer thresholds.  Zero masses are dropped."""
+    """Exact inverse-transform sampler of ``values[k]`` with probability
+    ``weights[k] / S`` for positive integer weights summing to S.  With G
+    their gcd, one uniform integer below the limit S / G is bisected into
+    the running sums of ``weights[k] / G``: the table the Fraction masses
+    ``weights[k] / S`` give over the lcm of their denominators."""
 
     __slots__ = ("limit", "thresholds", "values")
 
-    def __init__(self, pairs: Iterable[tuple[object, Fraction]]):
-        items = [(value, mass) for value, mass in pairs if mass > 0]
-        if not items:
-            raise InternalInvariantError("sampler needs positive mass")
-        self.limit = lcm(*(mass.denominator for _, mass in items))
-        acc = 0
-        self.thresholds: list[int] = []
-        self.values: list[object] = []
-        for value, mass in items:
-            acc += mass.numerator * (self.limit // mass.denominator)
-            self.thresholds.append(acc)
-            self.values.append(value)
-        if acc != self.limit:
-            raise InternalInvariantError("sampler masses must sum to 1")
-
-    @classmethod
-    def from_weights(
-        cls, values: Sequence[object], weights: Sequence[int]
-    ) -> "_Sampler":
-        """Sampler of ``values[k]`` with probability ``weights[k] / S`` for
-        positive integer weights summing to S.  With G their gcd, the limit
-        is S / G and the thresholds the running sums of ``weights[k] / G``:
-        the same table the Fraction masses ``weights[k] / S`` would give."""
+    def __init__(self, values: Sequence[object], weights: Sequence[int]):
         g = gcd(*weights)
-        sampler = cls.__new__(cls)
-        sampler.values = list(values)
-        sampler.thresholds = list(accumulate(w // g for w in weights))
-        sampler.limit = sampler.thresholds[-1]
-        return sampler
+        self.values = list(values)
+        self.thresholds = list(accumulate(w // g for w in weights))
+        self.limit = self.thresholds[-1]
 
     def draw(self, rng) -> object:
         """One value; ``rng`` offers ``randbelow`` (a runtime RandomSource)."""
         return self.values[bisect_right(self.thresholds, rng.randbelow(self.limit))]
+
+
+def _numerators(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Rationals as integer numerators over one common denominator, the lcm
+    of theirs: ``(nums, den)`` with ``values[k] == nums[k] / den``."""
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _fractions(den: int):
+    """num -> Fraction(num, den), building each distinct value once."""
+    memo: dict[int, Fraction] = {}
+
+    def fraction(num: int) -> Fraction:
+        value = memo.get(num)
+        if value is None:
+            value = memo[num] = Fraction(num, den)
+        return value
+
+    return fraction
 
 
 def make_instance(
@@ -223,13 +243,15 @@ def marginal_y(inst: Instance) -> tuple[Fraction, ...]:
 
 
 def supp_x(inst: Instance) -> tuple[int, ...]:
-    """Row indices with positive marginal mass, ascending."""
-    return tuple(i for i, v in enumerate(marginal_x(inst)) if v > 0)
+    """Row indices with positive marginal mass, ascending: the rows holding
+    a positive cell, as cells are nonnegative."""
+    return tuple(i for i, row in enumerate(inst.p_xy) if any(row))
 
 
 def supp_y(inst: Instance) -> tuple[int, ...]:
-    """Column indices with positive marginal mass, ascending."""
-    return tuple(j for j, v in enumerate(marginal_y(inst)) if v > 0)
+    """Column indices with positive marginal mass, ascending: the columns
+    holding a positive cell, as cells are nonnegative."""
+    return tuple(j for j, col in enumerate(zip(*inst.p_xy)) if any(col))
 
 
 @dataclass(frozen=True)
@@ -256,7 +278,8 @@ class ConditionalMatrix:
                 raise InputError("conditional matrix: negative entry")
             if sum(row, Fraction(0)) != 1:
                 raise InputError(
-                    f"conditional matrix row sums to {sum(row, Fraction(0))}, expected 1"
+                    "conditional matrix row sums to "
+                    f"{rat_str(sum(row, Fraction(0)))}, expected 1"
                 )
 
     @property
@@ -271,7 +294,7 @@ class ConditionalMatrix:
 def conditional_y_given_x(inst: Instance) -> ConditionalMatrix:
     """P_{Y|X}(y|x) = P_XY(x,y) / P_X(x) over supported x, all y columns."""
     px = marginal_x(inst)
-    rows = supp_x(inst)
+    rows = tuple(i for i, v in enumerate(px) if v > 0)
     if not rows:
         # Unreachable for a valid Instance (mass sums to 1), kept as a guard.
         raise InputError("instance has empty X support")
@@ -312,7 +335,7 @@ def instance_from_conditional(
         if len(row) != m:
             raise InputError("conditional grid is ragged")
         if p < 0:
-            raise InputError(f"negative marginal mass {p}")
+            raise InputError(f"negative marginal mass {rat_str(p)}")
         if p > 0 and sum(row, Fraction(0)) != 1:
             raise InputError("conditional row of a supported state must sum to 1")
         grid.append([p * v for v in row] if p > 0 else [Fraction(0)] * m)

@@ -13,13 +13,14 @@ performs ceil-or-floor(n/shards) draws from sub-stream k", so any
 
 Exactness contract
 ------------------
-Every discrete draw is an exact inverse transform: a probability vector
-with rational masses is sampled by drawing one uniform integer below
-L = lcm of the mass denominators and bisecting a table of integer
-thresholds.  An encoder cell is built from the integer numerators a_k of
-its signals' weights over one common denominator: with S their sum and G
-their gcd, L = S / G and the thresholds are the running sums of a_k / G,
-the same table the Fraction masses alpha_k / sum(alpha) give.  No floats
+Every discrete draw is an exact inverse transform, and one integer rule
+builds every table: the masses are given as integer numerators a_k over
+one common denominator; with S their sum and G their gcd, one uniform
+integer below L = S / G is bisected into the running sums of a_k / G.
+That is the table of the Fraction masses a_k / S over the lcm of their
+denominators.  The instance's joint passes P_XY's numerators over their
+lcm (so G = 1 and L is that lcm); an encoder cell passes its signals'
+weight numerators, giving the masses alpha_k / sum(alpha).  No floats
 are compared anywhere; floats appear only in the *report* of empirical
 frequencies.  Events with exactly one possible outcome consume no
 randomness at all.  Each table is built once: an instance keeps the
@@ -110,7 +111,7 @@ def _conditional_signals(
         choice = ks[0]
     else:
         a = _weight_numerators(scheme)
-        choice = _Sampler.from_weights(ks, [a[k] for k in ks])
+        choice = _Sampler(ks, [a[k] for k in ks])
     memo[x_index, y_index] = choice
     return choice
 
@@ -211,14 +212,13 @@ def simulate(
                 "(pass allow_unverified=True to force)"
             )
 
+    # Each positive cell of the instance, as the instance's own sampler draws
+    # it, maps to its scheme row, column and encoder distribution.
     scheme_row = {inst_row: pos for pos, inst_row in enumerate(supp)}
-    world = _Sampler(
-        ((scheme_row[i], j), inst.p_xy[i][j])
-        for i in supp
-        for j in range(inst.m)
-    )
+    world = inst._world
     encoders = {
-        cell: _conditional_signals(scheme, *cell) for cell in world.values
+        (x, j): (scheme_row[x], j, _conditional_signals(scheme, scheme_row[x], j))
+        for x, j in world.values
     }
     # Each signal's inverse decodes; a broken scheme may send several states
     # to one (y, z), and then the lowest state row wins.
@@ -232,10 +232,8 @@ def simulate(
     for shard in range(shards):
         rng = base.substream(shard)
         for _ in range(quota + (1 if shard < remainder else 0)):
-            cell = world.draw(rng)
-            choice = encoders[cell]
+            i, j, choice = encoders[world.draw(rng)]
             k = choice if isinstance(choice, int) else choice.draw(rng)
-            i, j = cell
             counts_z[k] += 1
             counts_xz[i][k] += 1
             rows = inverse[k][j]

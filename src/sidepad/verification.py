@@ -46,12 +46,10 @@ from .errors import (
     DimensionMismatchError,
     UnverifiedSchemeError,
 )
-from .model import Instance, conditional_y_given_x, supp_x
+from .model import Instance, _fractions, conditional_y_given_x, supp_x
 from .simplex import feasible_nonnegative_solution
 
 Witness = dict[str, object]
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -161,26 +159,13 @@ def check_secrecy(scheme: Scheme) -> CheckResult:
     return CheckResult(ok=True)
 
 
-def _fractions(den: int):
-    """num -> Fraction(num, den), building each distinct value once."""
-    memo = {0: _ZERO}
-
-    def fraction(num: int) -> Fraction:
-        value = memo.get(num)
-        if value is None:
-            value = memo[num] = Fraction(num, den)
-        return value
-
-    return fraction
-
-
 def verify_scheme(scheme: Scheme, inst: Instance) -> VerificationReport:
     """Run all three checks and report them with the enumerated marginals."""
     joint = scheme._joint
     a, b, fraction = joint.a, joint.b, _fractions(joint.den)
     q_xz = tuple(
         tuple(
-            _ZERO if sigma[i] is None else fraction(a_k * b_i)
+            fraction(0 if sigma[i] is None else a_k * b_i)
             for a_k, sigma in zip(a, scheme.assignments)
         )
         for i, b_i in enumerate(b)

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: outputs, pipes, exit codes."""
 
 import json
+from fractions import Fraction as F
 
 import pytest
 
@@ -160,6 +161,23 @@ def test_verify_broken_json_witness(capsys, paths, tmp_path):
     assert payload["necessity_audit"] is None
 
 
+def test_verify_reports_an_informativeness_clash(capsys, paths, tmp_path):
+    # z1 sends both states to y1: the witness lists them through the
+    # tuple branch of the text formatter.
+    doc = sp.serialize_scheme(sp.build_scheme(corr23()))
+    path = tmp_path / "clash.scheme"
+    path.write_text(doc.replace("z1 1/2 1 2 3", "z1 1/2 1 1 3", 1))
+    code, out, _ = run(capsys, "verify", str(path), "--against", paths["corr23"])
+    assert code == 1
+    assert out == (
+        "consistency: FAIL (x=x2 y=y1 got=1/4 expected=0)\n"
+        "informativeness: FAIL (y=y1 z=z1 xs=x1,x2)\n"
+        "secrecy: pass\n"
+        "necessity audit: skipped\n"
+        "verified: no\n"
+    )
+
+
 def test_verify_dimension_mismatch(capsys, paths):
     code, _, err = run(
         capsys, "verify", paths["corr23.scheme"], "--against", paths["otp2"]
@@ -178,6 +196,24 @@ def test_encode_prints_signal(capsys, paths):
     )
     assert code == 0
     assert out.strip() == "z1"
+
+
+def test_encode_json_is_pinned(capsys, tmp_path):
+    # mixed23's cell (x1, y1) splits over z1 and z2.
+    path = tmp_path / "mixed23.scheme"
+    path.write_text(sp.serialize_scheme(sp.build_scheme(mixed23())))
+    outs = []
+    for seed in range(1, 7):
+        code, out, _ = run(
+            capsys, "encode", str(path),
+            "--x", "x1", "--y", "y1", "--seed", str(seed), "--json",
+        )
+        assert code == 0
+        outs.append(out)
+    assert outs == [
+        '{\n  "kind": "encode",\n  "z": "%s"\n}\n' % z
+        for z in ("z1", "z1", "z1", "z1", "z2", "z2")
+    ]
 
 
 def test_encode_off_support(capsys, paths):
@@ -356,6 +392,19 @@ def test_shannon_emits_parseable_instance(capsys):
     assert sp.check_feasible(inst).feasible
 
 
+def test_shannon_json_is_pinned(capsys):
+    code, out, _ = run(capsys, "shannon", "-n", "1", "-m", "1", "--json")
+    assert code == 0
+    assert out == (
+        '{\n  "kind": "instance",\n  "n": 1,\n  "m": 1,\n'
+        '  "x_labels": [\n    "x1"\n  ],\n  "y_labels": [\n    "y1"\n  ],\n'
+        '  "p_xy": [\n    [\n      "1/1"\n    ]\n  ]\n}\n'
+    )
+    code, out, _ = run(capsys, "shannon", "-n", "2", "-m", "3", "--json")
+    assert code == 0
+    assert json.loads(out)["p_xy"] == [["1/6"] * 3] * 2
+
+
 def test_shannon_to_check_pipeline(capsys, tmp_path):
     path = tmp_path / "u32.inst"
     code, _, _ = run(capsys, "shannon", "-n", "3", "-m", "2", "-o", str(path))
@@ -390,6 +439,16 @@ def test_deterministic_output_file(capsys, paths, tmp_path):
     assert code == 0
     assert "row value multisets equal: yes" in out
     assert sp.verify_scheme(sp.parse_scheme(target.read_text()), corr23()).all_ok
+
+
+def test_deterministic_json_writes_the_output_file(capsys, paths, tmp_path):
+    target = tmp_path / "det.scheme"
+    code, out, _ = run(
+        capsys, "deterministic", paths["det22"], "-o", str(target), "--json"
+    )
+    assert code == 0
+    assert json.loads(out)["status"] == "found"
+    assert sp.verify_scheme(sp.parse_scheme(target.read_text()), det22()).all_ok
 
 
 def test_deterministic_none_found(capsys, paths):
@@ -500,4 +559,40 @@ def test_numbers_past_the_digit_limit_exit_2(capsys, tmp_path, command):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "too long" in err
+    assert "Traceback" not in err and len(err) < 300
+
+
+@needs_digit_limit
+@pytest.mark.parametrize(
+    "argv", [["check"], ["check", "--json"], ["build"], ["deterministic"]]
+)
+def test_rationals_past_the_digit_limit_exit_3(capsys, tmp_path, argv):
+    # Coprime denominators of just over half the limit each: every token
+    # parses, but the column sums of P(Y|X) are over their product.
+    half = DIGIT_LIMIT // 2 + 50
+    a = 3 ** (half * 2096 // 1000)
+    b = 2 ** (half * 3322 // 1000)
+    assert half <= len(str(a)) < DIGIT_LIMIT and half <= len(str(b)) < DIGIT_LIMIT
+    path = tmp_path / "wide.inst"
+    path.write_text(sp.serialize_instance(sp.make_instance(
+        ["x1", "x2"], ["y1", "y2"],
+        [[F(1, a), F(1, 2) - F(1, a)], [F(1, b), F(1, 2) - F(1, b)]],
+    )))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "too long to print" in err
+    assert "Traceback" not in err and len(err) < 300
+
+
+@needs_digit_limit
+def test_an_unprintable_bad_weight_exits_3(capsys, paths, tmp_path):
+    # The token parses, but its denominator 10**DIGIT_LIMIT has one digit
+    # too many to appear in the "must be positive" message.
+    path = tmp_path / "negative.scheme"
+    path.write_text(f"SCHEME v1\n1 1 1\nx1\ny1\n1\nz1 -0.{'7' * DIGIT_LIMIT} 1\n")
+    code, out, err = run(capsys, "verify", str(path), "--against", paths["otp2"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "too long to print" in err
     assert "Traceback" not in err and len(err) < 300

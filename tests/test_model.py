@@ -226,6 +226,15 @@ def test_rat_parse_refuses_numbers_past_the_digit_limit(template):
 
 
 @needs_digit_limit
+def test_rat_str_refuses_rationals_past_the_digit_limit():
+    den = 3 ** (DIGIT_LIMIT * 2096 // 1000 + 10)  # more digits than the limit
+    for value in (F(1, den), F(den, 7), F(-den)):
+        with pytest.raises(sp.CapExceededError, match="too long to print") as caught:
+            sp.rat_str(value)
+        assert len(str(caught.value)) < 200
+
+
+@needs_digit_limit
 def test_rat_parse_reads_numbers_at_the_digit_limit():
     digits = "7" * DIGIT_LIMIT
     assert sp.rat_parse(digits) == int(digits)

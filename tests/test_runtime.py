@@ -1,18 +1,42 @@
 """Seeded sampling, encode/decode round-trips, Monte Carlo reports."""
 
 import collections
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction as F
+from itertools import accumulate
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 
 import sidepad as sp
 from corpus import PINNED_SEEDS, corpus, corr23, det22, mixed23, otp2
-from sidepad.model import _Sampler
 from sidepad.runtime import _conditional_signals
 from test_joint import scrambled_schemes
+from test_model import instances
+
+
+def _fraction_table(pairs):
+    """Reference inverse-transform table of a pmf given as (value, Fraction)
+    pairs: zero masses dropped, the limit the lcm of the mass denominators
+    and the thresholds the running sums of the masses' numerators over it."""
+    items = [(value, mass) for value, mass in pairs if mass > 0]
+    limit = lcm(*(mass.denominator for _, mass in items))
+    thresholds = list(accumulate(
+        mass.numerator * (limit // mass.denominator) for _, mass in items
+    ))
+    assert thresholds[-1] == limit
+    return limit, thresholds, [value for value, _ in items]
+
+
+def _assert_world_is_the_fraction_table(inst):
+    want = _fraction_table(
+        ((i, j), v) for i, row in enumerate(inst.p_xy) for j, v in enumerate(row)
+    )
+    world = inst._world
+    assert (world.limit, world.thresholds, world.values) == want
 
 
 def test_random_source_validates_seed():
@@ -91,6 +115,42 @@ def test_encode_memoises_each_cell_and_simulate_shares_it():
     with pytest.raises(sp.OffSupportError):
         sp.encode(scheme, 0, 2, rng)
     assert (0, 2) not in memo
+
+
+def test_world_sampler_equals_fraction_table_on_corpus():
+    for inst in corpus():
+        _assert_world_is_the_fraction_table(inst)
+
+
+@given(instances())
+def test_world_sampler_equals_fraction_table_on_random_instances(inst):
+    _assert_world_is_the_fraction_table(inst)
+
+
+def test_simulate_reports_are_pinned_on_corpus():
+    # SHA-256 of the reports' reprs, recorded before simulate drew from the
+    # instance's own world sampler: every feasible corpus scheme, sharded
+    # and not, plus a twin with its first weight doubled (fails the laws).
+    digest = hashlib.sha256()
+    for inst in corpus():
+        if not sp.check_feasible(inst).feasible:
+            continue
+        scheme = sp.build_scheme(inst)
+        broken = dataclasses.replace(
+            scheme, weights=(scheme.weights[0] * 2, *scheme.weights[1:])
+        )
+        for target, shards, unverified in (
+            (scheme, 1, False), (scheme, 3, False), (scheme, 2, True),
+            (broken, 2, True),
+        ):
+            report = sp.simulate(
+                target, inst, 200, 11,
+                shards=shards, min_count=20, allow_unverified=unverified,
+            )
+            digest.update(repr(report).encode())
+    assert digest.hexdigest() == (
+        "51088bea7c048be296544d4dec08831f2288e60581120681160696a7aa055a68"
+    )
 
 
 def test_sample_world_frequencies_uniform_2x2():
@@ -357,10 +417,8 @@ def _assert_encoders_match_fraction_samplers(scheme):
                 assert choice == ks[0]
                 continue
             total = sum((scheme.weights[k] for k in ks), F(0))
-            want = _Sampler((k, scheme.weights[k] / total) for k in ks)
-            assert (choice.limit, choice.thresholds, choice.values) == (
-                want.limit, want.thresholds, want.values,
-            )
+            want = _fraction_table((k, scheme.weights[k] / total) for k in ks)
+            assert (choice.limit, choice.thresholds, choice.values) == want
             randomized += 1
     return randomized
 
