@@ -23,6 +23,7 @@ from .construction import (
     Scheme,
     build_scheme,
     find_deterministic_scheme,
+    p_lower_bound,
     row_value_multisets_equal,
 )
 from .errors import (
@@ -174,7 +175,11 @@ def cmd_build(args) -> int:
     if args.output:
         Path(args.output).write_text(document, encoding="utf-8")
     if args.json:
-        _emit_json({"kind": "scheme", **_scheme_payload(scheme)})
+        _emit_json({
+            "kind": "scheme",
+            **_scheme_payload(scheme),
+            "p_lower_bound": p_lower_bound(inst),
+        })
     elif args.output:
         print(f"wrote scheme ({scheme.p} signals) to {args.output}")
     else:

@@ -3,19 +3,21 @@
 The pipeline that turns a feasible instance into a working scheme:
 
 1. ``extend`` pads the conditional matrix P_{Y|X} (n rows, m columns,
-   column sums <= 1) to an m-by-m doubly stochastic matrix by appending
-   m - n identical rows that absorb the slack of every column.
+   column sums <= 1) to an m-by-m doubly stochastic matrix: m - n padding
+   rows take the column slacks by a north-west-corner fill, which keeps
+   the padding sparse (at most 2m - n - 1 nonzeros).
 2. ``birkhoff_decompose`` peels the result into a convex combination of
-   permutation matrices: repeatedly find a perfect matching on the
-   positive support, subtract the minimum matched entry.
+   permutation matrices: keep a perfect matching on the positive support,
+   subtract its minimum entry, re-match only the rows it zeroed.
 3. ``build_scheme`` names one signal per permutation; signal z_k occurs
    with probability alpha_k, and under it state row i is paired with
    column sigma_k(i).
 
 Everything is exact: the decomposition peels integer residuals over one
-common denominator L, with Fractions only at its boundary.  It terminates
-in at most m*m - 2m + 2 rounds because each subtraction zeroes at least
-one positive cell while both stochasticity constraints keep holding.
+common denominator L, with Fractions only at its boundary.  Each round
+zeroes at least one positive cell while both stochasticity constraints
+keep holding, so there are at most nnz - m + 1 <= m*m - 2m + 2 rounds;
+fewer padding nonzeros mean fewer signals.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .model import (
     as_fraction,
     column_sums,
     conditional_y_given_x,
-    marginal_x,
     rat_str,
 )
 
@@ -231,8 +232,12 @@ def _column_condition(
 def extend(cm: ConditionalMatrix) -> ExtendedMatrix:
     """Pad a feasible conditional matrix to a doubly stochastic square.
 
-    Every padding row is the same: entry j gets (1 - column_sum_j)/(m - n),
-    which is nonnegative exactly when the column condition holds.  A column
+    The m - n padding rows take the column slacks 1 - column_sum_j, which
+    are nonnegative exactly when the column condition holds and total
+    m - n, by a north-west-corner transport fill: columns ascending, each
+    slack poured into the current padding row until that row sums to 1,
+    then into the next.  The padding block so holds at most 2m - n - 1
+    nonzeros, and a single padding row is the slack row itself.  A column
     summing beyond 1 raises :class:`InfeasibleError` naming the columns.
     """
     sums, _ = _column_condition(cm, strict=True)
@@ -242,32 +247,55 @@ def extend(cm: ConditionalMatrix) -> ExtendedMatrix:
             # Square with every column <= 1 and total n forces equality.
             raise InternalInvariantError("square conditional not doubly stochastic")
         return ExtendedMatrix(n=n, m=m, entries=cm.entries)
-    pad = tuple((1 - s) / (m - n) for s in sums)
-    return ExtendedMatrix(n=n, m=m, entries=cm.entries + (pad,) * (m - n))
+    pad = [[Fraction(0)] * m for _ in range(m - n)]
+    r, room = 0, Fraction(1)  # the padding row being filled, and its room
+    for j, s in enumerate(sums):
+        slack = 1 - s
+        while slack:
+            pad[r][j] = take = min(room, slack)
+            slack -= take
+            room -= take
+            if not room:
+                r, room = r + 1, Fraction(1)
+    return ExtendedMatrix(n=n, m=m, entries=cm.entries + tuple(map(tuple, pad)))
 
 
-def perfect_matching(support: Sequence[Sequence[object]]) -> tuple[int, ...] | None:
-    """Deterministic perfect matching on a square grid, or None.
+class _Matcher:
+    """Augmenting-path matcher on the truthy cells of a square grid:
+    ``adj`` holds each row's usable columns in ascending order, and
+    ``col_of`` maps rows and ``row_of`` columns to their partner, -1 when
+    free.  The one matching routine: ``perfect_matching`` runs it once
+    from scratch, ``birkhoff_decompose`` keeps it between rounds and
+    re-matches only the rows it freed."""
 
-    A cell is usable when it is truthy (``True``, a positive residual) and
-    unusable when falsy (``False``, ``0``).  Augmenting-path search with a
-    fixed scan order: rows are processed in ascending index; each row first
-    grabs its lowest-indexed free column, otherwise the lowest-indexed
-    augmenting path (columns tried ascending at every step) wins.  The same
-    support always yields the same matching, whatever the cell type.
-    """
-    m = len(support)
-    if m == 0 or any(len(row) != m for row in support):
-        raise InputError("support grid must be square and non-empty")
-    adj = [list(compress(range(m), row)) for row in support]  # ascending
-    col_of = [-1] * m  # row -> column
-    row_of = [-1] * m  # column -> row
+    __slots__ = ("adj", "col_of", "row_of")
 
-    def augment(root: int) -> bool:
+    def __init__(self, grid: Sequence[Sequence[object]]):
+        m = len(grid)
+        self.adj = [list(compress(range(m), row)) for row in grid]
+        self.col_of = [-1] * m  # row -> column
+        self.row_of = [-1] * m  # column -> row
+
+    def match(self, rows) -> bool:
+        """Match each free row in ``rows``, in order: a row grabs its
+        lowest-indexed free column, otherwise the lowest-indexed augmenting
+        path (columns tried ascending at every step) wins.  False when some
+        row has no augmenting path."""
+        adj, row_of, col_of = self.adj, self.row_of, self.col_of
+        for i in rows:
+            free = next((j for j in adj[i] if row_of[j] == -1), None)
+            if free is not None:
+                row_of[free], col_of[i] = i, free
+            elif not self._augment(i):
+                return False
+        return True
+
+    def _augment(self, root: int) -> bool:
         # Depth-first search on an explicit stack, in the recursive scan
         # order: rows[d] is frame d's row, todo[d] its untried columns and
         # cols[d] the column frame d descended through.
-        visited = [False] * m
+        adj, row_of, col_of = self.adj, self.row_of, self.col_of
+        visited = [False] * len(adj)
         rows, cols, todo = [root], [], [iter(adj[root])]
         while todo:
             for j in todo[-1]:
@@ -286,14 +314,20 @@ def perfect_matching(support: Sequence[Sequence[object]]) -> tuple[int, ...] | N
             todo.append(iter(adj[row_of[j]]))
         return False
 
-    for i in range(m):
-        free = next((j for j in adj[i] if row_of[j] == -1), None)
-        if free is not None:
-            row_of[free] = i
-            col_of[i] = free
-        elif not augment(i):
-            return None
-    return tuple(col_of)
+
+def perfect_matching(support: Sequence[Sequence[object]]) -> tuple[int, ...] | None:
+    """Deterministic perfect matching on a square grid, or None.
+
+    A cell is usable when it is truthy (``True``, a positive residual) and
+    unusable when falsy (``False``, ``0``).  Rows are matched in ascending
+    index by :meth:`_Matcher.match`'s fixed scan, so the same support always
+    yields the same matching, whatever the cell type.
+    """
+    m = len(support)
+    if m == 0 or any(len(row) != m for row in support):
+        raise InputError("support grid must be square and non-empty")
+    matcher = _Matcher(support)
+    return tuple(matcher.col_of) if matcher.match(range(m)) else None
 
 
 def birkhoff_decompose(
@@ -301,22 +335,39 @@ def birkhoff_decompose(
 ) -> tuple[tuple[Fraction, tuple[int, ...]], ...]:
     """Exact Birkhoff decomposition: weights and permutations, in extraction
     order, with weights summing to exactly 1 and every weight positive.
+
     Residuals are ints over L, the lcm of the entry denominators; weights
-    become Fractions only on return."""
+    become Fractions only on return.  Each round subtracts the smallest
+    matched residual along a perfect matching of the positive cells.  The
+    matching survives the round: a zeroed cell leaves its row's column
+    list and frees its row, and only the freed rows are re-matched, in
+    ascending order, by :class:`_Matcher`'s scan.  Every round zeroes at
+    least one cell and the last zeroes m, so there are at most nnz - m + 1
+    terms.
+    """
+    m = ext.m
     cells, L = _numerators(v for row in ext.entries for v in row)
-    work = [cells[i:i + ext.m] for i in range(0, len(cells), ext.m)]
+    work = [cells[i:i + m] for i in range(0, len(cells), m)]
+    matcher = _Matcher(work)
+    adj, col_of, row_of = matcher.adj, matcher.col_of, matcher.row_of
     terms: list[tuple[int, tuple[int, ...]]] = []
-    while any(map(any, work)):
-        sigma = perfect_matching(work)
-        if sigma is None:
+    freed = range(m)
+    while any(adj):
+        if not matcher.match(freed):
             # Birkhoff's theorem guarantees a matching on any doubly
             # stochastic residual; reaching this means corrupted arithmetic.
             raise InternalInvariantError("no perfect matching on positive residual")
+        sigma = tuple(col_of)
         alpha = min(row[j] for row, j in zip(work, sigma))
         if alpha <= 0:
             raise InternalInvariantError("matching hit a zero entry")
-        for row, j in zip(work, sigma):
+        freed = []
+        for i, (row, j) in enumerate(zip(work, sigma)):
             row[j] -= alpha
+            if not row[j]:
+                adj[i].remove(j)
+                col_of[i] = row_of[j] = -1
+                freed.append(i)
         terms.append((alpha, sigma))
     if sum(a for a, _ in terms) != L:
         raise InternalInvariantError("decomposition weights do not sum to 1")
@@ -336,14 +387,20 @@ def build_scheme(inst: Instance) -> Scheme:
     return _named_scheme(inst, cm, [a for a, _ in terms], [s for _, s in terms])
 
 
+def p_lower_bound(inst: Instance) -> int:
+    """The fewest signals any scheme for ``inst`` can have: the largest row
+    support of P(Y|X).  A signal pairs each state with one column, so a
+    state needs a signal of its own for every column it reaches."""
+    return max(sum(1 for v in row if v > 0) for row in inst.p_xy)
+
+
 def _named_scheme(inst: Instance, cm: ConditionalMatrix, weights, assignments):
     """The scheme over ``inst``'s supported states with signals z1..zp."""
-    px = marginal_x(inst)
     return Scheme(
         x_labels=tuple(inst.x_labels[i] for i in cm.rows),
         y_labels=inst.y_labels,
         z_labels=tuple(f"z{k+1}" for k in range(len(weights))),
-        px=tuple(px[i] for i in cm.rows),
+        px=cm.masses,
         weights=tuple(weights),
         assignments=tuple(assignments),
     )

@@ -23,12 +23,12 @@ from .errors import InputError
 from .model import (
     Instance,
     RationalLike,
+    _clip_rat,
     as_fraction,
     conditional_y_given_x,
     instance_from_conditional,
     marginal_x,
     marginal_y,
-    rat_str,
     supp_x,
 )
 
@@ -64,31 +64,39 @@ class FeasibilityReport:
 def shannon_reduce(inst: Instance) -> ShannonCase:
     """Detect whether the instance is the counting special case: X and Y
     independent and Y uniform on its support."""
-    px = marginal_x(inst)
+    return _shannon_case(inst, range(inst.n), marginal_x(inst))
+
+
+def _shannon_case(
+    inst: Instance, rows: Sequence[int], masses: Sequence[Fraction]
+) -> ShannonCase:
+    """``shannon_reduce`` given the P_X masses of ``rows``, which include
+    supp X: rows left out are all zero, so independent whatever P_Y."""
     py = marginal_y(inst)
     independent = all(
-        inst.p_xy[i][j] == px[i] * py[j]
-        for i in range(inst.n)
-        for j in range(inst.m)
+        v == mass * q
+        for i, mass in zip(rows, masses)
+        for v, q in zip(inst.p_xy[i], py)
     )
     py_support = [v for v in py if v > 0]
     uniform_mass = Fraction(1, len(py_support))
     return ShannonCase(
         independent=independent,
         y_uniform=all(v == uniform_mass for v in py_support),
-        n=sum(1 for v in px if v > 0),
+        n=sum(1 for v in masses if v > 0),
         m=len(py_support),
     )
 
 
 def check_feasible(inst: Instance) -> FeasibilityReport:
     """Decide feasibility from the exact column sums of P_{Y|X}."""
-    sums, violations = _column_condition(conditional_y_given_x(inst))
+    cm = conditional_y_given_x(inst)
+    sums, violations = _column_condition(cm)
     return FeasibilityReport(
         feasible=not violations,
         column_sums=sums,
         violations=violations,
-        shannon_case=shannon_reduce(inst),
+        shannon_case=_shannon_case(inst, cm.rows, cm.masses),
     )
 
 
@@ -110,7 +118,7 @@ def marginal_invariance_witness(
         raise InputError("state masses must be nonnegative")
     if sum(alt, Fraction(0)) != 1:
         raise InputError(
-            f"state masses sum to {rat_str(sum(alt, Fraction(0)))}, expected 1"
+            f"state masses sum to {_clip_rat(sum(alt, Fraction(0)))}, expected 1"
         )
     supp = set(supp_x(inst))
     for i, v in enumerate(alt):

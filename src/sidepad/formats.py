@@ -41,7 +41,7 @@ from fractions import Fraction
 
 from .construction import Scheme
 from .errors import InputError
-from .model import Instance, _clip, make_instance, rat_parse, rat_str
+from .model import Instance, _clip, _clip_rat, make_instance, rat_parse, rat_str
 
 INSTANCE_MAGIC = ("INSTANCE", "v1")
 SCHEME_MAGIC = ("SCHEME", "v1")
@@ -143,7 +143,7 @@ def parse_scheme(text: str) -> Scheme:
     for i in range(n):
         v = cur.next_rational(f"P_X({x_labels[i] if i < len(x_labels) else i+1})")
         if v <= 0:
-            raise InputError(f"state mass must be positive, got {rat_str(v)}")
+            raise InputError(f"state mass must be positive, got {_clip_rat(v)}")
         px.append(v)
     z_labels = []
     weights = []
@@ -152,7 +152,7 @@ def parse_scheme(text: str) -> Scheme:
         z_labels.append(cur.next(f"z label {k+1}"))
         w = cur.next_rational(f"weight of signal {k+1}")
         if w <= 0:
-            raise InputError(f"signal weight must be positive, got {rat_str(w)}")
+            raise InputError(f"signal weight must be positive, got {_clip_rat(w)}")
         weights.append(w)
         sigma = []
         for i in range(m):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -66,6 +66,17 @@ def rat_parse(token: str) -> Fraction:
 def _clip(token: str) -> str:
     """``repr(token)`` for error messages, cut short past 40 characters."""
     return repr(token) if len(token) <= 40 else f"{token[:40]!r}..."
+
+
+def _clip_rat(value: Fraction) -> str:
+    """A rational for an input-error message: its text cut short past 40
+    characters like :func:`_clip`, and a placeholder where the digit limit
+    forbids the text, so a malformed input stays an input error."""
+    try:
+        text = rat_str(value)
+    except CapExceededError:
+        return "<rational too long to print>"
+    return text if len(text) <= 40 else f"{text[:40]}..."
 
 
 def rat_str(value: Fraction) -> str:
@@ -143,11 +154,11 @@ class Instance:
         for row in grid:
             for v in row:
                 if v < 0:
-                    raise InputError(f"negative probability {rat_str(v)}")
+                    raise InputError(f"negative probability {_clip_rat(v)}")
         total = sum(v for row in grid for v in row)
         if total != 1:
             raise InputError(
-                f"probability mass sums to {rat_str(total)}, expected 1"
+                f"probability mass sums to {_clip_rat(total)}, expected 1"
             )
         object.__setattr__(self, "x_labels", xl)
         object.__setattr__(self, "y_labels", yl)
@@ -261,16 +272,21 @@ class ConditionalMatrix:
     ``rows`` are the instance row indices it covers (exactly supp X,
     ascending); every column of the instance is retained, including
     zero-mass ones, whose conditional entries are necessarily zero.
-    Each row sums to exactly one.
+    Each row sums to exactly one.  ``masses``, P_X of the covered rows,
+    is filled by :func:`conditional_y_given_x` so that its callers need
+    not sum P_X again; it may be left empty and takes no part in equality.
     """
 
     rows: tuple[int, ...]
     cols: tuple[int, ...]
     entries: tuple[tuple[Fraction, ...], ...]
+    masses: tuple[Fraction, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
         if len(self.entries) != len(self.rows):
             raise InputError("conditional matrix: one entry row per covered row")
+        if self.masses and len(self.masses) != len(self.rows):
+            raise InputError("conditional matrix: one mass per covered row")
         for row in self.entries:
             if len(row) != len(self.cols):
                 raise InputError("conditional matrix: ragged row")
@@ -279,7 +295,7 @@ class ConditionalMatrix:
             if sum(row, Fraction(0)) != 1:
                 raise InputError(
                     "conditional matrix row sums to "
-                    f"{rat_str(sum(row, Fraction(0)))}, expected 1"
+                    f"{_clip_rat(sum(row, Fraction(0)))}, expected 1"
                 )
 
     @property
@@ -298,10 +314,13 @@ def conditional_y_given_x(inst: Instance) -> ConditionalMatrix:
     if not rows:
         # Unreachable for a valid Instance (mass sums to 1), kept as a guard.
         raise InputError("instance has empty X support")
+    masses = tuple(px[i] for i in rows)
     entries = tuple(
-        tuple(inst.p_xy[i][j] / px[i] for j in range(inst.m)) for i in rows
+        tuple(v / mass for v in inst.p_xy[i]) for i, mass in zip(rows, masses)
     )
-    return ConditionalMatrix(rows=rows, cols=tuple(range(inst.m)), entries=entries)
+    return ConditionalMatrix(
+        rows=rows, cols=tuple(range(inst.m)), entries=entries, masses=masses
+    )
 
 
 def column_sums(cm: ConditionalMatrix) -> tuple[Fraction, ...]:
@@ -335,7 +354,7 @@ def instance_from_conditional(
         if len(row) != m:
             raise InputError("conditional grid is ragged")
         if p < 0:
-            raise InputError(f"negative marginal mass {rat_str(p)}")
+            raise InputError(f"negative marginal mass {_clip_rat(p)}")
         if p > 0 and sum(row, Fraction(0)) != 1:
             raise InputError("conditional row of a supported state must sum to 1")
         grid.append([p * v for v in row] if p > 0 else [Fraction(0)] * m)

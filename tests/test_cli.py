@@ -586,13 +586,36 @@ def test_rationals_past_the_digit_limit_exit_3(capsys, tmp_path, argv):
 
 
 @needs_digit_limit
-def test_an_unprintable_bad_weight_exits_3(capsys, paths, tmp_path):
+@pytest.mark.parametrize("field", ["mass", "weight"])
+def test_an_unprintable_bad_scheme_number_exits_2(capsys, paths, tmp_path, field):
     # The token parses, but its denominator 10**DIGIT_LIMIT has one digit
-    # too many to appear in the "must be positive" message.
+    # too many to print in the "must be positive" message: the message
+    # names the value without its digits, and the input error stays one.
+    bad = f"-0.{'7' * DIGIT_LIMIT}"
+    mass, weight = (bad, "1") if field == "mass" else ("1", bad)
     path = tmp_path / "negative.scheme"
-    path.write_text(f"SCHEME v1\n1 1 1\nx1\ny1\n1\nz1 -0.{'7' * DIGIT_LIMIT} 1\n")
+    path.write_text(f"SCHEME v1\n1 1 1\nx1\ny1\n{mass}\nz1 {weight} 1\n")
     code, out, err = run(capsys, "verify", str(path), "--against", paths["otp2"])
-    assert code == 3
+    assert code == 2
     assert out == ""
-    assert err.startswith("error:") and "too long to print" in err
+    assert err.startswith("error:") and f"{field} must be positive" in err
+    assert "too long to print" in err
+    assert "Traceback" not in err and len(err) < 300
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("command", ["check", "build", "oracle"])
+def test_an_unprintable_bad_mass_sum_exits_2(capsys, tmp_path, command):
+    # Both tokens parse, but their sum's denominator 3**4700 * 2**7400 is
+    # past the digit limit, too long to print in the "sums to" message.
+    a, b = 3 ** 4700, 2 ** 7400
+    assert len(str(a)) < DIGIT_LIMIT and len(str(b)) < DIGIT_LIMIT
+    assert len(str(a)) + len(str(b)) > DIGIT_LIMIT + 1
+    path = tmp_path / "short.inst"
+    path.write_text(f"INSTANCE v1\n1 2\nx1\ny1 y2\n1/{a} 1/{b}\n")
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "mass sums to" in err
+    assert "too long to print" in err
     assert "Traceback" not in err and len(err) < 300

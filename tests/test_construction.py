@@ -5,6 +5,7 @@ import gc
 import hashlib
 import itertools
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -36,10 +37,29 @@ def test_extend_square_is_identity_operation():
     assert ext.entries == cm.entries
 
 
-def test_extend_multiple_pad_rows_are_equal():
+def test_extend_pads_by_north_west_corner():
+    # Slacks 1/2, 3/4, 3/4 poured column by column: row 1 takes column 0's
+    # 1/2 and half of column 1, row 2 the rest.
     inst = sp.make_instance(["x1"], ["y1", "y2", "y3"], [["1/2", "1/4", "1/4"]])
     ext = sp.extend(_conditional(inst))
-    assert ext.entries[1] == ext.entries[2] == (F(1, 4), F(3, 8), F(3, 8))
+    assert ext.entries[1:] == (
+        (F(1, 2), F(1, 2), F(0)),
+        (F(0), F(1, 4), F(3, 4)),
+    )
+
+
+def test_extend_north_west_corner_skips_full_columns():
+    # Slacks 3/4, 0, 1/2, 3/4: row 2 takes column 0's 3/4 and fills up on a
+    # quarter of column 2, skipping the full column 1; row 3 takes the rest.
+    inst = sp.instance_from_conditional(
+        ["1/2", "1/2"],
+        [["1/4", "1/2", "1/4", "0"], ["0", "1/2", "1/4", "1/4"]],
+    )
+    ext = sp.extend(_conditional(inst))
+    assert ext.entries[2:] == (
+        (F(3, 4), F(0), F(1, 4), F(0)),
+        (F(0), F(0), F(1, 4), F(3, 4)),
+    )
 
 
 def test_extend_refuses_infeasible_with_witness_columns():
@@ -280,6 +300,36 @@ def test_deterministic_search_golden_outcomes():
     )
 
 
+def _marginal_x_calls(call, *args):
+    """How many times ``call(*args)`` runs ``marginal_x``, however bound."""
+    code = sp.model.marginal_x.__code__
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        call(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "call", [sp.build_scheme, sp.find_deterministic_scheme, sp.check_feasible]
+)
+def test_p_x_is_summed_once_per_call(call):
+    inst = sp.make_instance(
+        ["x1", "x2", "x3"], ["y1", "y2", "y3"],
+        [["1/6", "1/6", "0"], ["0", "0", "0"], ["1/3", "0", "1/3"]],
+    )
+    assert _marginal_x_calls(call, inst) == 1
+    assert _marginal_x_calls(call, corr23()) == 1
+
+
 def test_deterministic_search_caps_width():
     inst = sp.make_instance(
         ["x1"], [f"y{j}" for j in range(9)], [[F(1, 9)] * 9]
@@ -327,6 +377,47 @@ def feasible_instances(draw, max_m=4):
     return sp.make_instance(
         [f"x{i+1}" for i in range(n)], [f"y{j+1}" for j in range(m)], grid
     )
+
+
+@given(feasible_instances(max_m=6))
+def test_extend_padding_is_sparse_and_doubly_stochastic(inst):
+    cm = _conditional(inst)
+    ext = sp.extend(cm)
+    n, m = cm.n, cm.m
+    assert ext.entries[:n] == cm.entries
+    pad = ext.entries[n:]
+    assert all(v >= 0 for row in pad for v in row)
+    assert all(sum(row) == 1 for row in pad)
+    assert all(sum(row[j] for row in ext.entries) == 1 for j in range(m))
+    assert sum(v != 0 for row in pad for v in row) <= 2 * m - n - 1
+
+
+def _assert_p_within_bounds(inst):
+    scheme = sp.build_scheme(inst)
+    m = scheme.m
+    assert sp.p_lower_bound(inst) <= scheme.p <= m * m - 2 * m + 2
+
+
+def test_p_lower_bound_holds_on_corpus():
+    for inst in corpus():
+        if sp.check_feasible(inst).feasible:
+            _assert_p_within_bounds(inst)
+
+
+@given(feasible_instances(max_m=6))
+def test_p_lower_bound_holds_on_random_instances(inst):
+    _assert_p_within_bounds(inst)
+
+
+def test_p_lower_bound_is_the_largest_row_support():
+    assert sp.p_lower_bound(corr23()) == 2
+    assert sp.p_lower_bound(mixed23()) == 2
+    assert sp.p_lower_bound(otp2()) == 2
+    inst = sp.make_instance(
+        ["x1", "x2", "x3"], ["y1", "y2", "y3"],
+        [["1/6", "1/6", "0"], ["0", "1/6", "1/6"], ["0", "0", "1/3"]],
+    )
+    assert sp.p_lower_bound(inst) == 2
 
 
 @given(feasible_instances())
@@ -427,15 +518,26 @@ def test_perfect_matching_reads_any_truthy_cells():
         assert sp.perfect_matching(residual) == sp.perfect_matching(support)
 
 
+def _reference_extend(cm):
+    """The dense padding the north-west-corner fill replaced: m - n equal
+    rows, entry j being (1 - column_sum_j) / (m - n)."""
+    n, m = cm.n, cm.m
+    pad = tuple((1 - s) / (m - n) for s in sp.column_sums(cm)) if n < m else ()
+    return sp.ExtendedMatrix(n=n, m=m, entries=cm.entries + (pad,) * (m - n))
+
+
 def _reference_birkhoff(ext):
-    """The Fraction decomposition the integer engine replaced, on the
-    recursive matcher: a reference for ``birkhoff_decompose``."""
+    """The Fraction decomposition the integer engine replaced, matching
+    from scratch every round on the recursive matcher, whose scan must
+    still equal ``perfect_matching``'s on every residual it meets."""
     m = ext.m
     work = [list(row) for row in ext.entries]
     terms = []
     while any(v > 0 for row in work for v in row):
-        sigma = _recursive_matching([[v > 0 for v in row] for row in work])
+        support = [[v > 0 for v in row] for row in work]
+        sigma = _recursive_matching(support)
         assert sigma is not None
+        assert sp.perfect_matching(support) == sigma
         alpha = min(work[i][sigma[i]] for i in range(m))
         assert alpha > 0
         for i in range(m):
@@ -445,22 +547,67 @@ def _reference_birkhoff(ext):
     return tuple(terms)
 
 
-def _assert_same_terms(ext):
+def reference_scheme(inst):
+    """The scheme ``build_scheme`` made before sparse padding and
+    incremental matching: dense padding, the from-scratch Fraction scan."""
+    cm = _conditional(inst)
+    terms = _reference_birkhoff(_reference_extend(cm))
+    px = sp.marginal_x(inst)
+    return sp.Scheme(
+        x_labels=tuple(inst.x_labels[i] for i in cm.rows),
+        y_labels=inst.y_labels,
+        z_labels=tuple(f"z{k+1}" for k in range(len(terms))),
+        px=tuple(px[i] for i in cm.rows),
+        weights=tuple(a for a, _ in terms),
+        assignments=tuple(sigma for _, sigma in terms),
+    )
+
+
+def _assert_terms_rebuild(ext, terms):
+    """Positive Fraction weights summing to 1 on permutations through
+    positive cells, rebuilding ``ext`` cell by cell, within nnz - m + 1."""
+    m = ext.m
+    assert all(type(alpha) is F and alpha > 0 for alpha, _ in terms)
+    assert sum(alpha for alpha, _ in terms) == 1
+    grid = [[F(0)] * m for _ in range(m)]
+    for alpha, sigma in terms:
+        assert sorted(sigma) == list(range(m))
+        for i, j in enumerate(sigma):
+            assert ext.entries[i][j] > 0
+            grid[i][j] += alpha
+    assert tuple(map(tuple, grid)) == ext.entries
+    nnz = sum(v > 0 for row in ext.entries for v in row)
+    assert len(terms) <= nnz - m + 1
+
+
+def _assert_agrees_with_the_reference(inst):
+    ext = sp.extend(_conditional(inst))
     terms = sp.birkhoff_decompose(ext)
-    assert terms == _reference_birkhoff(ext)
-    assert all(type(alpha) is F for alpha, _ in terms)
+    _assert_terms_rebuild(ext, terms)
+    scheme, reference = sp.build_scheme(inst), reference_scheme(inst)
+    assert scheme.weights == tuple(alpha for alpha, _ in terms)
+    assert scheme.assignments == tuple(sigma for _, sigma in terms)
+    reports = [sp.verify_scheme(s, inst) for s in (scheme, reference)]
+    assert all(report.all_ok for report in reports)
+    assert reports[0].q_xy == reports[1].q_xy
+    assert sp.necessity_audit(scheme).ok and sp.necessity_audit(reference).ok
+    return scheme, reference
 
 
 def test_birkhoff_matches_the_fraction_reference_on_corpus():
     feasible = [inst for inst in corpus() if sp.check_feasible(inst).feasible]
     assert feasible
     for inst in feasible:
-        _assert_same_terms(sp.extend(_conditional(inst)))
+        _assert_agrees_with_the_reference(inst)
 
 
 @given(doubly_stochastic())
 def test_birkhoff_matches_the_fraction_reference_on_mixtures(ext):
-    _assert_same_terms(ext)
+    # Uniform P_X over the square's rows makes it an instance's conditional.
+    m = ext.m
+    inst = sp.instance_from_conditional([F(1, m)] * m, ext.entries)
+    assert sp.extend(_conditional(inst)) == ext
+    _assert_agrees_with_the_reference(inst)
 
 
 @pytest.mark.parametrize("m", [16, 24, 32])
@@ -477,11 +624,37 @@ def test_birkhoff_matches_the_fraction_reference_at_scale(m, ratio):
         for i in range(n):
             grid[i][perm[i]] += F(weight, total)
     inst = sp.instance_from_conditional([F(1, n)] * n, grid)
-    _assert_same_terms(sp.extend(_conditional(inst)))
+    scheme, reference = _assert_agrees_with_the_reference(inst)
+    assert scheme.p < reference.p
+
+
+def test_birkhoff_rematches_only_the_rows_it_freed(monkeypatch):
+    # Every round after the first hands the matcher exactly the rows whose
+    # matched cell the previous subtraction zeroed, ascending.
+    calls = []
+    match = sp.construction._Matcher.match
+
+    def spy(self, rows):
+        calls.append(list(rows))
+        return match(self, rows)
+
+    monkeypatch.setattr(sp.construction._Matcher, "match", spy)
+    ext = sp.extend(_conditional(mixed23()))
+    terms = sp.birkhoff_decompose(ext)
+    assert len(calls) == len(terms)
+    assert calls[0] == [0, 1, 2]
+    work = [list(row) for row in ext.entries]
+    for (alpha, sigma), rows in zip(terms, calls[1:]):
+        for i, j in enumerate(sigma):
+            work[i][j] -= alpha
+        assert rows == [i for i, j in enumerate(sigma) if work[i][j] == 0]
+    assert calls == [[0, 1, 2], [1, 2], [0, 2]]
 
 
 def test_birkhoff_raises_when_the_matcher_finds_none(monkeypatch):
-    monkeypatch.setattr(sp.construction, "perfect_matching", lambda support: None)
+    monkeypatch.setattr(
+        sp.construction._Matcher, "match", lambda self, rows: False
+    )
     with pytest.raises(sp.InternalInvariantError):
         sp.birkhoff_decompose(sp.extend(_conditional(corr23())))
 
@@ -490,9 +663,12 @@ def test_birkhoff_raises_when_the_matching_hits_a_zero_cell(monkeypatch):
     # The only permutation through positive cells is the swap; the matcher
     # first offers the identity, through two zero cells.
     offers = iter([(0, 1)])
-    monkeypatch.setattr(
-        sp.construction, "perfect_matching", lambda support: next(offers, (1, 0))
-    )
+
+    def match(self, rows):
+        self.col_of[:] = next(offers, (1, 0))
+        return True
+
+    monkeypatch.setattr(sp.construction._Matcher, "match", match)
     ext = sp.ExtendedMatrix(n=2, m=2, entries=((F(0), F(1)), (F(1), F(0))))
     with pytest.raises(sp.InternalInvariantError):
         sp.birkhoff_decompose(ext)

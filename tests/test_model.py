@@ -225,6 +225,16 @@ def test_rat_parse_refuses_numbers_past_the_digit_limit(template):
     assert len(str(caught.value)) < 200
 
 
+def test_long_values_are_clipped_in_input_errors():
+    # Printable but long values are cut short, as tokens are.
+    value = F(-1, 3 ** 200)
+    with pytest.raises(sp.InputError) as caught:
+        sp.make_instance(["x1", "x2"], ["y1"], [[value], [1 - value]])
+    message = str(caught.value)
+    assert message.startswith("negative probability -1/") and "..." in message
+    assert len(message) < 100
+
+
 @needs_digit_limit
 def test_rat_str_refuses_rationals_past_the_digit_limit():
     den = 3 ** (DIGIT_LIMIT * 2096 // 1000 + 10)  # more digits than the limit

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 import sidepad as sp
 from corpus import PINNED_SEEDS, corpus, corr23, det22, mixed23, otp2
 from sidepad.runtime import _conditional_signals
+from test_construction import reference_scheme
 from test_joint import scrambled_schemes
 from test_model import instances
 
@@ -127,15 +128,15 @@ def test_world_sampler_equals_fraction_table_on_random_instances(inst):
     _assert_world_is_the_fraction_table(inst)
 
 
-def test_simulate_reports_are_pinned_on_corpus():
-    # SHA-256 of the reports' reprs, recorded before simulate drew from the
-    # instance's own world sampler: every feasible corpus scheme, sharded
-    # and not, plus a twin with its first weight doubled (fails the laws).
+def _simulate_digest(build):
+    """SHA-256 of the reports' reprs over the schemes ``build`` makes for
+    every feasible corpus instance, sharded and not, plus a twin with its
+    first weight doubled (fails the laws)."""
     digest = hashlib.sha256()
     for inst in corpus():
         if not sp.check_feasible(inst).feasible:
             continue
-        scheme = sp.build_scheme(inst)
+        scheme = build(inst)
         broken = dataclasses.replace(
             scheme, weights=(scheme.weights[0] * 2, *scheme.weights[1:])
         )
@@ -148,8 +149,21 @@ def test_simulate_reports_are_pinned_on_corpus():
                 shards=shards, min_count=20, allow_unverified=unverified,
             )
             digest.update(repr(report).encode())
-    assert digest.hexdigest() == (
+    return digest.hexdigest()
+
+
+def test_simulate_reports_are_pinned_on_corpus():
+    # Recorded before simulate drew from the instance's own world sampler,
+    # on the schemes of the dense-padding, from-scratch-matching builder.
+    assert _simulate_digest(reference_scheme) == (
         "51088bea7c048be296544d4dec08831f2288e60581120681160696a7aa055a68"
+    )
+
+
+def test_simulate_reports_of_built_schemes_are_pinned_on_corpus():
+    # Recorded with sparse padding and incremental matching.
+    assert _simulate_digest(sp.build_scheme) == (
+        "3dcc3dce69690e0374e7499616ff59497120ca7129b23b12c30f705e2ab6a7d1"
     )
 
 
