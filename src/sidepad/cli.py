@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -499,7 +500,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone early shows here, not at exit
+        return code
     except (InputError, DimensionMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -509,6 +512,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader closed the pipe, as ``| head`` does: not an input error.
+        # Pointing stdout at devnull keeps the exit-time flush quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

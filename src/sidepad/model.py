@@ -191,7 +191,10 @@ class _Sampler:
     ``weights[k] / S`` for positive integer weights summing to S.  With G
     their gcd, one uniform integer below the limit S / G is bisected into
     the running sums of ``weights[k] / G``: the table the Fraction masses
-    ``weights[k] / S`` give over the lcm of their denominators."""
+    ``weights[k] / S`` give over the lcm of their denominators.  The
+    integer comes from the runtime's draw rule (``RandomSource.randbelow``);
+    ``runtime.simulate`` reads ``limit`` and ``thresholds`` and applies the
+    same rule inline."""
 
     __slots__ = ("limit", "thresholds", "values")
 
@@ -202,7 +205,8 @@ class _Sampler:
         self.limit = self.thresholds[-1]
 
     def draw(self, rng) -> object:
-        """One value; ``rng`` offers ``randbelow`` (a runtime RandomSource)."""
+        """One value; ``rng`` offers the draw rule as ``randbelow`` (a
+        runtime RandomSource)."""
         return self.values[bisect_right(self.thresholds, rng.randbelow(self.limit))]
 
 

@@ -4,11 +4,17 @@ Randomness contract
 -------------------
 :class:`RandomSource` wraps the stdlib Mersenne twister (``random.Random``,
 a twisted feedback shift-register generator) seeded with an unsigned
-64-bit integer.  Sub-streams are derived by hashing, not by jumping:
-stream ``index`` of seed ``s`` reseeds a fresh generator with the first
-8 bytes (big endian) of SHA-256 of the ASCII string ``"{s}/{index}"``.
-A sharded simulation draws its samples on the fixed schedule "shard k
-performs ceil-or-floor(n/shards) draws from sub-stream k", so any
+64-bit integer.  Every uniform integer below a bound B is drawn by one
+rule, :meth:`RandomSource.randbelow`: with k = B.bit_length(), take
+``getrandbits(k)`` and draw again while the value is >= B.  CPython's
+``randrange(B)`` applies the same rule, so outputs recorded on it still
+hold, but the contract rests only on seeding and ``getrandbits``, not on
+``randrange``'s implementation, which Python does not promise to keep.
+Sub-streams are derived by hashing, not by jumping: stream ``index`` of
+seed ``s`` reseeds a fresh generator with the first 8 bytes (big endian)
+of SHA-256 of the ASCII string ``"{s}/{index}"``.  A sharded simulation
+draws its samples on the fixed schedule "shard k performs
+ceil-or-floor(n/shards) draws from sub-stream k", so any
 (seed, n, shards) triple reproduces bit-identical results.
 
 Exactness contract
@@ -16,22 +22,25 @@ Exactness contract
 Every discrete draw is an exact inverse transform, and one integer rule
 builds every table: the masses are given as integer numerators a_k over
 one common denominator; with S their sum and G their gcd, one uniform
-integer below L = S / G is bisected into the running sums of a_k / G.
-That is the table of the Fraction masses a_k / S over the lcm of their
-denominators.  The instance's joint passes P_XY's numerators over their
-lcm (so G = 1 and L is that lcm); an encoder cell passes its signals'
-weight numerators, giving the masses alpha_k / sum(alpha).  No floats
-are compared anywhere; floats appear only in the *report* of empirical
-frequencies.  Events with exactly one possible outcome consume no
-randomness at all.  Each table is built once: an instance keeps the
-sampler of its joint, and a scheme's compiled joint keeps each cell's
-encoder distribution.
+integer below L = S / G, drawn by the rule above, is bisected into the
+running sums of a_k / G.  That is the table of the Fraction masses
+a_k / S over the lcm of their denominators.  The instance's joint passes
+P_XY's numerators over their lcm (so G = 1 and L is that lcm); an
+encoder cell passes its signals' weight numerators, giving the masses
+alpha_k / sum(alpha).  No float takes part in a draw: ``simulate``
+tallies integer counts per (world cell, signal) pair, and floats appear
+only in the *report* of empirical frequencies.  A deterministic encoder
+cell consumes no randomness; the world draw always consumes some, even
+on a point mass (a draw below 1 still reads bits).  Each table is built
+once: an instance keeps the sampler of its joint, and a scheme's
+compiled joint keeps each cell's encoder distribution.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -67,17 +76,22 @@ class RandomSource:
         if not 0 <= seed < _SEED_LIMIT:
             raise InputError(f"seed must be in [0, 2^64), got {seed}")
         self._seed = seed
-        self._rng = random.Random(seed)
+        self._getrandbits = random.Random(seed).getrandbits
 
     @property
     def seed(self) -> int:
         return self._seed
 
     def randbelow(self, bound: int) -> int:
-        """Uniform integer in [0, bound)."""
+        """Uniform integer in [0, bound) by the draw rule: with
+        k = bound.bit_length(), draw getrandbits(k) until it is below bound."""
         if bound < 1:
             raise InputError(f"bound must be >= 1, got {bound}")
-        return self._rng.randrange(bound)
+        k = bound.bit_length()
+        u = self._getrandbits(k)
+        while u >= bound:
+            u = self._getrandbits(k)
+        return u
 
     def substream(self, index: int) -> "RandomSource":
         """Independent stream number ``index`` derived from this seed."""
@@ -183,7 +197,10 @@ def simulate(
 ) -> SimReport:
     """Run the whole loop end to end, ``n_samples`` times: sample (x, y)
     from the instance, encode, decode, and tally signal frequencies and
-    per-signal state frequencies.
+    per-signal state frequencies.  Each sample only draws its world cell
+    (and its signal, if that cell's encoder is randomized) and counts the
+    pair; counts and decode successes are read off those tallies, a pair
+    decoding when its signal sends no lower state row to its column.
 
     The scheme is verified against the instance first and refused with
     :class:`UnverifiedSchemeError` if any law fails, because statistics
@@ -212,42 +229,72 @@ def simulate(
                 "(pass allow_unverified=True to force)"
             )
 
-    # Each positive cell of the instance, as the instance's own sampler draws
-    # it, maps to its scheme row, column and encoder distribution.
-    scheme_row = {inst_row: pos for pos, inst_row in enumerate(supp)}
+    # One tally slot per (world cell, encoder outcome).  Slot w counts world
+    # cell w when its encoder is deterministic; a randomized cell's signals
+    # take slots past the world's, in its sampler's order, and its own slot
+    # stays empty.  ``plans[w]`` is None or (first slot, limit, bit length,
+    # thresholds) of cell w's encoder.
     world = inst._world
-    encoders = {
-        (x, j): (scheme_row[x], j, _conditional_signals(scheme, scheme_row[x], j))
-        for x, j in world.values
-    }
-    # Each signal's inverse decodes; a broken scheme may send several states
-    # to one (y, z), and then the lowest state row wins.
-    inverse = _inverse(scheme)
+    scheme_row = {inst_row: pos for pos, inst_row in enumerate(supp)}
+    keys: list[Optional[tuple[int, int, int]]] = [None] * len(world.values)
+    plans: list[Optional[tuple[int, int, int, list[int]]]] = []
+    for w, (x, j) in enumerate(world.values):
+        i = scheme_row[x]
+        choice = _conditional_signals(scheme, i, j)
+        if isinstance(choice, int):
+            keys[w] = (i, j, choice)
+            plans.append(None)
+        else:
+            limit = choice.limit
+            plans.append((len(keys), limit, limit.bit_length(), choice.thresholds))
+            keys += [(i, j, k) for k in choice.values]
 
-    counts_z = [0] * scheme.p
-    counts_xz = [[0] * scheme.p for _ in range(scheme.n)]
-    successes = 0
+    tally = [0] * len(keys)
+    w_limit = world.limit
+    w_bits = w_limit.bit_length()
+    w_thresholds = world.thresholds
     base = RandomSource(seed)
     quota, remainder = divmod(n_samples, shards)
     for shard in range(shards):
-        rng = base.substream(shard)
+        getrandbits = base.substream(shard)._getrandbits
         for _ in range(quota + (1 if shard < remainder else 0)):
-            i, j, choice = encoders[world.draw(rng)]
-            k = choice if isinstance(choice, int) else choice.draw(rng)
-            counts_z[k] += 1
-            counts_xz[i][k] += 1
-            rows = inverse[k][j]
-            if rows and rows[0] == i:
-                successes += 1
+            # Both draws: the rule RandomSource.randbelow defines, inlined.
+            u = getrandbits(w_bits)
+            while u >= w_limit:
+                u = getrandbits(w_bits)
+            w = bisect_right(w_thresholds, u)
+            plan = plans[w]
+            if plan is None:
+                tally[w] += 1
+            else:
+                first, limit, bits, thresholds = plan
+                u = getrandbits(bits)
+                while u >= limit:
+                    u = getrandbits(bits)
+                tally[first + bisect_right(thresholds, u)] += 1
 
+    # A sample decodes when the lowest state row that its signal sends to its
+    # column is its own; a broken scheme may send several there.
+    inverse = _inverse(scheme)
+    counts_z = [0] * scheme.p
+    counts_xz = [[0] * scheme.p for _ in range(scheme.n)]
+    successes = 0
+    for key, count in zip(keys, tally):
+        if count:
+            i, j, k = key
+            counts_z[k] += count
+            counts_xz[i][k] += count
+            if inverse[k][j][0] == i:
+                successes += count
+
+    px = [float(v) for v in scheme.px]
     tv: list[Optional[float]] = []
     for k in range(scheme.p):
         if counts_z[k] < min_count:
             tv.append(None)
             continue
         distance = sum(
-            abs(counts_xz[i][k] / counts_z[k] - float(scheme.px[i]))
-            for i in range(scheme.n)
+            abs(counts_xz[i][k] / counts_z[k] - px[i]) for i in range(scheme.n)
         )
         tv.append(distance / 2)
     defined = [d for d in tv if d is not None]

@@ -1,7 +1,11 @@
 """End-to-end command-line behaviour: outputs, pipes, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -132,6 +136,24 @@ def test_verify_pipeline_from_build(capsys, paths, tmp_path):
     )
     assert code == 0
     assert "verified: yes" in out
+
+
+def test_a_reader_closing_the_pipe_early_is_not_an_error(tmp_path):
+    # 85 kB of JSON, more than a pipe holds, so the write itself breaks.
+    inst = tmp_path / "big.inst"
+    inst.write_text(sp.serialize_instance(uniform_independent(40, 90)))
+    src = str(Path(sp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sidepad.cli", "build", str(inst), "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(10) == b'{\n  "kind"'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
 
 
 def test_verify_broken_weights(capsys, paths, tmp_path):

@@ -4,16 +4,19 @@ import collections
 import dataclasses
 import hashlib
 import random
+import types
 from fractions import Fraction as F
 from itertools import accumulate
 from math import lcm
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sidepad as sp
 from corpus import PINNED_SEEDS, corpus, corr23, det22, mixed23, otp2
 from sidepad.runtime import _conditional_signals
+from sidepad.verification import _scheme_rows
 from test_construction import reference_scheme
 from test_joint import scrambled_schemes
 from test_model import instances
@@ -54,6 +57,30 @@ def test_randbelow_range_and_reproducibility():
     assert all(0 <= d < 100 for d in draws)
     with pytest.raises(sp.InputError):
         rng.randbelow(0)
+
+
+RANDRANGE_BOUNDS = (
+    1, 2, 3,
+    *(b for k in (31, 32, 63, 64) for b in (2**k - 1, 2**k, 2**k + 1)),
+    10**50,
+)
+
+
+def test_randbelow_draws_what_randrange_draws():
+    # The draw rule is the one CPython's randrange(bound) applies to
+    # getrandbits, so seeded outputs recorded on randrange still hold.
+    for seed in (*range(40), 2**32 - 1, 2**32, 2**63, 2**64 - 1):
+        for bound in RANDRANGE_BOUNDS:
+            rng, want = sp.RandomSource(seed), random.Random(seed)
+            assert [rng.randbelow(bound) for _ in range(200)] == [
+                want.randrange(bound) for _ in range(200)
+            ]
+        # Mixed bounds consume the generator's state the same way too.
+        rng, want = sp.RandomSource(seed), random.Random(seed)
+        bounds = RANDRANGE_BOUNDS * 14
+        assert [rng.randbelow(b) for b in bounds] == [
+            want.randrange(b) for b in bounds
+        ]
 
 
 def test_substream_derivation_is_the_documented_hash():
@@ -165,6 +192,152 @@ def test_simulate_reports_of_built_schemes_are_pinned_on_corpus():
     assert _simulate_digest(sp.build_scheme) == (
         "3dcc3dce69690e0374e7499616ff59497120ca7129b23b12c30f705e2ab6a7d1"
     )
+
+
+def _reference_simulate(
+    scheme, inst, n_samples, seed, *, shards=1, min_count=1000,
+    allow_unverified=False,
+):
+    """``simulate`` as it ran before it tallied: each sample drawn through
+    the samplers on ``random.Random.randrange``, encoded, decoded and
+    counted one at a time.  Law checks are left to ``simulate``."""
+    supp = _scheme_rows(scheme, inst)
+    scheme_row = {inst_row: pos for pos, inst_row in enumerate(supp)}
+    world = inst._world
+    encoders = {
+        (x, j): (scheme_row[x], j, _conditional_signals(scheme, scheme_row[x], j))
+        for x, j in world.values
+    }
+    inverse = scheme._joint.inverse
+    counts_z = [0] * scheme.p
+    counts_xz = [[0] * scheme.p for _ in range(scheme.n)]
+    successes = 0
+    base = sp.RandomSource(seed)
+    quota, remainder = divmod(n_samples, shards)
+    for shard in range(shards):
+        rng = types.SimpleNamespace(
+            randbelow=random.Random(base.substream(shard).seed).randrange
+        )
+        for _ in range(quota + (1 if shard < remainder else 0)):
+            i, j, choice = encoders[world.draw(rng)]
+            k = choice if isinstance(choice, int) else choice.draw(rng)
+            counts_z[k] += 1
+            counts_xz[i][k] += 1
+            rows = inverse[k][j]
+            if rows and rows[0] == i:
+                successes += 1
+    tv = []
+    for k in range(scheme.p):
+        if counts_z[k] < min_count:
+            tv.append(None)
+            continue
+        distance = sum(
+            abs(counts_xz[i][k] / counts_z[k] - float(scheme.px[i]))
+            for i in range(scheme.n)
+        )
+        tv.append(distance / 2)
+    defined = [d for d in tv if d is not None]
+    return sp.SimReport(
+        samples=n_samples,
+        decode_success=(successes / n_samples) if n_samples else 1.0,
+        empirical_qz=tuple(
+            (c / n_samples) if n_samples else 0.0 for c in counts_z
+        ),
+        tv_secrecy=tuple(tv),
+        max_tv=max(defined, default=0.0),
+        min_count=min_count,
+        shards=shards,
+        seed=seed,
+    )
+
+
+def _assert_simulate_matches_reference(scheme, inst, n_samples, seed, **kw):
+    got = sp.simulate(scheme, inst, n_samples, seed, **kw)
+    want = _reference_simulate(scheme, inst, n_samples, seed, **kw)
+    assert dataclasses.astuple(got) == dataclasses.astuple(want)
+    return got
+
+
+def _clash_twin(scheme):
+    """The scheme plus one signal that sends state 0 where the first signal
+    sends state 1: informativeness fails, and state-1 samples that emit the
+    new signal decode to state 0."""
+    first = list(scheme.assignments[0])
+    first[0] = first[1]
+    return dataclasses.replace(
+        scheme,
+        z_labels=(*scheme.z_labels, "clash"),
+        weights=(*scheme.weights, scheme.weights[0]),
+        assignments=(*scheme.assignments, tuple(first)),
+    )
+
+
+def test_simulate_matches_the_reference_loop_on_corpus():
+    failed_decodes = 0
+    for index, inst in enumerate(corpus()):
+        if not sp.check_feasible(inst).feasible:
+            continue
+        scheme = sp.build_scheme(inst)
+        seed = PINNED_SEEDS[index % 3] + index
+        for shards in (1, 2, 3):
+            for n_samples in (0, 1, 7):
+                _assert_simulate_matches_reference(
+                    scheme, inst, n_samples, seed, shards=shards, min_count=1
+                )
+        # 20,000 samples, at one shard count per scheme to bound the time.
+        _assert_simulate_matches_reference(
+            scheme, inst, 20000, seed, shards=index % 3 + 1
+        )
+        broken = dataclasses.replace(
+            scheme, weights=(scheme.weights[0] * 2, *scheme.weights[1:])
+        )
+        twins = [broken] + ([_clash_twin(scheme)] if scheme.n > 1 else [])
+        for twin in twins:
+            report = _assert_simulate_matches_reference(
+                twin, inst, 500, seed, shards=2, min_count=20,
+                allow_unverified=True,
+            )
+            failed_decodes += report.decode_success < 1.0
+    assert failed_decodes > 100
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    instances(),
+    st.integers(0, 300),
+    st.integers(0, 2**64 - 1),
+    st.integers(1, 4),
+    st.integers(1, 50),
+)
+def test_simulate_matches_the_reference_loop_on_random_instances(
+    inst, n_samples, seed, shards, min_count
+):
+    if sp.check_feasible(inst).feasible:
+        _assert_simulate_matches_reference(
+            sp.build_scheme(inst), inst, n_samples, seed,
+            shards=shards, min_count=min_count,
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(scrambled_schemes(), st.integers(0, 300), st.integers(1, 3))
+def test_simulate_matches_the_reference_loop_on_random_schemes(
+    case, n_samples, shards
+):
+    # Broken schemes under allow_unverified: the same report, or the same
+    # refusal when the instance puts mass on a cell the scheme never emits.
+    scheme, inst = case
+    outcomes = []
+    for run in (sp.simulate, _reference_simulate):
+        try:
+            report = run(
+                scheme, inst, n_samples, 5, shards=shards, min_count=10,
+                allow_unverified=True,
+            )
+            outcomes.append(dataclasses.astuple(report))
+        except sp.SidepadError as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_sample_world_frequencies_uniform_2x2():
