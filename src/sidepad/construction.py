@@ -13,11 +13,14 @@ The pipeline that turns a feasible instance into a working scheme:
    with probability alpha_k, and under it state row i is paired with
    column sigma_k(i).
 
-Everything is exact: the decomposition peels integer residuals over one
-common denominator L, with Fractions only at its boundary.  Each round
-zeroes at least one positive cell while both stochasticity constraints
-keep holding, so there are at most nnz - m + 1 <= m*m - 2m + 2 rounds;
-fewer padding nonzeros mean fewer signals.
+Everything is exact and runs on integers, with Fractions only at the
+boundaries: the column slacks are filled as integer numerators over the
+lcm of the conditional rows' denominators, and the padded square is
+validated on the integer grid (numerators over one common denominator L)
+that the decomposition then peels.  Each round zeroes at least one
+positive cell while both stochasticity constraints keep holding, so
+there are at most nnz - m + 1 <= m*m - 2m + 2 rounds; fewer padding
+nonzeros mean fewer signals.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import compress, islice
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -41,7 +44,6 @@ from .model import (
     _fractions,
     _numerators,
     as_fraction,
-    column_sums,
     conditional_y_given_x,
     rat_str,
 )
@@ -50,7 +52,10 @@ from .model import (
 @dataclass(frozen=True)
 class ExtendedMatrix:
     """An m-by-m doubly stochastic matrix whose first ``n`` rows are a
-    conditional matrix; rows n..m-1 are padding.  Validated exactly."""
+    conditional matrix; rows n..m-1 are padding.  Validated exactly on
+    integers: its 2m sums are checked on the entries' numerators over the
+    lcm of all their denominators (``_grid``), which
+    :func:`birkhoff_decompose` reads rather than rescaling again."""
 
     n: int
     m: int
@@ -62,17 +67,28 @@ class ExtendedMatrix:
         if len(self.entries) != self.m:
             raise InputError("extended matrix must be square (m rows)")
         grid = tuple(tuple(as_fraction(v) for v in row) for row in self.entries)
-        for row in grid:
+        object.__setattr__(self, "entries", grid)
+        work, L = self._grid
+        for row, nums in zip(grid, work):
             if len(row) != self.m:
                 raise InputError("extended matrix must be square (m columns)")
-            if any(v < 0 for v in row):
+            if min(nums) < 0:
                 raise InputError("extended matrix entries must be nonnegative")
-            if sum(row, Fraction(0)) != 1:
+            if sum(nums) != L:
                 raise InputError("extended matrix row does not sum to 1")
-        for j in range(self.m):
-            if sum((row[j] for row in grid), Fraction(0)) != 1:
+        for j, col in enumerate(zip(*work)):
+            if sum(col) != L:
                 raise InputError(f"extended matrix column {j} does not sum to 1")
-        object.__setattr__(self, "entries", grid)
+
+    @cached_property
+    def _grid(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The entries as integer numerators over L, the lcm of all their
+        denominators (``model._numerators``): ``(rows, L)``.  Validation
+        checks the 2m sums on it and ``birkhoff_decompose`` peels a copy.
+        Memoised outside the dataclass fields: eq, hash and repr ignore it."""
+        cells, L = _numerators(v for row in self.entries for v in row)
+        it = iter(cells)
+        return tuple(tuple(islice(it, len(row))) for row in self.entries), L
 
 
 @dataclass(frozen=True)
@@ -214,19 +230,19 @@ class _Joint:
         })
 
 
-def _column_condition(
-    cm: ConditionalMatrix, *, strict: bool = False
-) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
-    """Exact column sums of P_{Y|X} and the columns summing beyond one,
-    which with ``strict`` raise :class:`InfeasibleError` instead."""
-    sums = column_sums(cm)
-    bad = tuple(j for j, s in enumerate(sums) if s > 1)
+def _column_condition(cm: ConditionalMatrix, *, strict: bool = False) -> tuple[int, ...]:
+    """The columns of P_{Y|X} summing beyond one, tested on the integer
+    column sums ``cm._columns``; with ``strict`` they raise
+    :class:`InfeasibleError` instead."""
+    cols, L = cm._columns
+    bad = tuple(j for j, c in enumerate(cols) if c > L)
     if bad and strict:
         raise InfeasibleError(
-            f"column {bad[0]} sums to {rat_str(sums[bad[0]])} > 1; no scheme exists",
+            f"column {bad[0]} sums to {rat_str(Fraction(cols[bad[0]], L))} > 1; "
+            "no scheme exists",
             violations=bad,
         )
-    return sums, bad
+    return bad
 
 
 def extend(cm: ConditionalMatrix) -> ExtendedMatrix:
@@ -236,28 +252,35 @@ def extend(cm: ConditionalMatrix) -> ExtendedMatrix:
     are nonnegative exactly when the column condition holds and total
     m - n, by a north-west-corner transport fill: columns ascending, each
     slack poured into the current padding row until that row sums to 1,
-    then into the next.  The padding block so holds at most 2m - n - 1
-    nonzeros, and a single padding row is the slack row itself.  A column
-    summing beyond 1 raises :class:`InfeasibleError` naming the columns.
+    then into the next.  The fill runs on the integer column sums over
+    their common denominator L (``cm._columns``), so slacks and room are
+    integers and Fractions appear only in the padding rows it returns.
+    The padding block so holds at most 2m - n - 1 nonzeros, and a single
+    padding row is the slack row itself.  A column summing beyond 1
+    raises :class:`InfeasibleError` naming the columns.
     """
-    sums, _ = _column_condition(cm, strict=True)
+    _column_condition(cm, strict=True)
+    cols, L = cm._columns
     n, m = cm.n, cm.m
     if n == m:
-        if any(s != 1 for s in sums):
+        if any(c != L for c in cols):
             # Square with every column <= 1 and total n forces equality.
             raise InternalInvariantError("square conditional not doubly stochastic")
         return ExtendedMatrix(n=n, m=m, entries=cm.entries)
-    pad = [[Fraction(0)] * m for _ in range(m - n)]
-    r, room = 0, Fraction(1)  # the padding row being filled, and its room
-    for j, s in enumerate(sums):
-        slack = 1 - s
+    pad = [[0] * m for _ in range(m - n)]
+    r, room = 0, L  # the padding row being filled, and its room
+    for j, c in enumerate(cols):
+        slack = L - c
         while slack:
             pad[r][j] = take = min(room, slack)
             slack -= take
             room -= take
             if not room:
-                r, room = r + 1, Fraction(1)
-    return ExtendedMatrix(n=n, m=m, entries=cm.entries + tuple(map(tuple, pad)))
+                r, room = r + 1, L
+    fraction = _fractions(L)
+    return ExtendedMatrix(
+        n=n, m=m, entries=cm.entries + tuple(tuple(map(fraction, row)) for row in pad)
+    )
 
 
 class _Matcher:
@@ -336,8 +359,9 @@ def birkhoff_decompose(
     """Exact Birkhoff decomposition: weights and permutations, in extraction
     order, with weights summing to exactly 1 and every weight positive.
 
-    Residuals are ints over L, the lcm of the entry denominators; weights
-    become Fractions only on return.  Each round subtracts the smallest
+    Residuals are ints over L, the lcm of the entry denominators, copied
+    from the grid ``ExtendedMatrix`` validated; weights become Fractions
+    only on return.  Each round subtracts the smallest
     matched residual along a perfect matching of the positive cells.  The
     matching survives the round: a zeroed cell leaves its row's column
     list and frees its row, and only the freed rows are re-matched, in
@@ -346,8 +370,8 @@ def birkhoff_decompose(
     terms.
     """
     m = ext.m
-    cells, L = _numerators(v for row in ext.entries for v in row)
-    work = [cells[i:i + m] for i in range(0, len(cells), m)]
+    rows, L = ext._grid
+    work = list(map(list, rows))
     matcher = _Matcher(work)
     adj, col_of, row_of = matcher.adj, matcher.col_of, matcher.row_of
     terms: list[tuple[int, tuple[int, ...]]] = []

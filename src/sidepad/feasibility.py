@@ -24,11 +24,11 @@ from .model import (
     Instance,
     RationalLike,
     _clip_rat,
+    _column_numerators,
     as_fraction,
+    column_sums,
     conditional_y_given_x,
     instance_from_conditional,
-    marginal_x,
-    marginal_y,
     supp_x,
 )
 
@@ -63,27 +63,23 @@ class FeasibilityReport:
 
 def shannon_reduce(inst: Instance) -> ShannonCase:
     """Detect whether the instance is the counting special case: X and Y
-    independent and Y uniform on its support."""
-    return _shannon_case(inst, range(inst.n), marginal_x(inst))
+    independent and Y uniform on its support.
 
-
-def _shannon_case(
-    inst: Instance, rows: Sequence[int], masses: Sequence[Fraction]
-) -> ShannonCase:
-    """``shannon_reduce`` given the P_X masses of ``rows``, which include
-    supp X: rows left out are all zero, so independent whatever P_Y."""
-    py = marginal_y(inst)
+    Runs one row at a time on integers: row x over its own denominator d
+    is ``nums / d`` with P_X(x) = S / d for S = sum(nums), and P_Y is
+    ``py / L``, so P_XY(x, y) == P_X(x) P_Y(y) reads ``nums[y] * L ==
+    S * py[y]``."""
+    py, L = _column_numerators(inst._rows, inst.m)
     independent = all(
-        v == mass * q
-        for i, mass in zip(rows, masses)
-        for v, q in zip(inst.p_xy[i], py)
+        v * L == S * q
+        for nums, S in ((nums, sum(nums)) for nums, _ in inst._rows)
+        for v, q in zip(nums, py)
     )
-    py_support = [v for v in py if v > 0]
-    uniform_mass = Fraction(1, len(py_support))
+    py_support = [q for q in py if q]
     return ShannonCase(
         independent=independent,
-        y_uniform=all(v == uniform_mass for v in py_support),
-        n=sum(1 for v in masses if v > 0),
+        y_uniform=len(set(py_support)) == 1,
+        n=sum(1 for nums, _ in inst._rows if any(nums)),
         m=len(py_support),
     )
 
@@ -91,12 +87,12 @@ def _shannon_case(
 def check_feasible(inst: Instance) -> FeasibilityReport:
     """Decide feasibility from the exact column sums of P_{Y|X}."""
     cm = conditional_y_given_x(inst)
-    sums, violations = _column_condition(cm)
+    violations = _column_condition(cm)
     return FeasibilityReport(
         feasible=not violations,
-        column_sums=sums,
+        column_sums=column_sums(cm),
         violations=violations,
-        shannon_case=_shannon_case(inst, cm.rows, cm.masses),
+        shannon_case=shannon_reduce(inst),
     )
 
 

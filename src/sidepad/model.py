@@ -5,6 +5,14 @@ Fractions are kept in canonical form (reduced, positive denominator) by
 the stdlib, equality is exact, and nothing here ever rounds.  Floats are
 rejected at the boundary; statistical *estimates* elsewhere may be floats,
 probabilities never are.
+
+Arithmetic runs on integers.  Each row of a grid is rescaled once
+(``_numerators``) to integer numerators over the lcm of that row's own
+denominators, and validation, the marginals, the conditional and its
+column sums are sums and comparisons of those integers; Fractions are
+built only for the values handed back.  No code here puts a whole
+n-by-m grid over one common denominator: with many distinct row
+denominators that lcm, and every cell over it, grows with n.
 """
 
 from __future__ import annotations
@@ -130,7 +138,10 @@ class Instance:
     alphabets, stored as an exact n-by-m grid summing to one.
 
     Rows are states x (the secret), columns are side-information values y.
-    Construction validates everything; instances are immutable thereafter.
+    Construction validates everything, on each row's integer numerators
+    (``_rows``): the first negative cell in row-major order is named, and
+    the row totals are added up exactly.  Instances are immutable
+    thereafter.
     """
 
     x_labels: tuple[str, ...]
@@ -151,18 +162,19 @@ class Instance:
             raise InputError(
                 f"probability grid must be {len(xl)}x{len(yl)} to match the labels"
             )
-        for row in grid:
-            for v in row:
-                if v < 0:
-                    raise InputError(f"negative probability {_clip_rat(v)}")
-        total = sum(v for row in grid for v in row)
+        object.__setattr__(self, "p_xy", grid)
+        rows = self._rows
+        for i, (nums, _) in enumerate(rows):
+            if min(nums) < 0:
+                j = next(j for j, v in enumerate(nums) if v < 0)
+                raise InputError(f"negative probability {_clip_rat(grid[i][j])}")
+        total = sum((Fraction(sum(nums), den) for nums, den in rows), Fraction(0))
         if total != 1:
             raise InputError(
                 f"probability mass sums to {_clip_rat(total)}, expected 1"
             )
         object.__setattr__(self, "x_labels", xl)
         object.__setattr__(self, "y_labels", yl)
-        object.__setattr__(self, "p_xy", grid)
 
     @property
     def n(self) -> int:
@@ -171,6 +183,15 @@ class Instance:
     @property
     def m(self) -> int:
         return len(self.y_labels)
+
+    @cached_property
+    def _rows(self) -> tuple[tuple[list[int], int], ...]:
+        """Each row of P_XY as ``(nums, den)``: its integer numerators over
+        the lcm of its own denominators (``_numerators``), never one lcm for
+        the whole grid.  Validation, the marginals and the conditional read
+        it; nothing writes to it.  Memoised outside the dataclass fields:
+        eq, hash and repr ignore it."""
+        return tuple(map(_numerators, self.p_xy))
 
     @cached_property
     def _world(self) -> "_Sampler":
@@ -246,15 +267,29 @@ def make_instance(
 
 
 def marginal_x(inst: Instance) -> tuple[Fraction, ...]:
-    """P_X: exact row sums of the joint grid."""
-    return tuple(sum(row, Fraction(0)) for row in inst.p_xy)
+    """P_X: exact row sums of the joint grid, each summed on the row's
+    integer numerators."""
+    return tuple(Fraction(sum(nums), den) for nums, den in inst._rows)
 
 
 def marginal_y(inst: Instance) -> tuple[Fraction, ...]:
     """P_Y: exact column sums of the joint grid."""
-    return tuple(
-        sum((row[j] for row in inst.p_xy), Fraction(0)) for j in range(inst.m)
-    )
+    cols, den = _column_numerators(inst._rows, inst.m)
+    return tuple(Fraction(c, den) for c in cols)
+
+
+def _column_numerators(
+    rows: Sequence[tuple[Sequence[int], int]], width: int
+) -> tuple[list[int], int]:
+    """Column sums of integer rows ``(nums, den)``: numerators over L, the
+    lcm of the rows' denominators, accumulated one row at a time, so only
+    the ``width`` sums are ever held over L."""
+    L = lcm(*(den for _, den in rows))
+    cols = [0] * width
+    for nums, den in rows:
+        scale = L // den
+        cols = [c + v * scale for c, v in zip(cols, nums)]
+    return cols, L
 
 
 def supp_x(inst: Instance) -> tuple[int, ...]:
@@ -276,9 +311,11 @@ class ConditionalMatrix:
     ``rows`` are the instance row indices it covers (exactly supp X,
     ascending); every column of the instance is retained, including
     zero-mass ones, whose conditional entries are necessarily zero.
-    Each row sums to exactly one.  ``masses``, P_X of the covered rows,
-    is filled by :func:`conditional_y_given_x` so that its callers need
-    not sum P_X again; it may be left empty and takes no part in equality.
+    Each row sums to exactly one; signs and sums are checked on each row's
+    integer numerators over its own lcm (``_rows``).  ``masses``, P_X of
+    the covered rows, is filled by :func:`conditional_y_given_x` so that
+    its callers need not sum P_X again; it may be left empty and takes no
+    part in equality.
     """
 
     rows: tuple[int, ...]
@@ -291,15 +328,15 @@ class ConditionalMatrix:
             raise InputError("conditional matrix: one entry row per covered row")
         if self.masses and len(self.masses) != len(self.rows):
             raise InputError("conditional matrix: one mass per covered row")
-        for row in self.entries:
+        for row, (nums, den) in zip(self.entries, self._rows):
             if len(row) != len(self.cols):
                 raise InputError("conditional matrix: ragged row")
-            if any(v < 0 for v in row):
+            if nums and min(nums) < 0:
                 raise InputError("conditional matrix: negative entry")
-            if sum(row, Fraction(0)) != 1:
+            if sum(nums) != den:
                 raise InputError(
                     "conditional matrix row sums to "
-                    f"{_clip_rat(sum(row, Fraction(0)))}, expected 1"
+                    f"{_clip_rat(Fraction(sum(nums), den))}, expected 1"
                 )
 
     @property
@@ -310,28 +347,47 @@ class ConditionalMatrix:
     def m(self) -> int:
         return len(self.cols)
 
+    @cached_property
+    def _rows(self) -> tuple[tuple[list[int], int], ...]:
+        """Each entry row as ``(nums, den)`` over its own lcm, like
+        ``Instance._rows``; validation and ``_columns`` read it."""
+        return tuple(map(_numerators, self.entries))
+
+    @cached_property
+    def _columns(self) -> tuple[list[int], int]:
+        """The column sums as ``(cols, L)``: integer numerators over L, the
+        lcm of the rows' denominators.  ``column_sums``, the column test
+        ``cols[j] > L`` and ``extend``'s slacks ``L - cols[j]`` all read it."""
+        return _column_numerators(self._rows, self.m)
+
 
 def conditional_y_given_x(inst: Instance) -> ConditionalMatrix:
-    """P_{Y|X}(y|x) = P_XY(x,y) / P_X(x) over supported x, all y columns."""
+    """P_{Y|X}(y|x) = P_XY(x,y) / P_X(x) over supported x, all y columns,
+    built from each row's integer numerators without a Fraction division."""
     px = marginal_x(inst)
     rows = tuple(i for i, v in enumerate(px) if v > 0)
     if not rows:
         # Unreachable for a valid Instance (mass sums to 1), kept as a guard.
         raise InputError("instance has empty X support")
-    masses = tuple(px[i] for i in rows)
-    entries = tuple(
-        tuple(v / mass for v in inst.p_xy[i]) for i, mass in zip(rows, masses)
-    )
+    entries = []
+    for i in rows:
+        # Row i over its own denominator d is nums / d, and P_X(i) = S / d
+        # with S = sum(nums): the conditional row is nums / S.
+        nums, _ = inst._rows[i]
+        fraction = _fractions(sum(nums))
+        entries.append(tuple(map(fraction, nums)))
     return ConditionalMatrix(
-        rows=rows, cols=tuple(range(inst.m)), entries=entries, masses=masses
+        rows=rows,
+        cols=tuple(range(inst.m)),
+        entries=tuple(entries),
+        masses=tuple(px[i] for i in rows),
     )
 
 
 def column_sums(cm: ConditionalMatrix) -> tuple[Fraction, ...]:
     """Exact column sums of the conditional matrix, one per y column."""
-    return tuple(
-        sum((row[j] for row in cm.entries), Fraction(0)) for j in range(cm.m)
-    )
+    cols, L = cm._columns
+    return tuple(Fraction(c, L) for c in cols)
 
 
 def instance_from_conditional(

@@ -1,0 +1,113 @@
+"""Fuzzing the instance reader and ``sidepad check`` with mutated documents.
+
+Each example starts from a valid ``INSTANCE v1`` document and swaps,
+deletes, duplicates or replaces tokens, the replacements drawn from the
+inputs validation must refuse cleanly: signs, zero denominators,
+decimals, digit runs past the interpreter's limit, non-ASCII digits.
+Whatever comes out, the library may raise only ``SidepadError``
+subclasses (never ``InternalInvariantError``), and the CLI must answer
+with an exit code 0-3 and at most one ``error:`` line, never a traceback.
+"""
+
+import contextlib
+import io
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import sidepad as sp
+from sidepad.cli import main
+from corpus import corr23, mixed23, otp2, skew22
+from test_model import DIGIT_LIMIT
+
+LONG = "7" * (max(DIGIT_LIMIT, 4300) + 5)
+
+SEEDS = [
+    sp.serialize_instance(inst).split()
+    for inst in (
+        corr23(),
+        mixed23(),
+        skew22(),
+        otp2(),
+        sp.make_instance(
+            ["a", "b", "c"], ["u", "v", "w", "t"],
+            [["1/12", "0", "1/6", "1/12"], ["1/4", "0", "0", "0"],
+             ["0", "1/6", "1/12", "1/6"]],
+        ),
+    )
+]
+
+REPLACEMENTS = st.one_of(
+    st.sampled_from([
+        "-1/4", "+1/4", "-0", "--1", "1/0", "0/0", "-1/0", "0.25", ".5", "1.",
+        "-0.125", "1e-3", "1/-2", "1//2", "nan", "inf", "", "٣/٤", "1/٤", "٣",
+        "１/２", "1_0", "0x10", "2", "0", "1", "99999999999999999999",
+        LONG, "1/" + LONG, LONG + "/3", "0." + LONG, "-" + LONG,
+        "1/" + "3" * (max(DIGIT_LIMIT, 4300) - 1), "INSTANCE", "v1", "v2", "#",
+    ]),
+    st.fractions(min_value=-2, max_value=2, max_denominator=50).map(str),
+    st.text(alphabet="0123456789/.-+٠١٢٣e", min_size=1, max_size=6),
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    tokens = list(draw(st.sampled_from(SEEDS)))
+    # Most mutations land in the grid, which starts after the header, the
+    # counts and the labels, so that validation sees them.
+    grid = 4 + int(tokens[2]) + int(tokens[3])
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["swap", "delete", "duplicate", "replace", "replace"]))
+        if not tokens:
+            break
+        last = len(tokens) - 1
+        k = draw(st.one_of(st.integers(0, last), st.integers(min(grid, last), last),
+                           st.integers(min(grid, last), last)))
+        if kind == "swap":
+            other = draw(st.integers(0, len(tokens) - 1))
+            tokens[k], tokens[other] = tokens[other], tokens[k]
+        elif kind == "delete":
+            del tokens[k]
+        elif kind == "duplicate":
+            tokens.insert(k, tokens[k])
+        else:
+            tokens[k] = draw(REPLACEMENTS)
+    return " ".join(tokens) + "\n"
+
+
+FUZZ = settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+
+
+@FUZZ
+@given(mutated_documents())
+def test_parse_instance_raises_only_input_errors(text):
+    try:
+        inst = sp.parse_instance(text)
+    except sp.InternalInvariantError:
+        raise
+    except sp.SidepadError:
+        return
+    # What parses is a valid instance and survives a check.
+    assert sum(sp.marginal_x(inst)) == 1
+    sp.check_feasible(inst)
+
+
+@FUZZ
+@given(text=mutated_documents())
+def test_check_on_a_mutated_document_exits_cleanly(tmp_path, text):
+    path = tmp_path / "fuzz.inst"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", str(path)])
+    assert code in (0, 1, 2, 3)
+    lines = err.getvalue().splitlines()
+    assert "Traceback" not in err.getvalue()
+    if code in (2, 3):
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        assert not lines and out.getvalue()
