@@ -165,8 +165,8 @@ class Scheme:
 
 class _Joint:
     """The scheme joint Q(x_i, y_j, z_k) = alpha_k * P_X(x_i) * [sigma_k(i) = j]
-    over real state rows, compiled in one O(p*n) pass on integers.  Only
-    verification reads it; the runtime goes through verification.
+    over real state rows, compiled in one O(p*n) pass on integers.
+    Verification and the runtime both read it.
 
     ``a`` and ``b`` are the weights and the state masses as integer
     numerators over D and E, the lcms of their denominators (see

@@ -15,7 +15,8 @@ seed ``s`` reseeds a fresh generator with the first 8 bytes (big endian)
 of SHA-256 of the ASCII string ``"{s}/{index}"``.  A sharded simulation
 draws its samples on the fixed schedule "shard k performs
 ceil-or-floor(n/shards) draws from sub-stream k", so any
-(seed, n, shards) triple reproduces bit-identical results.
+(seed, n, shards) triple reproduces bit-identical results; a shard with
+no draws is never seeded, so surplus shards cost nothing.
 
 Exactness contract
 ------------------
@@ -33,7 +34,9 @@ only in the *report* of empirical frequencies.  A deterministic encoder
 cell consumes no randomness; the world draw always consumes some, even
 on a point mass (a draw below 1 still reads bits).  Each table is built
 once: an instance keeps the sampler of its joint, and a scheme's
-compiled joint keeps each cell's encoder distribution.
+compiled joint (``Scheme._joint``, read here directly) keeps each cell's
+encoder distribution.  ``simulate`` refuses schemes through
+``verify_scheme``, whose report builds its marginals only on first read.
 """
 
 from __future__ import annotations
@@ -52,17 +55,7 @@ from .errors import (
     UnverifiedSchemeError,
 )
 from .model import Instance, _Sampler
-from .verification import (
-    _encoders,
-    _inverse,
-    _scheme_rows,
-    _signals_at,
-    _weight_numerators,
-    check_consistency,
-    check_informativeness,
-    check_secrecy,
-    decode_table,
-)
+from .verification import _scheme_rows, _signals_at, decode_table, verify_scheme
 
 _SEED_LIMIT = 2**64
 
@@ -111,7 +104,7 @@ def _conditional_signals(
 ) -> Union[int, _Sampler]:
     """Encoder distribution for one supported pair: a bare signal index when
     deterministic, an exact sampler otherwise.  Memoised per cell."""
-    memo = _encoders(scheme)
+    memo = scheme._joint.encoders
     choice = memo.get((x_index, y_index))
     if choice is not None:
         return choice
@@ -124,7 +117,7 @@ def _conditional_signals(
     if len(ks) == 1:
         choice = ks[0]
     else:
-        a = _weight_numerators(scheme)
+        a = scheme._joint.a
         choice = _Sampler(ks, [a[k] for k in ks])
     memo[x_index, y_index] = choice
     return choice
@@ -217,12 +210,9 @@ def simulate(
 
     supp = _scheme_rows(scheme, inst)
     if not allow_unverified:
-        laws = {
-            "consistency": check_consistency(scheme, inst),
-            "informativeness": check_informativeness(scheme),
-            "secrecy": check_secrecy(scheme),
-        }
-        failed = [name for name, result in laws.items() if not result.ok]
+        report = verify_scheme(scheme, inst)
+        laws = ("consistency", "informativeness", "secrecy")
+        failed = [law for law in laws if not getattr(report, law).ok]
         if failed:
             raise UnverifiedSchemeError(
                 f"refusing to simulate: scheme fails {', '.join(failed)} "
@@ -255,7 +245,7 @@ def simulate(
     w_thresholds = world.thresholds
     base = RandomSource(seed)
     quota, remainder = divmod(n_samples, shards)
-    for shard in range(shards):
+    for shard in range(min(shards, n_samples)):
         getrandbits = base.substream(shard)._getrandbits
         for _ in range(quota + (1 if shard < remainder else 0)):
             # Both draws: the rule RandomSource.randbelow defines, inlined.
@@ -275,7 +265,7 @@ def simulate(
 
     # A sample decodes when the lowest state row that its signal sends to its
     # column is its own; a broken scheme may send several there.
-    inverse = _inverse(scheme)
+    inverse = scheme._joint.inverse
     counts_z = [0] * scheme.p
     counts_xz = [[0] * scheme.p for _ in range(scheme.n)]
     successes = 0

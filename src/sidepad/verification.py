@@ -14,7 +14,7 @@ phi(x, y) = { z : Q(x,y,z) > 0 }.  Everything here is derived from that one
 enumeration — never from the construction's intermediate values — and the
 three defining laws are checked exactly, by integer sums and
 cross-multiplication; Fractions are built only for what a report or a
-witness returns:
+witness returns, and a report's marginals only when first read:
 
 * consistency: Q_XY equals the instance's P_XY cell by cell;
 * informativeness: whenever Q_YZ(y,z) > 0, exactly one state is possible,
@@ -26,7 +26,8 @@ witness returns:
 verified scheme *certify* the column condition: the triple bound
 Q_XYZ <= Q_XZ, disjointness across states of the sets phi(x, y) for fixed
 y, and the per-column signal mass sums they force to stay at or below one.
-The decode table and the runtime's encoder and decoder read the same form.
+The decode table reads the same form, and so does the runtime, which
+refuses unverified schemes through ``verify_scheme``.
 
 ``feasibility_oracle`` answers "does any scheme exist?" by brute force —
 an exact phase-1 simplex over weights on all m! permutations — sharing no
@@ -36,8 +37,9 @@ code with the constructive pipeline, so the two can cross-check each other.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional
 
 from .construction import Scheme
@@ -63,17 +65,51 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """The three law verdicts, and the marginals Q_Z, Q_XZ, Q_YZ and Q_XY as
+    Fractions, each built from ``scheme._joint`` on first read and memoised
+    outside the fields; equal reports hold equal schemes, so equal marginals."""
+
     consistency: CheckResult
     informativeness: CheckResult
     secrecy: CheckResult
-    q_z: tuple[Fraction, ...]
-    q_xz: tuple[tuple[Fraction, ...], ...]
-    q_yz: tuple[tuple[Fraction, ...], ...]
-    q_xy: tuple[tuple[Fraction, ...], ...]
+    scheme: Scheme = field(repr=False)
 
     @property
     def all_ok(self) -> bool:
         return self.consistency.ok and self.informativeness.ok and self.secrecy.ok
+
+    @cached_property
+    def _fraction(self):
+        # One memo for all four marginals, so equal values share a Fraction.
+        return _fractions(self.scheme._joint.den)
+
+    @cached_property
+    def q_z(self) -> tuple[Fraction, ...]:
+        return tuple(map(self._fraction, self.scheme._joint.q_z))
+
+    @cached_property
+    def q_xz(self) -> tuple[tuple[Fraction, ...], ...]:
+        joint, fraction = self.scheme._joint, self._fraction
+        return tuple(
+            tuple(
+                fraction(0 if sigma[i] is None else a_k * b_i)
+                for a_k, sigma in zip(joint.a, self.scheme.assignments)
+            )
+            for i, b_i in enumerate(joint.b)
+        )
+
+    @cached_property
+    def q_yz(self) -> tuple[tuple[Fraction, ...], ...]:
+        joint, fraction = self.scheme._joint, self._fraction
+        return tuple(zip(*(
+            [fraction(a_k * sum(joint.b[i] for i in rows)) for rows in inverse]
+            for a_k, inverse in zip(joint.a, joint.inverse)
+        )))
+
+    @cached_property
+    def q_xy(self) -> tuple[tuple[Fraction, ...], ...]:
+        fraction = self._fraction
+        return tuple(tuple(map(fraction, row)) for row in self.scheme._joint.q_xy)
 
 
 def _scheme_rows(scheme: Scheme, inst: Instance) -> tuple[int, ...]:
@@ -160,28 +196,12 @@ def check_secrecy(scheme: Scheme) -> CheckResult:
 
 
 def verify_scheme(scheme: Scheme, inst: Instance) -> VerificationReport:
-    """Run all three checks and report them with the enumerated marginals."""
-    joint = scheme._joint
-    a, b, fraction = joint.a, joint.b, _fractions(joint.den)
-    q_xz = tuple(
-        tuple(
-            fraction(0 if sigma[i] is None else a_k * b_i)
-            for a_k, sigma in zip(a, scheme.assignments)
-        )
-        for i, b_i in enumerate(b)
-    )
-    q_zy = (
-        [fraction(a_k * sum(b[i] for i in rows)) for rows in inverse]
-        for a_k, inverse in zip(a, joint.inverse)
-    )
+    """Run all three checks; the report's marginals are built on first read."""
     return VerificationReport(
         consistency=check_consistency(scheme, inst),
         informativeness=check_informativeness(scheme),
         secrecy=check_secrecy(scheme),
-        q_z=tuple(map(fraction, joint.q_z)),
-        q_xz=q_xz,
-        q_yz=tuple(zip(*q_zy)),
-        q_xy=tuple(tuple(map(fraction, row)) for row in joint.q_xy),
+        scheme=scheme,
     )
 
 
@@ -198,21 +218,6 @@ def support_signals(scheme: Scheme, x_index: int, y_index: int) -> frozenset[int
     """phi(x, y): indices of signals that pair state row ``x_index`` with
     column ``y_index``.  Empty for pairs the scheme never produces."""
     return frozenset(_signals_at(scheme, x_index, y_index))
-
-
-def _inverse(scheme: Scheme) -> list[list[tuple[int, ...]]]:
-    """Each signal's inverse: column -> the state rows sent there, ascending."""
-    return scheme._joint.inverse
-
-
-def _encoders(scheme: Scheme) -> dict[tuple[int, int], object]:
-    """The runtime's per-cell encoder memo, kept with the compiled joint."""
-    return scheme._joint.encoders
-
-
-def _weight_numerators(scheme: Scheme) -> list[int]:
-    """The signal weights as integer numerators over one common denominator."""
-    return scheme._joint.a
 
 
 def decode_table(scheme: Scheme) -> Mapping[tuple[int, int], int]:

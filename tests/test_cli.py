@@ -207,6 +207,95 @@ def test_verify_dimension_mismatch(capsys, paths):
     assert code == 2
     assert "error:" in err
 
+# ``sidepad verify --json`` pinned byte for byte: the built scheme of every
+# feasible fixture, and corr23's with a weight raised (consistency fails) or
+# with z1 sending both states to y1 (consistency and informativeness fail).
+# Each entry: (exit code, instance, edit of the scheme document, payload as
+# compact JSON); the command prints the payload indented by two.
+VERIFY_GOLDEN = {
+    "corr23": (
+        0, "corr23", None,
+        '{"kind":"verification","verified":true,"consistency":{"ok":true,'
+        '"witness":null},"informativeness":{"ok":true,"witness":null},'
+        '"secrecy":{"ok":true,"witness":null},"q_z":["1/2","1/2"],'
+        '"q_xz":[["1/4","1/4"],["1/4","1/4"]],"q_yz":[["1/4","0/1"],["1/4",'
+        '"1/4"],["0/1","1/4"]],"q_xy":[["1/4","1/4","0/1"],["0/1","1/4",'
+        '"1/4"]],"necessity_audit":{"ok":true,"triple_bound_ok":true,'
+        '"disjoint_ok":true,"column_mass_ok":true,"column_mass":["1/2",'
+        '"1/1","1/2"],"witness":null}}',
+    ),
+    "mixed23": (
+        0, "mixed23", None,
+        '{"kind":"verification","verified":true,"consistency":{"ok":true,'
+        '"witness":null},"informativeness":{"ok":true,"witness":null},'
+        '"secrecy":{"ok":true,"witness":null},"q_z":["1/3","1/6","1/2"],'
+        '"q_xz":[["1/6","1/12","1/4"],["1/6","1/12","1/4"]],"q_yz":[["1/6",'
+        '"1/12","0/1"],["1/6","0/1","1/4"],["0/1","1/12","1/4"]],'
+        '"q_xy":[["1/4","1/4","0/1"],["0/1","1/6","1/3"]],'
+        '"necessity_audit":{"ok":true,"triple_bound_ok":true,'
+        '"disjoint_ok":true,"column_mass_ok":true,"column_mass":["1/2",'
+        '"5/6","2/3"],"witness":null}}',
+    ),
+    "otp2": (
+        0, "otp2", None,
+        '{"kind":"verification","verified":true,"consistency":{"ok":true,'
+        '"witness":null},"informativeness":{"ok":true,"witness":null},'
+        '"secrecy":{"ok":true,"witness":null},"q_z":["1/2","1/2"],'
+        '"q_xz":[["1/4","1/4"],["1/4","1/4"]],"q_yz":[["1/4","1/4"],["1/4",'
+        '"1/4"]],"q_xy":[["1/4","1/4"],["1/4","1/4"]],'
+        '"necessity_audit":{"ok":true,"triple_bound_ok":true,'
+        '"disjoint_ok":true,"column_mass_ok":true,"column_mass":["1/1",'
+        '"1/1"],"witness":null}}',
+    ),
+    "det22": (
+        0, "det22", None,
+        '{"kind":"verification","verified":true,"consistency":{"ok":true,'
+        '"witness":null},"informativeness":{"ok":true,"witness":null},'
+        '"secrecy":{"ok":true,"witness":null},"q_z":["2/3","1/3"],'
+        '"q_xz":[["1/3","1/6"],["1/3","1/6"]],"q_yz":[["1/3","1/6"],["1/3",'
+        '"1/6"]],"q_xy":[["1/3","1/6"],["1/6","1/3"]],'
+        '"necessity_audit":{"ok":true,"triple_bound_ok":true,'
+        '"disjoint_ok":true,"column_mass_ok":true,"column_mass":["1/1",'
+        '"1/1"],"witness":null}}',
+    ),
+    "broken": (
+        1, "corr23", ('z1 1/2', 'z1 51/100'),
+        '{"kind":"verification","verified":false,"consistency":{"ok":false,'
+        '"witness":{"x":"x1","y":"y1","got":"51/200","expected":"1/4"}},'
+        '"informativeness":{"ok":true,"witness":null},"secrecy":{"ok":true,'
+        '"witness":null},"q_z":["51/100","1/2"],"q_xz":[["51/200","1/4"],'
+        '["51/200","1/4"]],"q_yz":[["51/200","0/1"],["51/200","1/4"],'
+        '["0/1","1/4"]],"q_xy":[["51/200","1/4","0/1"],["0/1","51/200",'
+        '"1/4"]],"necessity_audit":null}',
+    ),
+    "clash": (
+        1, "corr23", ('z1 1/2 1 2 3', 'z1 1/2 1 1 3'),
+        '{"kind":"verification","verified":false,"consistency":{"ok":false,'
+        '"witness":{"x":"x2","y":"y1","got":"1/4","expected":"0/1"}},'
+        '"informativeness":{"ok":false,"witness":{"y":"y1","z":"z1",'
+        '"xs":["x1","x2"]}},"secrecy":{"ok":true,"witness":null},'
+        '"q_z":["1/2","1/2"],"q_xz":[["1/4","1/4"],["1/4","1/4"]],'
+        '"q_yz":[["1/2","0/1"],["0/1","1/4"],["0/1","1/4"]],"q_xy":[["1/4",'
+        '"1/4","0/1"],["1/4","0/1","1/4"]],"necessity_audit":null}',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(VERIFY_GOLDEN))
+def test_verify_json_is_pinned(capsys, paths, tmp_path, name):
+    code, fixture, edit, compact = VERIFY_GOLDEN[name]
+    inst = sp.parse_instance(Path(paths[fixture]).read_text(encoding="utf-8"))
+    doc = sp.serialize_scheme(sp.build_scheme(inst))
+    if edit is not None:
+        assert edit[0] in doc
+        doc = doc.replace(*edit, 1)
+    path = tmp_path / f"{name}.scheme"
+    path.write_text(doc, encoding="utf-8")
+    expected = json.dumps(json.loads(compact), indent=2) + "\n"
+    assert run(
+        capsys, "verify", str(path), "--against", paths[fixture], "--json"
+    ) == (code, expected, "")
+
 
 # --- encode / decode ------------------------------------------------------
 

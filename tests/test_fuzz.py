@@ -1,12 +1,14 @@
-"""Fuzzing the instance reader and ``sidepad check`` with mutated documents.
+"""Fuzzing the document readers and the CLI with mutated documents.
 
-Each example starts from a valid ``INSTANCE v1`` document and swaps,
-deletes, duplicates or replaces tokens, the replacements drawn from the
-inputs validation must refuse cleanly: signs, zero denominators,
-decimals, digit runs past the interpreter's limit, non-ASCII digits.
-Whatever comes out, the library may raise only ``SidepadError``
-subclasses (never ``InternalInvariantError``), and the CLI must answer
-with an exit code 0-3 and at most one ``error:`` line, never a traceback.
+Each example starts from a valid ``INSTANCE v1`` or ``SCHEME v1`` document
+and swaps, deletes, duplicates or replaces tokens, the replacements drawn
+from the inputs validation must refuse cleanly: signs, zero denominators,
+decimals, digit runs past the interpreter's limit, non-ASCII digits, and
+for schemes the column indices 0 and m+1 just outside 1..m.  Whatever
+comes out, the library may raise only ``SidepadError`` subclasses (never
+``InternalInvariantError``), and the CLI (``check`` on instances;
+``verify``, ``decode`` and ``encode`` on schemes) must answer with an exit
+code 0-3 and at most one ``error:`` line, never a traceback.
 """
 
 import contextlib
@@ -50,12 +52,8 @@ REPLACEMENTS = st.one_of(
 )
 
 
-@st.composite
-def mutated_documents(draw):
-    tokens = list(draw(st.sampled_from(SEEDS)))
-    # Most mutations land in the grid, which starts after the header, the
-    # counts and the labels, so that validation sees them.
-    grid = 4 + int(tokens[2]) + int(tokens[3])
+def _mutate(draw, tokens, grid, replacements):
+    """Apply one to four token mutations, most of them at or past ``grid``."""
     for _ in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(["swap", "delete", "duplicate", "replace", "replace"]))
         if not tokens:
@@ -71,8 +69,35 @@ def mutated_documents(draw):
         elif kind == "duplicate":
             tokens.insert(k, tokens[k])
         else:
-            tokens[k] = draw(REPLACEMENTS)
+            tokens[k] = draw(replacements)
     return " ".join(tokens) + "\n"
+
+
+@st.composite
+def mutated_documents(draw):
+    tokens = list(draw(st.sampled_from(SEEDS)))
+    # Most mutations land in the grid, which starts after the header, the
+    # counts and the labels, so that validation sees them.
+    return _mutate(draw, tokens, 4 + int(tokens[2]) + int(tokens[3]), REPLACEMENTS)
+
+
+# Built schemes of the feasible seed instances, with their instance documents.
+SCHEME_SEEDS = [
+    (sp.serialize_scheme(sp.build_scheme(inst)).split(), sp.serialize_instance(inst))
+    for inst in map(sp.parse_instance, map(" ".join, SEEDS))
+    if sp.check_feasible(inst).feasible
+]
+
+
+@st.composite
+def mutated_schemes(draw):
+    """A mutated scheme document and the instance document it was built for."""
+    tokens, instance = draw(st.sampled_from(SCHEME_SEEDS))
+    tokens = list(tokens)
+    n, m = int(tokens[2]), int(tokens[3])
+    # Masses, weights and column indices follow the header, counts and labels.
+    columns = st.sampled_from(["0", str(m + 1)])
+    return _mutate(draw, tokens, 5 + n + m, st.one_of(REPLACEMENTS, columns)), instance
 
 
 FUZZ = settings(
@@ -111,3 +136,49 @@ def test_check_on_a_mutated_document_exits_cleanly(tmp_path, text):
         assert len(lines) == 1 and lines[0].startswith("error: ")
     else:
         assert not lines and out.getvalue()
+
+
+@FUZZ
+@given(mutated_schemes())
+def test_parse_scheme_raises_only_input_errors(case):
+    text, instance = case
+    try:
+        scheme = sp.parse_scheme(text)
+    except sp.InternalInvariantError:
+        raise
+    except sp.SidepadError:
+        return
+    # What parses verifies, broken or not, or is refused with a SidepadError.
+    inst = sp.parse_instance(instance)
+    try:
+        report = sp.verify_scheme(scheme, inst)
+        assert len(report.q_xy) == len(report.q_xz) == scheme.n
+        assert len(report.q_z) == scheme.p and len(report.q_yz) == scheme.m
+        sp.necessity_audit(scheme)
+        sp.decode_table(scheme)
+    except sp.InternalInvariantError:
+        raise
+    except sp.SidepadError:
+        pass
+
+
+@FUZZ
+@given(case=mutated_schemes())
+def test_scheme_commands_on_a_mutated_document_exit_cleanly(tmp_path, case):
+    text, instance = case
+    scheme, against = tmp_path / "fuzz.scheme", tmp_path / "fuzz.inst"
+    scheme.write_text(text, encoding="utf-8")
+    against.write_text(instance, encoding="utf-8")
+    for argv in (
+        ["verify", str(scheme), "--against", str(against)],
+        ["decode", str(scheme), "--y", "y1", "--z", "z1"],
+        ["encode", str(scheme), "--x", "x1", "--y", "y1", "--seed", "1"],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        lines = err.getvalue().splitlines()
+        assert "Traceback" not in err.getvalue()
+        assert len(lines) <= 1 and all(line.startswith("error: ") for line in lines)
+        assert bool(lines) == (code in (2, 3) or not out.getvalue())

@@ -3,6 +3,7 @@ from a scheme's compiled joint equals a brute-force enumeration of the
 defining formula Q(x_i, y_j, z_k) = alpha_k * P_X(x_i) * [sigma_k(i) = j]
 over all (i, j, k) triples."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -26,7 +27,8 @@ def brute_joint(scheme):
 
 
 def marginal(q, scheme, keep):
-    """Sum the joint onto the axes named in ``keep`` (a subset of 'xyz')."""
+    """Sum the joint onto the axes named in ``keep`` (a subset of 'xyz').
+    Triples missing from ``q`` count as zero."""
     sizes = {"x": scheme.n, "y": scheme.m, "z": scheme.p}
     out = {}
     for (i, j, k), v in q.items():
@@ -34,9 +36,10 @@ def marginal(q, scheme, keep):
         out[key] = out.get(key, ZERO) + v
     shape = [sizes[a] for a in keep]
     if len(shape) == 1:
-        return tuple(out[(a,)] for a in range(shape[0]))
+        return tuple(out.get((a,), ZERO) for a in range(shape[0]))
     return tuple(
-        tuple(out[(a, b)] for b in range(shape[1])) for a in range(shape[0])
+        tuple(out.get((a, b), ZERO) for b in range(shape[1]))
+        for a in range(shape[0])
     )
 
 
@@ -167,6 +170,44 @@ def test_compiled_joint_matches_brute_force_on_corpus():
         assert_matches_brute_force(sp.build_scheme(inst), inst)
         checked += 1
     assert checked > 100
+
+
+def test_report_marginals_are_built_on_first_read():
+    # A 24x48 permutation mixture: uniform P_X, conditional rows the first
+    # 24 rows of 48 random permutation matrices, integer weights summing to
+    # 4m.  Verdicts come up front; each marginal waits for its first read.
+    rng = random.Random(11)
+    n, m = 24, 48
+    cuts = sorted(rng.sample(range(1, 4 * m), m - 1))
+    counts = [[0] * m for _ in range(n)]
+    for weight in (b - a for a, b in zip([0, *cuts], [*cuts, 4 * m])):
+        perm = rng.sample(range(m), m)
+        for i in range(n):
+            counts[i][perm[i]] += weight
+    inst = sp.instance_from_conditional(
+        [F(1, n)] * n, [[F(c, 4 * m) for c in row] for row in counts]
+    )
+    scheme = sp.build_scheme(inst)
+    report = sp.verify_scheme(scheme, inst)
+    assert report.all_ok
+    assert report == sp.verify_scheme(scheme, inst)
+    names = {"q_z": "z", "q_xz": "xz", "q_yz": "yz", "q_xy": "xy"}
+    # The defining formula on its nonzero triples only: brute_joint's
+    # dense n*m*p enumeration takes seconds at this size.
+    q = {
+        (i, sigma[i], k): w * scheme.px[i]
+        for k, (w, sigma) in enumerate(zip(scheme.weights, scheme.assignments))
+        for i in range(n)
+    }
+    values = []
+    for read, (name, keep) in enumerate(names.items()):
+        assert vars(report).keys() & names.keys() == set(list(names)[:read])
+        value = getattr(report, name)
+        assert value == marginal(q, scheme, keep)
+        assert getattr(report, name) is value
+        values += value if name == "q_z" else [v for row in value for v in row]
+    # One memo serves all four: equal values are one Fraction object.
+    assert len({id(v) for v in values}) == len(set(values))
 
 
 def _variant(scheme, **changes):

@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import hashlib
 import random
+import time
 import types
 from fractions import Fraction as F
 from itertools import accumulate
@@ -457,6 +458,26 @@ def test_simulate_sharded_schedule_is_reproducible():
     c = sp.simulate(scheme, inst, 10001, PINNED_SEEDS[2], shards=2)
     assert c.decode_success == 1.0
     assert c.empirical_qz != a.empirical_qz
+
+
+def test_simulate_seeds_no_shard_that_draws_nothing(monkeypatch):
+    # With more shards than samples, shards past the tenth have a quota of 0:
+    # none of them may be seeded, so 10**12 of them cost nothing.
+    inst = otp2()
+    scheme = sp.build_scheme(inst)
+    substream = sp.RandomSource.substream
+
+    def guarded(self, index):
+        assert index < 10, f"shard {index} seeded with nothing to draw"
+        return substream(self, index)
+
+    monkeypatch.setattr(sp.RandomSource, "substream", guarded)
+    start = time.perf_counter()
+    wide = sp.simulate(scheme, inst, 10, 42, shards=10**12)
+    assert time.perf_counter() - start < 1.0
+    assert wide.shards == 10**12
+    narrow = sp.simulate(scheme, inst, 10, 42, shards=10)
+    assert wide == dataclasses.replace(narrow, shards=10**12)
 
 
 def test_simulate_zero_samples_is_vacuous():
