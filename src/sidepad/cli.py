@@ -3,11 +3,15 @@
 Exit codes, uniformly: 0 success (feasible / verified / built / decoded),
 1 semantic failure (infeasible, verification failed, off-support event,
 no deterministic scheme), 2 malformed input (documents, labels, argument
-values), 3 capability refusal (exact-search size caps, search budget, a
-rational too long to print).
+values), 3 capability refusal (exact-search size caps, search budget, the
+``shannon`` grid cap, a rational too long to print).
 
 Every subcommand takes ``--json`` for a machine-readable report in which
 all rationals are printed exactly as "numerator/denominator" strings.
+Where the library returns a report type, its JSON keys are that type's
+fields in field order: ``simulate`` prints a ``SimReport``, and ``verify``
+prints each law's ``CheckResult`` under the law's name and the
+``NecessityAudit`` under ``necessity_audit``.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -45,11 +50,34 @@ from .formats import (
 from .model import Instance, conditional_y_given_x, make_instance, rat_str
 from .runtime import RandomSource, decode, encode, simulate
 from .verification import (
+    LAWS,
     CheckResult,
     feasibility_oracle,
     necessity_audit,
     verify_scheme,
 )
+
+# The uniform instance ``shannon`` builds holds n*m cells; beyond this many
+# it is refused before any is built.
+SHANNON_MAX_CELLS = 10**6
+
+# Exit code of each error type a command may raise.  InternalInvariantError
+# is a bug, not an outcome, and stays uncaught.
+_EXIT_CODES = {
+    InfeasibleError: 1, OffSupportError: 1, UnverifiedSchemeError: 1,
+    InputError: 2, DimensionMismatchError: 2, UnicodeDecodeError: 2, OSError: 2,
+    CapExceededError: 3,
+}
+
+# ``deterministic``'s outcome by search status: exit code, and the text line
+# printed after the row-multiset verdict.
+_SEARCH_OUTCOMES = {
+    "found": (0, "wrote deterministic scheme to {output}"),
+    "none_found": (1, "no deterministic scheme exists (searched {nodes} nodes)"),
+    "budget_exhausted": (
+        3, "search budget exhausted after {nodes} nodes (inconclusive)"
+    ),
+}
 
 
 def _jsonable(value):
@@ -67,16 +95,21 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(_jsonable(payload), indent=2))
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def _emit_document(args, document: str, payload: dict, wrote: str) -> None:
+    """Write ``document`` to ``-o`` if given, then print the JSON payload,
+    the line "wrote ``wrote`` to PATH", or the bare document."""
+    if args.output:
+        Path(args.output).write_text(document, encoding="utf-8")
+    if args.json:
+        _emit_json(payload)
+    elif args.output:
+        print(f"wrote {wrote} to {args.output}")
+    else:
+        print(document, end="")
 
 
-def _load_instance(path: str) -> Instance:
-    return parse_instance(_read(path))
-
-
-def _load_scheme(path: str) -> Scheme:
-    return parse_scheme(_read(path))
+def _load(parse, path: str):
+    return parse(Path(path).read_text(encoding="utf-8"))
 
 
 def _fmt_witness(witness: dict) -> str:
@@ -127,7 +160,7 @@ def _infeasible_detail(inst: Instance, exc: InfeasibleError) -> str:
 
 
 def cmd_check(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = _load(parse_instance, args.instance)
     report = check_feasible(inst)
     sc = report.shannon_case
     if args.json:
@@ -166,70 +199,43 @@ def cmd_check(args) -> int:
 
 
 def cmd_build(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = _load(parse_instance, args.instance)
     try:
         scheme = build_scheme(inst)
     except InfeasibleError as exc:
         print(_infeasible_detail(inst, exc), file=sys.stderr)
         return 1
-    document = serialize_scheme(scheme)
-    if args.output:
-        Path(args.output).write_text(document, encoding="utf-8")
-    if args.json:
-        _emit_json({
-            "kind": "scheme",
-            **_scheme_payload(scheme),
-            "p_lower_bound": p_lower_bound(inst),
-        })
-    elif args.output:
-        print(f"wrote scheme ({scheme.p} signals) to {args.output}")
-    else:
-        print(document, end="")
+    payload = {
+        "kind": "scheme",
+        **_scheme_payload(scheme),
+        "p_lower_bound": p_lower_bound(inst),
+    } if args.json else {}
+    _emit_document(
+        args, serialize_scheme(scheme), payload, f"scheme ({scheme.p} signals)"
+    )
     return 0
 
 
 def cmd_verify(args) -> int:
-    scheme = _load_scheme(args.scheme)
-    inst = _load_instance(args.against)
+    scheme = _load(parse_scheme, args.scheme)
+    inst = _load(parse_instance, args.against)
     report = verify_scheme(scheme, inst)
     audit = necessity_audit(scheme) if report.all_ok else None
     ok = report.all_ok and (audit is None or audit.ok)
     if args.json:
-        payload = {
+        _emit_json({
             "kind": "verification",
             "verified": ok,
-            "consistency": {
-                "ok": report.consistency.ok,
-                "witness": report.consistency.witness,
-            },
-            "informativeness": {
-                "ok": report.informativeness.ok,
-                "witness": report.informativeness.witness,
-            },
-            "secrecy": {
-                "ok": report.secrecy.ok,
-                "witness": report.secrecy.witness,
-            },
-            "q_z": list(report.q_z),
-            "q_xz": [list(row) for row in report.q_xz],
-            "q_yz": [list(row) for row in report.q_yz],
-            "q_xy": [list(row) for row in report.q_xy],
-            "necessity_audit": None
-            if audit is None
-            else {
-                "ok": audit.ok,
-                "triple_bound_ok": audit.triple_bound_ok,
-                "disjoint_ok": audit.disjoint_ok,
-                "column_mass_ok": audit.column_mass_ok,
-                "column_mass": list(audit.column_mass),
-                "witness": audit.witness,
-            },
-        }
-        _emit_json(payload)
+            **{law: asdict(getattr(report, law)) for law in LAWS},
+            "q_z": report.q_z,
+            "q_xz": report.q_xz,
+            "q_yz": report.q_yz,
+            "q_xy": report.q_xy,
+            "necessity_audit": None if audit is None else asdict(audit),
+        })
     else:
-        print(_check_line("consistency", report.consistency))
-        print(_check_line("informativeness", report.informativeness))
-        print(_check_line("secrecy", report.secrecy))
+        for law in LAWS:
+            print(_check_line(law, getattr(report, law)))
         if audit is None:
             print("necessity audit: skipped")
         elif audit.ok:
@@ -243,7 +249,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    scheme = _load_scheme(args.scheme)
+    scheme = _load(parse_scheme, args.scheme)
     x = _label_index(scheme.x_labels, args.x, "x")
     y = _label_index(scheme.y_labels, args.y, "y")
     z = encode(scheme, x, y, RandomSource(args.seed))
@@ -255,7 +261,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    scheme = _load_scheme(args.scheme)
+    scheme = _load(parse_scheme, args.scheme)
     y = _label_index(scheme.y_labels, args.y, "y")
     z = _label_index(scheme.z_labels, args.z, "z")
     x = decode(scheme, y, z)
@@ -267,8 +273,8 @@ def cmd_decode(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scheme = _load_scheme(args.scheme)
-    inst = _load_instance(args.against)
+    scheme = _load(parse_scheme, args.scheme)
+    inst = _load(parse_instance, args.against)
     report = simulate(
         scheme,
         inst,
@@ -279,19 +285,7 @@ def cmd_simulate(args) -> int:
         allow_unverified=args.allow_unverified,
     )
     if args.json:
-        _emit_json(
-            {
-                "kind": "simulation",
-                "samples": report.samples,
-                "decode_success": report.decode_success,
-                "empirical_qz": list(report.empirical_qz),
-                "tv_secrecy": list(report.tv_secrecy),
-                "max_tv": report.max_tv,
-                "min_count": report.min_count,
-                "shards": report.shards,
-                "seed": report.seed,
-            }
-        )
+        _emit_json({"kind": "simulation", **asdict(report)})
     else:
         print(f"samples: {report.samples}")
         print(f"decode success: {report.decode_success:.6f}")
@@ -310,7 +304,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = _load(parse_instance, args.instance)
     report = feasibility_oracle(inst)
     if args.json:
         _emit_json(
@@ -335,41 +329,38 @@ def cmd_oracle(args) -> int:
 def cmd_shannon(args) -> int:
     if args.n < 1 or args.m < 1:
         raise InputError("state and value counts must be >= 1")
+    if args.n * args.m > SHANNON_MAX_CELLS:
+        raise CapExceededError(
+            f"shannon caps the grid at {SHANNON_MAX_CELLS} cells; "
+            f"got n={args.n} by m={args.m}"
+        )
     mass = Fraction(1, args.n * args.m)
     inst = make_instance(
         [f"x{i+1}" for i in range(args.n)],
         [f"y{j+1}" for j in range(args.m)],
         [[mass] * args.m for _ in range(args.n)],
     )
-    document = serialize_instance(inst)
-    if args.output:
-        Path(args.output).write_text(document, encoding="utf-8")
-    if args.json:
-        _emit_json(
-            {
-                "kind": "instance",
-                "n": inst.n,
-                "m": inst.m,
-                "x_labels": list(inst.x_labels),
-                "y_labels": list(inst.y_labels),
-                "p_xy": [list(row) for row in inst.p_xy],
-            }
-        )
-    elif args.output:
-        print(f"wrote instance to {args.output}")
-    else:
-        print(document, end="")
+    payload = {
+        "kind": "instance",
+        "n": inst.n,
+        "m": inst.m,
+        "x_labels": list(inst.x_labels),
+        "y_labels": list(inst.y_labels),
+        "p_xy": [list(row) for row in inst.p_xy],
+    } if args.json else {}
+    _emit_document(args, serialize_instance(inst), payload, "instance")
     return 0
 
 
 def cmd_deterministic(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = _load(parse_instance, args.instance)
     try:
         outcome = find_deterministic_scheme(inst, limit=args.limit)
     except InfeasibleError as exc:
         print(_infeasible_detail(inst, exc), file=sys.stderr)
         return 1
     condition = row_value_multisets_equal(conditional_y_given_x(inst))
+    code, line = _SEARCH_OUTCOMES[outcome.status]
     if outcome.scheme is not None:
         document = serialize_scheme(outcome.scheme)
         if args.output:
@@ -386,20 +377,13 @@ def cmd_deterministic(args) -> int:
                 else _scheme_payload(outcome.scheme),
             }
         )
-        return {"found": 0, "none_found": 1, "budget_exhausted": 3}[outcome.status]
-    if outcome.status == "found" and not args.output:
+    elif outcome.scheme is not None and not args.output:
         # Bare document on stdout so the result pipes into verify.
         print(document, end="")
-        return 0
-    print(f"row value multisets equal: {'yes' if condition else 'no'}")
-    if outcome.status == "found":
-        print(f"wrote deterministic scheme to {args.output}")
-        return 0
-    if outcome.status == "none_found":
-        print(f"no deterministic scheme exists (searched {outcome.nodes} nodes)")
-        return 1
-    print(f"search budget exhausted after {outcome.nodes} nodes (inconclusive)")
-    return 3
+    else:
+        print(f"row value multisets equal: {'yes' if condition else 'no'}")
+        print(line.format(output=args.output, nodes=outcome.nodes))
+    return code
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -413,42 +397,36 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_json(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
+    def command(func, help: str) -> argparse.ArgumentParser:
+        """Register ``func``, named ``cmd_<name>``, as subcommand ``name``;
+        ``--json`` is added to every subcommand last, after its own options."""
+        p = sub.add_parser(func.__name__[len("cmd_"):], help=help)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("check", help="decide feasibility from the column sums")
+    p = command(cmd_check, "decide feasibility from the column sums")
     p.add_argument("instance", help="INSTANCE v1 file")
-    add_json(p)
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("build", help="construct a scheme for a feasible instance")
+    p = command(cmd_build, "construct a scheme for a feasible instance")
     p.add_argument("instance", help="INSTANCE v1 file")
     p.add_argument("-o", "--output", help="write the SCHEME v1 document here")
-    add_json(p)
-    p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("verify", help="check a scheme against an instance")
+    p = command(cmd_verify, "check a scheme against an instance")
     p.add_argument("scheme", help="SCHEME v1 file")
     p.add_argument("--against", required=True, help="INSTANCE v1 file")
-    add_json(p)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("encode", help="draw the public signal for one event")
+    p = command(cmd_encode, "draw the public signal for one event")
     p.add_argument("scheme", help="SCHEME v1 file")
     p.add_argument("--x", required=True, help="state label")
     p.add_argument("--y", required=True, help="side-information label")
     p.add_argument("--seed", required=True, type=int, help="RNG seed")
-    add_json(p)
-    p.set_defaults(func=cmd_encode)
 
-    p = sub.add_parser("decode", help="recover the state from (y, z)")
+    p = command(cmd_decode, "recover the state from (y, z)")
     p.add_argument("scheme", help="SCHEME v1 file")
     p.add_argument("--y", required=True, help="side-information label")
     p.add_argument("--z", required=True, help="signal label")
-    add_json(p)
-    p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("simulate", help="Monte Carlo the whole loop")
+    p = command(cmd_simulate, "Monte Carlo the whole loop")
     p.add_argument("scheme", help="SCHEME v1 file")
     p.add_argument("--against", required=True, help="INSTANCE v1 file")
     p.add_argument("-n", "--samples", required=True, type=int)
@@ -461,33 +439,24 @@ def _build_parser() -> argparse.ArgumentParser:
         help="signals observed fewer times get no TV estimate",
     )
     p.add_argument("--allow-unverified", action="store_true")
-    add_json(p)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser(
-        "oracle", help="brute-force feasibility over all m! permutations"
-    )
+    p = command(cmd_oracle, "brute-force feasibility over all m! permutations")
     p.add_argument("instance", help="INSTANCE v1 file")
-    add_json(p)
-    p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser(
-        "shannon", help="emit the uniform independent instance (n states, m values)"
+    p = command(
+        cmd_shannon, "emit the uniform independent instance (n states, m values)"
     )
     p.add_argument("-n", required=True, type=int, dest="n")
     p.add_argument("-m", required=True, type=int, dest="m")
     p.add_argument("-o", "--output")
-    add_json(p)
-    p.set_defaults(func=cmd_shannon)
 
-    p = sub.add_parser(
-        "deterministic", help="search for a randomness-free encoder"
-    )
+    p = command(cmd_deterministic, "search for a randomness-free encoder")
     p.add_argument("instance", help="INSTANCE v1 file")
     p.add_argument("--limit", type=int, default=1_000_000, help="node budget")
     p.add_argument("-o", "--output", help="write the scheme here if found")
-    add_json(p)
-    p.set_defaults(func=cmd_deterministic)
+
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="emit a JSON report")
 
     return parser
 
@@ -503,23 +472,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a reader gone early shows here, not at exit
         return code
-    except (InputError, DimensionMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InfeasibleError, OffSupportError, UnverifiedSchemeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except BrokenPipeError:
         # The reader closed the pipe, as ``| head`` does: not an input error.
         # Pointing stdout at devnull keeps the exit-time flush quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except OSError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(c for kind, c in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -174,10 +174,11 @@ class _Joint:
     ``den`` = D * E: Q_XZ(x_i, z_k) is
     ``a[k] * b[i]`` (zero where signal k leaves row i unassigned),
     ``q_z[k]`` is Q_Z and ``q_xy[i][j]`` is Q_XY.  ``inverse[k][j]`` holds
-    the state rows signal k sends to column j; ``phi[i][j]`` the signals
-    pairing row i with column j.  The same pass yields ``clash``, the first
-    (column, signal) in (y, z) order reached by two states, or None.  Row
-    and signal lists are ascending.  Fractions appear only in the reports
+    the state rows signal k sends to column j; ``phi[i]`` maps each column
+    j that row i reaches to the signals pairing them, so phi holds at most
+    p*n cells, never an n*m grid.  The same pass yields ``clash``, the
+    first (column, signal) in (y, z) order reached by two states, or None.
+    Row and signal lists are ascending.  Fractions appear only in the reports
     verification builds from these numerators.  ``encoders`` starts empty:
     the runtime memoises each cell's encoder distribution there on first
     use.
@@ -192,14 +193,15 @@ class _Joint:
         singles = [(i,) for i in range(n)]
         self.inverse, self.q_z, self.clash = [], [], None
         self.encoders: dict[tuple[int, int], object] = {}
-        self.phi = [[[] for _ in range(m)] for _ in range(n)]
+        self.m = m
+        self.phi: list[dict[int, list[int]]] = [{} for _ in range(n)]
         for k, (a, sigma) in enumerate(zip(self.a, scheme.assignments)):
             rows = sigma[:n]
             inverse: list[tuple[int, ...]] = [()] * m
             for i, j in enumerate(rows):
                 if j is None:
                     continue
-                self.phi[i][j].append(k)
+                self.phi[i].setdefault(j, []).append(k)
                 if inverse[j]:
                     inverse[j] += (i,)
                     self.clash = min(self.clash or (j, k), (j, k))
@@ -214,11 +216,13 @@ class _Joint:
     @cached_property
     def q_xy(self) -> list[list[int]]:
         """Q_XY numerators: row i's mass times the weights in phi(x, y)."""
-        a = self.a
-        return [
-            [b * sum(a[k] for k in ks) for ks in row]
-            for b, row in zip(self.b, self.phi)
-        ]
+        a, q_xy = self.a, []
+        for b, row in zip(self.b, self.phi):
+            q = [0] * self.m
+            for j, ks in row.items():
+                q[j] = b * sum(a[k] for k in ks)
+            q_xy.append(q)
+        return q_xy
 
     @cached_property
     def table(self) -> Mapping[tuple[int, int], int]:

@@ -55,7 +55,13 @@ from .errors import (
     UnverifiedSchemeError,
 )
 from .model import Instance, _Sampler
-from .verification import _scheme_rows, _signals_at, decode_table, verify_scheme
+from .verification import (
+    LAWS,
+    _scheme_rows,
+    _signals_at,
+    decode_table,
+    verify_scheme,
+)
 
 _SEED_LIMIT = 2**64
 
@@ -211,8 +217,7 @@ def simulate(
     supp = _scheme_rows(scheme, inst)
     if not allow_unverified:
         report = verify_scheme(scheme, inst)
-        laws = ("consistency", "informativeness", "secrecy")
-        failed = [law for law in laws if not getattr(report, law).ok]
+        failed = [law for law in LAWS if not getattr(report, law).ok]
         if failed:
             raise UnverifiedSchemeError(
                 f"refusing to simulate: scheme fails {', '.join(failed)} "

@@ -53,6 +53,10 @@ from .simplex import feasible_nonnegative_solution
 
 Witness = dict[str, object]
 
+# The three defining laws, in report order: each names a CheckResult field
+# of VerificationReport.
+LAWS = ("consistency", "informativeness", "secrecy")
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -76,7 +80,7 @@ class VerificationReport:
 
     @property
     def all_ok(self) -> bool:
-        return self.consistency.ok and self.informativeness.ok and self.secrecy.ok
+        return all(getattr(self, law).ok for law in LAWS)
 
     @cached_property
     def _fraction(self):
@@ -211,7 +215,7 @@ def _signals_at(scheme: Scheme, x_index: int, y_index: int) -> list[int]:
         raise DimensionMismatchError(
             f"no cell ({x_index}, {y_index}) in a {scheme.n}x{scheme.m} scheme"
         )
-    return scheme._joint.phi[x_index][y_index]
+    return scheme._joint.phi[x_index].get(y_index, [])
 
 
 def support_signals(scheme: Scheme, x_index: int, y_index: int) -> frozenset[int]:
@@ -264,17 +268,17 @@ def necessity_audit(scheme: Scheme) -> NecessityAudit:
     phi, a, b = joint.phi, joint.a, joint.b
     witness: Optional[Witness] = None
 
-    # Numerators over joint.den throughout.  Q_XZ marginalised over y from
-    # the joint's cells, then the bound.
-    q_xz = [[0] * scheme.p for _ in range(scheme.n)]
-    for i, row in enumerate(phi):
-        for k in itertools.chain.from_iterable(row):
-            q_xz[i][k] += a[k] * b[i]
+    # Numerators over joint.den throughout, and only over the cells phi
+    # holds.  Q_XZ marginalised over y from row i's cells, then the bound,
+    # columns ascending.
     triple_ok = True
-    for i in range(scheme.n):
-        for j in range(scheme.m):
-            for k in phi[i][j]:
-                if a[k] * b[i] > q_xz[i][k]:
+    for i, row in enumerate(phi):
+        q_xz: dict[int, int] = {}
+        for k in itertools.chain.from_iterable(row.values()):
+            q_xz[k] = q_xz.get(k, 0) + a[k] * b[i]
+        for j in sorted(row):
+            for k in row[j]:
+                if a[k] * b[i] > q_xz[k]:
                     triple_ok = False
                     witness = witness or {
                         "law": "triple_bound",
@@ -283,11 +287,18 @@ def necessity_audit(scheme: Scheme) -> NecessityAudit:
                         "z": scheme.z_labels[k],
                     }
 
+    # Each supported column's cells, states ascending.  Weights and masses
+    # are positive, so a column is supported exactly when some cell reaches it.
+    columns: dict[int, list[tuple[int, list[int]]]] = {}
+    for i, row in enumerate(phi):
+        for j, ks in row.items():
+            columns.setdefault(j, []).append((i, ks))
+
     disjoint_ok = True
-    for j in range(scheme.m):
+    for j in sorted(columns):
         seen: dict[int, int] = {}
-        for i in range(scheme.n):
-            for k in phi[i][j]:
+        for i, ks in columns[j]:
+            for k in ks:
                 if k in seen and seen[k] != i:
                     disjoint_ok = False
                     witness = witness or {
@@ -304,10 +315,10 @@ def necessity_audit(scheme: Scheme) -> NecessityAudit:
     column_mass: list[Optional[Fraction]] = []
     mass_ok = True
     for j in range(scheme.m):
-        if not any(row[j] for row in joint.q_xy):
+        if j not in columns:
             column_mass.append(None)
             continue
-        total = sum(joint.q_z[k] for i in range(scheme.n) for k in phi[i][j])
+        total = sum(joint.q_z[k] for _, ks in columns[j] for k in ks)
         column_mass.append(Fraction(total, joint.den))
         if total > joint.den:
             mass_ok = False

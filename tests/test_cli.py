@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -531,6 +532,18 @@ def test_shannon_rejects_zero(capsys):
     assert "error:" in err
 
 
+def test_shannon_refuses_a_large_grid_before_building_it(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "shannon", "-n", "2000", "-m", "2000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert peak < 2**20, f"peaked at {peak / 2**20:.1f} MiB"
+
+
 # --- deterministic ---------------------------------------------------------
 
 
@@ -597,6 +610,479 @@ def test_deterministic_infeasible(capsys, paths):
     assert "infeasible: column sum exceeds 1 at y1" in err
 
 
+# --- every command, pinned -------------------------------------------------
+
+# stdout, exit code and stderr of check, build, deterministic, simulate and
+# shannon -o, in text and --json, recorded byte for byte.  Each key is the
+# command line: a fixture name stands for its instance file, "NAME.scheme"
+# for the fixture's built scheme and "out" for a fresh output file, which the
+# recorded output names as "out".  A --json entry holds its payload as compact
+# JSON; the command prints it indented by two.
+CLI_GOLDEN = {
+    'check corr23': (
+        0,
+        'column sums: y1=1/2 y2=1 y3=1/2\n'
+        'feasible: yes\n',
+        '',
+    ),
+    'check corr23 --json': (
+        0,
+        '{"kind":"feasibility","feasible":true,"column_sums":["1/2","1/1",'
+        '"1/2"],"violations":[],"shannon":{"independent":false,'
+        '"y_uniform":false,"applies":false,"n":2,"m":3,'
+        '"feasible_by_count":true}}',
+        '',
+    ),
+    'check mixed23': (
+        0,
+        'column sums: y1=1/2 y2=5/6 y3=2/3\n'
+        'feasible: yes\n',
+        '',
+    ),
+    'check mixed23 --json': (
+        0,
+        '{"kind":"feasibility","feasible":true,"column_sums":["1/2","5/6",'
+        '"2/3"],"violations":[],"shannon":{"independent":false,'
+        '"y_uniform":false,"applies":false,"n":2,"m":3,'
+        '"feasible_by_count":true}}',
+        '',
+    ),
+    'check otp2': (
+        0,
+        'column sums: y1=1 y2=1\n'
+        'independent uniform case: n=2 states, m=2 values (n <= m)\n'
+        'feasible: yes\n',
+        '',
+    ),
+    'check otp2 --json': (
+        0,
+        '{"kind":"feasibility","feasible":true,"column_sums":["1/1","1/1"],'
+        '"violations":[],"shannon":{"independent":true,"y_uniform":true,'
+        '"applies":true,"n":2,"m":2,"feasible_by_count":true}}',
+        '',
+    ),
+    'check det22': (
+        0,
+        'column sums: y1=1 y2=1\n'
+        'feasible: yes\n',
+        '',
+    ),
+    'check det22 --json': (
+        0,
+        '{"kind":"feasibility","feasible":true,"column_sums":["1/1","1/1"],'
+        '"violations":[],"shannon":{"independent":false,"y_uniform":true,'
+        '"applies":false,"n":2,"m":2,"feasible_by_count":true}}',
+        '',
+    ),
+    'check skew22': (
+        1,
+        'column sums: y1=3/2 y2=1/2\n'
+        'violated columns: y1\n'
+        'feasible: no\n',
+        '',
+    ),
+    'check skew22 --json': (
+        1,
+        '{"kind":"feasibility","feasible":false,"column_sums":["3/2",'
+        '"1/2"],"violations":["y1"],"shannon":{"independent":true,'
+        '"y_uniform":false,"applies":false,"n":2,"m":2,'
+        '"feasible_by_count":true}}',
+        '',
+    ),
+    'build corr23': (
+        0,
+        'SCHEME v1\n'
+        '2 3 2\n'
+        'x1 x2\n'
+        'y1 y2 y3\n'
+        '1/2 1/2\n'
+        'z1 1/2 1 2 3\n'
+        'z2 1/2 2 3 1\n',
+        '',
+    ),
+    'build corr23 --json': (
+        0,
+        '{"kind":"scheme","n":2,"m":3,"p":2,"x_labels":["x1","x2"],'
+        '"y_labels":["y1","y2","y3"],"z_labels":["z1","z2"],"px":["1/2",'
+        '"1/2"],"weights":["1/2","1/2"],"assignments":[[1,2,3],[2,3,1]],'
+        '"p_lower_bound":2}',
+        '',
+    ),
+    'build mixed23': (
+        0,
+        'SCHEME v1\n'
+        '2 3 3\n'
+        'x1 x2\n'
+        'y1 y2 y3\n'
+        '1/2 1/2\n'
+        'z1 1/3 1 2 3\n'
+        'z2 1/6 1 3 2\n'
+        'z3 1/2 2 3 1\n',
+        '',
+    ),
+    'build mixed23 --json': (
+        0,
+        '{"kind":"scheme","n":2,"m":3,"p":3,"x_labels":["x1","x2"],'
+        '"y_labels":["y1","y2","y3"],"z_labels":["z1","z2","z3"],'
+        '"px":["1/2","1/2"],"weights":["1/3","1/6","1/2"],'
+        '"assignments":[[1,2,3],[1,3,2],[2,3,1]],"p_lower_bound":2}',
+        '',
+    ),
+    'build otp2': (
+        0,
+        'SCHEME v1\n'
+        '2 2 2\n'
+        'x1 x2\n'
+        'y1 y2\n'
+        '1/2 1/2\n'
+        'z1 1/2 1 2\n'
+        'z2 1/2 2 1\n',
+        '',
+    ),
+    'build otp2 --json': (
+        0,
+        '{"kind":"scheme","n":2,"m":2,"p":2,"x_labels":["x1","x2"],'
+        '"y_labels":["y1","y2"],"z_labels":["z1","z2"],"px":["1/2","1/2"],'
+        '"weights":["1/2","1/2"],"assignments":[[1,2],[2,1]],'
+        '"p_lower_bound":2}',
+        '',
+    ),
+    'build det22': (
+        0,
+        'SCHEME v1\n'
+        '2 2 2\n'
+        'x1 x2\n'
+        'y1 y2\n'
+        '1/2 1/2\n'
+        'z1 2/3 1 2\n'
+        'z2 1/3 2 1\n',
+        '',
+    ),
+    'build det22 --json': (
+        0,
+        '{"kind":"scheme","n":2,"m":2,"p":2,"x_labels":["x1","x2"],'
+        '"y_labels":["y1","y2"],"z_labels":["z1","z2"],"px":["1/2","1/2"],'
+        '"weights":["2/3","1/3"],"assignments":[[1,2],[2,1]],'
+        '"p_lower_bound":2}',
+        '',
+    ),
+    'build skew22': (
+        1,
+        '',
+        'infeasible: column sum exceeds 1 at y1\n',
+    ),
+    'build skew22 --json': (
+        1,
+        '',
+        'infeasible: column sum exceeds 1 at y1\n',
+    ),
+    'deterministic corr23': (
+        0,
+        'SCHEME v1\n'
+        '2 3 2\n'
+        'x1 x2\n'
+        'y1 y2 y3\n'
+        '1/2 1/2\n'
+        'z1 1/2 1 2 3\n'
+        'z2 1/2 2 3 1\n',
+        '',
+    ),
+    'deterministic corr23 --json': (
+        0,
+        '{"kind":"deterministic-search","status":"found","nodes":2,'
+        '"row_multisets_equal":true,"scheme":{"n":2,"m":3,"p":2,'
+        '"x_labels":["x1","x2"],"y_labels":["y1","y2","y3"],'
+        '"z_labels":["z1","z2"],"px":["1/2","1/2"],"weights":["1/2","1/2"],'
+        '"assignments":[[1,2,3],[2,3,1]]}}',
+        '',
+    ),
+    'deterministic mixed23': (
+        1,
+        'row value multisets equal: no\n'
+        'no deterministic scheme exists (searched 2 nodes)\n',
+        '',
+    ),
+    'deterministic mixed23 --json': (
+        1,
+        '{"kind":"deterministic-search","status":"none_found","nodes":2,'
+        '"row_multisets_equal":false,"scheme":null}',
+        '',
+    ),
+    'deterministic otp2': (
+        0,
+        'SCHEME v1\n'
+        '2 2 2\n'
+        'x1 x2\n'
+        'y1 y2\n'
+        '1/2 1/2\n'
+        'z1 1/2 1 2\n'
+        'z2 1/2 2 1\n',
+        '',
+    ),
+    'deterministic otp2 --json': (
+        0,
+        '{"kind":"deterministic-search","status":"found","nodes":3,'
+        '"row_multisets_equal":true,"scheme":{"n":2,"m":2,"p":2,'
+        '"x_labels":["x1","x2"],"y_labels":["y1","y2"],"z_labels":["z1",'
+        '"z2"],"px":["1/2","1/2"],"weights":["1/2","1/2"],'
+        '"assignments":[[1,2],[2,1]]}}',
+        '',
+    ),
+    'deterministic det22': (
+        0,
+        'SCHEME v1\n'
+        '2 2 2\n'
+        'x1 x2\n'
+        'y1 y2\n'
+        '1/2 1/2\n'
+        'z1 2/3 1 2\n'
+        'z2 1/3 2 1\n',
+        '',
+    ),
+    'deterministic det22 --json': (
+        0,
+        '{"kind":"deterministic-search","status":"found","nodes":3,'
+        '"row_multisets_equal":true,"scheme":{"n":2,"m":2,"p":2,'
+        '"x_labels":["x1","x2"],"y_labels":["y1","y2"],"z_labels":["z1",'
+        '"z2"],"px":["1/2","1/2"],"weights":["2/3","1/3"],'
+        '"assignments":[[1,2],[2,1]]}}',
+        '',
+    ),
+    'deterministic skew22': (
+        1,
+        '',
+        'infeasible: column sum exceeds 1 at y1\n',
+    ),
+    'deterministic skew22 --json': (
+        1,
+        '',
+        'infeasible: column sum exceeds 1 at y1\n',
+    ),
+    'build corr23 -o out': (
+        0,
+        'wrote scheme (2 signals) to out\n',
+        '',
+    ),
+    'build corr23 -o out --json': (
+        0,
+        '{"kind":"scheme","n":2,"m":3,"p":2,"x_labels":["x1","x2"],'
+        '"y_labels":["y1","y2","y3"],"z_labels":["z1","z2"],"px":["1/2",'
+        '"1/2"],"weights":["1/2","1/2"],"assignments":[[1,2,3],[2,3,1]],'
+        '"p_lower_bound":2}',
+        '',
+    ),
+    'deterministic mixed23 --limit 1': (
+        3,
+        'row value multisets equal: no\n'
+        'search budget exhausted after 2 nodes (inconclusive)\n',
+        '',
+    ),
+    'deterministic mixed23 --limit 1 --json': (
+        3,
+        '{"kind":"deterministic-search","status":"budget_exhausted",'
+        '"nodes":2,"row_multisets_equal":false,"scheme":null}',
+        '',
+    ),
+    'deterministic det22 -o out': (
+        0,
+        'row value multisets equal: yes\n'
+        'wrote deterministic scheme to out\n',
+        '',
+    ),
+    'deterministic det22 -o out --json': (
+        0,
+        '{"kind":"deterministic-search","status":"found","nodes":3,'
+        '"row_multisets_equal":true,"scheme":{"n":2,"m":2,"p":2,'
+        '"x_labels":["x1","x2"],"y_labels":["y1","y2"],"z_labels":["z1",'
+        '"z2"],"px":["1/2","1/2"],"weights":["2/3","1/3"],'
+        '"assignments":[[1,2],[2,1]]}}',
+        '',
+    ),
+    'deterministic mixed23 -o out': (
+        1,
+        'row value multisets equal: no\n'
+        'no deterministic scheme exists (searched 2 nodes)\n',
+        '',
+    ),
+    'shannon -n 2 -m 3': (
+        0,
+        'INSTANCE v1\n'
+        '2 3\n'
+        'x1 x2\n'
+        'y1 y2 y3\n'
+        '1/6 1/6 1/6\n'
+        '1/6 1/6 1/6\n',
+        '',
+    ),
+    'shannon -n 2 -m 3 -o out': (
+        0,
+        'wrote instance to out\n',
+        '',
+    ),
+    'shannon -n 2 -m 3 -o out --json': (
+        0,
+        '{"kind":"instance","n":2,"m":3,"x_labels":["x1","x2"],'
+        '"y_labels":["y1","y2","y3"],"p_xy":[["1/6","1/6","1/6"],["1/6",'
+        '"1/6","1/6"]]}',
+        '',
+    ),
+    'simulate corr23.scheme --against corr23 -n 3000 --seed 7': (
+        0,
+        'samples: 3000\n'
+        'decode success: 1.000000\n'
+        'empirical Q_Z: z1=0.500333 z2=0.499667\n'
+        'TV from P_X by signal (min count 1000): z1=0.016989 z2=0.001001\n'
+        'max TV: 0.016989\n',
+        '',
+    ),
+    'simulate corr23.scheme --against corr23 -n 3000 --seed 7 --json': (
+        0,
+        '{"kind":"simulation","samples":3000,"decode_success":1.0,'
+        '"empirical_qz":[0.5003333333333333,0.49966666666666665],'
+        '"tv_secrecy":[0.016988674217188526,0.0010006671114075882],'
+        '"max_tv":0.016988674217188526,"min_count":1000,"shards":1,'
+        '"seed":7}',
+        '',
+    ),
+    'simulate mixed23.scheme --against mixed23 -n 3000 --seed 7': (
+        0,
+        'samples: 3000\n'
+        'decode success: 1.000000\n'
+        'empirical Q_Z: z1=0.341000 z2=0.179000 z3=0.480000\n'
+        'TV from P_X by signal (min count 1000): z1=0.005376 z2=n/a z3=0.00'
+        '6250\n'
+        'max TV: 0.006250\n',
+        '',
+    ),
+    'simulate mixed23.scheme --against mixed23 -n 3000 --seed 7 --json': (
+        0,
+        '{"kind":"simulation","samples":3000,"decode_success":1.0,'
+        '"empirical_qz":[0.341,0.179,0.48],'
+        '"tv_secrecy":[0.005376344086021501,null,0.006249999999999978],'
+        '"max_tv":0.006249999999999978,"min_count":1000,"shards":1,'
+        '"seed":7}',
+        '',
+    ),
+    'simulate otp2.scheme --against otp2 -n 3000 --seed 7': (
+        0,
+        'samples: 3000\n'
+        'decode success: 1.000000\n'
+        'empirical Q_Z: z1=0.508000 z2=0.492000\n'
+        'TV from P_X by signal (min count 1000): z1=0.009186 z2=0.008808\n'
+        'max TV: 0.009186\n',
+        '',
+    ),
+    'simulate otp2.scheme --against otp2 -n 3000 --seed 7 --json': (
+        0,
+        '{"kind":"simulation","samples":3000,"decode_success":1.0,'
+        '"empirical_qz":[0.508,0.492],"tv_secrecy":[0.009186351706036766,'
+        '0.008807588075880779],"max_tv":0.009186351706036766,'
+        '"min_count":1000,"shards":1,"seed":7}',
+        '',
+    ),
+    'simulate det22.scheme --against det22 -n 3000 --seed 7': (
+        0,
+        'samples: 3000\n'
+        'decode success: 1.000000\n'
+        'empirical Q_Z: z1=0.669000 z2=0.331000\n'
+        'TV from P_X by signal (min count 1000): z1=0.001744 z2=n/a\n'
+        'max TV: 0.001744\n',
+        '',
+    ),
+    'simulate det22.scheme --against det22 -n 3000 --seed 7 --json': (
+        0,
+        '{"kind":"simulation","samples":3000,"decode_success":1.0,'
+        '"empirical_qz":[0.669,0.331],"tv_secrecy":[0.0017438963627304238,'
+        'null],"max_tv":0.0017438963627304238,"min_count":1000,"shards":1,'
+        '"seed":7}',
+        '',
+    ),
+    ('simulate mixed23.scheme --against mixed23 -n 2500 --seed 11'
+     ' --shards 3 --min-count 900'): (
+        0,
+        'samples: 2500\n'
+        'decode success: 1.000000\n'
+        'empirical Q_Z: z1=0.348000 z2=0.171200 z3=0.480800\n'
+        'TV from P_X by signal (min count 900): z1=n/a z2=n/a z3=0.002496\n'
+        'max TV: 0.002496\n',
+        '',
+    ),
+    ('simulate mixed23.scheme --against mixed23 -n 2500 --seed 11'
+     ' --shards 3 --min-count 900 --json'): (
+        0,
+        '{"kind":"simulation","samples":2500,"decode_success":1.0,'
+        '"empirical_qz":[0.348,0.1712,0.4808],"tv_secrecy":[null,null,'
+        '0.0024958402662229595],"max_tv":0.0024958402662229595,'
+        '"min_count":900,"shards":3,"seed":11}',
+        '',
+    ),
+}
+
+# ``sidepad decode`` on every (y, z) pair of each fixture's built scheme: one
+# string per y label, the decoded state per z label, "-" where the pair is
+# off support.
+DECODE_GOLDEN = {
+    'corr23': ('x1 -', 'x2 x1', '- x2'),
+    'mixed23': ('x1 x1 -', 'x2 - x1', '- x2 x2'),
+    'otp2': ('x1 x2', 'x2 x1'),
+    'det22': ('x1 x2', 'x2 x1'),
+}
+
+
+@pytest.fixture
+def files(paths, tmp_path):
+    """``paths`` plus the built scheme of every feasible fixture."""
+    out = dict(paths)
+    for name, factory in [
+        ("corr23", corr23), ("mixed23", mixed23), ("otp2", otp2), ("det22", det22)
+    ]:
+        path = tmp_path / f"{name}.scheme"
+        path.write_text(sp.serialize_scheme(sp.build_scheme(factory())))
+        out[f"{name}.scheme"] = str(path)
+    return out
+
+
+@pytest.mark.parametrize("key", list(CLI_GOLDEN))
+def test_command_output_is_pinned(capsys, files, tmp_path, key):
+    code, out, err = CLI_GOLDEN[key]
+    target = tmp_path / "out"
+    argv = [str(target) if t == "out" else files.get(t, t) for t in key.split()]
+    if "--json" in argv and out:
+        out = json.dumps(json.loads(out), indent=2) + "\n"
+    got_code, got_out, got_err = run(capsys, *argv)
+    assert (got_code, got_out.replace(str(target), "out"), got_err) == (
+        code, out, err
+    )
+    if "out" in key.split():
+        # The file holds what the command prints without -o and --json.
+        base = key.replace(" -o out", "").replace(" --json", "")
+        if code == 0:
+            assert target.read_text(encoding="utf-8") == CLI_GOLDEN[base][1]
+        else:
+            assert not target.exists()
+
+
+@pytest.mark.parametrize("name", list(DECODE_GOLDEN))
+def test_decode_output_is_pinned(capsys, files, name):
+    path = files[f"{name}.scheme"]
+    scheme = sp.parse_scheme(Path(path).read_text(encoding="utf-8"))
+    for y, row in zip(scheme.y_labels, DECODE_GOLDEN[name]):
+        for z, x in zip(scheme.z_labels, row.split()):
+            if x == "-":
+                miss = (1, "", f"error: pair ({y}, {z}) has zero probability "
+                               "under the scheme\n")
+                expected = [miss, miss]
+            else:
+                expected = [
+                    (0, f"{x}\n", ""),
+                    (0, '{\n  "kind": "decode",\n  "x": "%s"\n}\n' % x, ""),
+                ]
+            assert [
+                run(capsys, "decode", path, "--y", y, "--z", z, *flags)
+                for flags in ((), ("--json",))
+            ] == expected
+
+
 # --- plumbing ---------------------------------------------------------------
 
 
@@ -612,6 +1098,14 @@ def test_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(tmp_path / "nope.inst"))
     assert code == 2
     assert "error:" in err
+
+
+def test_a_document_that_is_not_utf8_is_malformed_input(capsys, tmp_path):
+    path = tmp_path / "latin1.inst"
+    path.write_bytes("INSTANCE v1\n1 1\nx\u00e9\ny1\n1\n".encode("latin-1"))
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_help_exits_zero(capsys):

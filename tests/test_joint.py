@@ -4,6 +4,7 @@ defining formula Q(x_i, y_j, z_k) = alpha_k * P_X(x_i) * [sigma_k(i) = j]
 over all (i, j, k) triples."""
 
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -349,3 +350,37 @@ def scrambled_schemes(draw):
 @given(scrambled_schemes())
 def test_compiled_joint_matches_brute_force_on_random_schemes(case):
     assert_matches_brute_force(*case)
+
+
+def _wide_document(n=1000):
+    """A SCHEME v1 document of about 20 KiB: n states, n columns and one
+    signal that sends state i to column i."""
+    return sp.serialize_scheme(sp.Scheme(
+        x_labels=tuple(f"x{i+1}" for i in range(n)),
+        y_labels=tuple(f"y{j+1}" for j in range(n)),
+        z_labels=("z1",),
+        px=(F(1, n),) * n,
+        weights=(F(1),),
+        assignments=(tuple(range(n)),),
+    ))
+
+
+WIDE_CALLS = {
+    "decode": (lambda s: sp.decode(s, 999, 0), 999),
+    "encode": (lambda s: sp.encode(s, 999, 999, sp.RandomSource(1)), 0),
+    "necessity_audit": (lambda s: sp.necessity_audit(s).ok, True),
+}
+
+
+@pytest.mark.parametrize("name", list(WIDE_CALLS))
+def test_a_small_wide_scheme_compiles_without_an_n_by_m_grid(name):
+    call, expected = WIDE_CALLS[name]
+    # A fresh parse per call, so the traced call compiles the joint itself.
+    scheme = sp.parse_scheme(_wide_document())
+    tracemalloc.start()
+    try:
+        assert call(scheme) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"{name} peaked at {peak / 2**20:.1f} MiB"
