@@ -440,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--allow-unverified", action="store_true")
 
-    p = command(cmd_oracle, "brute-force feasibility over all m! permutations")
+    p = command(cmd_oracle, "brute-force LP over permutation mixtures on the support")
     p.add_argument("instance", help="INSTANCE v1 file")
 
     p = command(

@@ -30,13 +30,12 @@ The decode table reads the same form, and so does the runtime, which
 refuses unverified schemes through ``verify_scheme``.
 
 ``feasibility_oracle`` answers "does any scheme exist?" by brute force —
-an exact phase-1 simplex over weights on all m! permutations — sharing no
+an exact phase-1 simplex over mixtures of support injections — sharing no
 code with the constructive pipeline, so the two can cross-check each other.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -274,7 +273,7 @@ def necessity_audit(scheme: Scheme) -> NecessityAudit:
     triple_ok = True
     for i, row in enumerate(phi):
         q_xz: dict[int, int] = {}
-        for k in itertools.chain.from_iterable(row.values()):
+        for k in (k for ks in row.values() for k in ks):
             q_xz[k] = q_xz.get(k, 0) + a[k] * b[i]
         for j in sorted(row):
             for k in row[j]:
@@ -341,20 +340,26 @@ def necessity_audit(scheme: Scheme) -> NecessityAudit:
 @dataclass(frozen=True)
 class OracleReport:
     """Brute-force verdict; ``support`` lists (weight, permutation) pairs of
-    a witnessing mixture when feasible, None otherwise."""
+    a witnessing mixture when feasible, None otherwise: support injections
+    with the free rows n..m-1 filled by the unused columns, ascending."""
 
     feasible: bool
     support: Optional[tuple[tuple[Fraction, tuple[int, ...]], ...]]
 
 
 def feasibility_oracle(inst: Instance, *, max_m: int = 6) -> OracleReport:
-    """Decide scheme existence by exact linear programming over all m!
-    permutations — no extension, no matchings, no decomposition.
+    """Decide scheme existence by exact LP over support injections — no
+    extension, no matchings, no decomposition.
 
-    A scheme exists iff some distribution over permutations of the m
-    columns reproduces every conditional row on the supported states.
-    Refuses m above ``max_m`` (factorial blow-up) with
-    :class:`CapExceededError`.
+    A scheme exists iff some mixture of column permutations reproduces the
+    conditional rows of the supported states: one 0/1 row per (state,
+    column), one variable >= 0 per permutation.  A permutation sending a
+    state to a zero cell has a 1 in a row whose right-hand side is 0, so it
+    is 0 in every feasible solution; dropping those empties the zero rows.
+    One variable per injection of the states into their supports and one
+    row per supported cell thus keep the same feasible mixtures, and no
+    injection (Hall fails on the support) means no scheme, with no solve.
+    Refuses m above ``max_m`` with :class:`CapExceededError`.
     """
     if inst.m > max_m:
         raise CapExceededError(
@@ -362,23 +367,18 @@ def feasibility_oracle(inst: Instance, *, max_m: int = 6) -> OracleReport:
             f"({inst.m}! permutation variables)"
         )
     cm = conditional_y_given_x(inst)
-    if cm.n > cm.m:
-        # Each signal must pair the supported states with distinct columns;
-        # with more states than columns no assignment exists, mixture or not.
-        return OracleReport(feasible=False, support=None)
-    perms = list(itertools.permutations(range(cm.m)))
-    rows = []
-    rhs = []
-    for i in range(cm.n):
-        for j in range(cm.m):
-            rows.append([1 if perm[i] == j else 0 for perm in perms])
-            rhs.append(cm.entries[i][j])
-    solution = feasible_nonnegative_solution(rows, rhs)
-    if solution is None:
-        return OracleReport(feasible=False, support=None)
-    support = tuple(
-        (weight, perms[idx])
-        for idx, weight in enumerate(solution)
-        if weight > 0
+    supports = [[j for j in range(cm.m) if cm.entries[i][j]] for i in range(cm.n)]
+    injections = [()]
+    for cols in supports:
+        injections = [inj + (j,) for inj in injections for j in cols if j not in inj]
+    cells = [(i, j) for i, cols in enumerate(supports) for j in cols]
+    solution = injections and feasible_nonnegative_solution(
+        [[1 if inj[i] == j else 0 for inj in injections] for i, j in cells],
+        [cm.entries[i][j] for i, j in cells],
     )
-    return OracleReport(feasible=True, support=support)
+    if not solution:
+        return OracleReport(feasible=False, support=None)
+    return OracleReport(feasible=True, support=tuple(
+        (weight, inj + tuple(j for j in range(cm.m) if j not in inj))
+        for inj, weight in zip(injections, solution) if weight > 0
+    ))

@@ -8,7 +8,9 @@ for schemes the column indices 0 and m+1 just outside 1..m.  Whatever
 comes out, the library may raise only ``SidepadError`` subclasses (never
 ``InternalInvariantError``), and the CLI (``check`` on instances;
 ``verify``, ``decode`` and ``encode`` on schemes) must answer with an exit
-code 0-3 and at most one ``error:`` line, never a traceback.
+code 0-3 and at most one ``error:`` line, never a traceback.  The same
+holds for ``cli.main`` on argument vectors drawn from the subcommands,
+their flags, fixture paths and small numbers.
 """
 
 import contextlib
@@ -182,3 +184,101 @@ def test_scheme_commands_on_a_mutated_document_exit_cleanly(tmp_path, case):
         assert "Traceback" not in err.getvalue()
         assert len(lines) <= 1 and all(line.startswith("error: ") for line in lines)
         assert bool(lines) == (code in (2, 3) or not out.getvalue())
+
+
+# --- cli.main argv ----------------------------------------------------------
+
+# Placeholders for the files each example writes; "@missing" is never
+# written and "@dir" is the example's directory.
+FIXTURES = {
+    "@otp2.inst": sp.serialize_instance(otp2()),
+    "@corr23.inst": sp.serialize_instance(corr23()),
+    "@skew22.inst": sp.serialize_instance(skew22()),
+    "@mixed23.inst": sp.serialize_instance(mixed23()),
+    # One state over seven values: past the oracle's column cap.
+    "@wide7.inst": sp.serialize_instance(
+        sp.make_instance(["x1"], [f"y{j+1}" for j in range(7)], [["1/7"] * 7])
+    ),
+    "@otp2.scheme": sp.serialize_scheme(sp.build_scheme(otp2())),
+    "@corr23.scheme": sp.serialize_scheme(sp.build_scheme(corr23())),
+    "@garbage": "SCHEME v1\nnot a document\n",
+}
+INSTANCES = [name for name in FIXTURES if name.endswith(".inst")]
+SCHEMES = [name for name in FIXTURES if name.endswith(".scheme")]
+COMMANDS = ["check", "build", "verify", "encode", "decode", "simulate",
+            "oracle", "shannon", "deterministic"]
+FLAGS = ["-o", "--output", "--against", "--x", "--y", "--z", "--seed", "-n",
+         "--samples", "--shards", "--min-count", "--allow-unverified", "-m",
+         "--limit", "--json", "-h", "--help"]
+# Numbers stay at or below 50, so no draw asks for a long simulation or a
+# large shannon grid.
+NUMBERS = ["0", "-1", "1", "2", "3", "7", "50", "1.5", "1e3", "0x10", "", "x",
+           "٣", "-", "--"]
+LABELS = ["x1", "x2", "x3", "y1", "y2", "y3", "y7", "z1", "z2", "z9"]
+TOKENS = st.sampled_from(
+    COMMANDS + FLAGS + NUMBERS + LABELS + [*FIXTURES, "@missing", "@dir", "@out"]
+)
+
+
+@st.composite
+def argvs(draw):
+    """A valid invocation of one subcommand with up to four tokens swapped,
+    deleted, duplicated, or inserted or replaced from the pool; or pool
+    tokens alone."""
+    inst = draw(st.sampled_from(INSTANCES))
+    scheme = draw(st.sampled_from(SCHEMES))
+    number = draw(st.sampled_from(["1", "2", "7", "50"]))
+    templates = {
+        "check": [inst],
+        "build": [inst, "-o", "@out"],
+        "verify": [scheme, "--against", inst],
+        "encode": [scheme, "--x", "x1", "--y", "y1", "--seed", number],
+        "decode": [scheme, "--y", "y1", "--z", "z1"],
+        "simulate": [scheme, "--against", inst, "-n", number, "--seed", "1",
+                     "--shards", number],
+        "oracle": [inst],
+        "shannon": ["-n", number, "-m", "3"],
+        "deterministic": [inst, "--limit", number],
+    }
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.lists(TOKENS, max_size=8))
+    command = draw(st.sampled_from(COMMANDS))
+    argv = [command, *templates[command]]
+    if draw(st.booleans()):
+        argv.append("--json")
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(st.integers(0, len(argv)))
+        kind = draw(st.sampled_from(
+            ["swap", "delete", "duplicate", "replace", "insert"]))
+        if kind == "insert" or k == len(argv):
+            argv.insert(k, draw(TOKENS))
+        elif kind == "swap":
+            other = draw(st.integers(0, len(argv) - 1))
+            argv[k], argv[other] = argv[other], argv[k]
+        elif kind == "delete":
+            del argv[k]
+        elif kind == "duplicate":
+            argv.insert(k, argv[k])
+        else:
+            argv[k] = draw(TOKENS)
+    return argv
+
+
+@FUZZ
+@given(argv=argvs())
+def test_main_on_a_drawn_argv_exits_cleanly(tmp_path, monkeypatch, argv):
+    # Any token may follow -o, so relative outputs must land in tmp_path.
+    monkeypatch.chdir(tmp_path)
+    paths = {"@dir": str(tmp_path), "@missing": str(tmp_path / "missing"),
+             "@out": str(tmp_path / "out")}
+    for name, text in FIXTURES.items():
+        paths[name] = str(tmp_path / name[1:])
+        (tmp_path / name[1:]).write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    # InternalInvariantError is not among main's exit codes: reaching it
+    # raises out of main and fails the example.
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([paths.get(token, token) for token in argv])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert sum(line.startswith("error:") for line in err.getvalue().splitlines()) <= 1

@@ -89,9 +89,11 @@ def _assert_same_solution(rows, rhs):
 
 
 def _oracle_lps(instances):
-    """The oracle's systems: one 0/1 row per (supported state, column) over
-    all m! permutations, right-hand side the conditional entry; instances
-    with more supported states than columns never reach the solver."""
+    """The dense all-permutation systems the oracle solved before it moved
+    to support injections, kept as simplex workloads: one 0/1 row per
+    (supported state, column) over all m! permutations, right-hand side the
+    conditional entry; instances with more supported states than columns
+    are skipped."""
     for inst in instances:
         cm = sp.conditional_y_given_x(inst)
         if cm.n > cm.m:

@@ -1,12 +1,16 @@
 """The three laws, the necessity audit, and the brute-force oracle."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
 import sidepad as sp
-from corpus import corr23, det22, mixed23, otp2, skew22
+from sidepad import verification
+from sidepad.simplex import feasible_nonnegative_solution
+from corpus import corpus, corr23, det22, mixed23, otp2, skew22
+from test_simplex import _triage_instances
 
 
 @pytest.fixture
@@ -280,3 +284,97 @@ def test_oracle_matches_column_condition_on_random_instances():
         )
         checked += 1
     assert checked == 150
+
+
+def _dense_oracle(inst):
+    """The LP the support-injection oracle replaced: one variable per
+    permutation of all m columns, one 0/1 row per (supported state, column),
+    zero cells included, right-hand side the conditional entry; more
+    supported states than columns is infeasible without a solve."""
+    cm = sp.conditional_y_given_x(inst)
+    if cm.n > cm.m:
+        return sp.OracleReport(feasible=False, support=None)
+    perms = list(itertools.permutations(range(cm.m)))
+    rows = [[1 if perm[i] == j else 0 for perm in perms]
+            for i in range(cm.n) for j in range(cm.m)]
+    rhs = [cm.entries[i][j] for i in range(cm.n) for j in range(cm.m)]
+    solution = feasible_nonnegative_solution(rows, rhs)
+    if solution is None:
+        return sp.OracleReport(feasible=False, support=None)
+    return sp.OracleReport(feasible=True, support=tuple(
+        (weight, perm) for perm, weight in zip(perms, solution) if weight > 0
+    ))
+
+
+def _assert_oracle_support_rebuilds(inst, report):
+    """Permutations of range(m) with positive weights summing to 1, each
+    sending every supported state to a positive cell and filling its free
+    rows with the unused columns ascending, that rebuild every entry of
+    P(Y|X), zero cells included."""
+    cm = sp.conditional_y_given_x(inst)
+    assert all(type(w) is F and w > 0 for w, _ in report.support)
+    assert sum(w for w, _ in report.support) == 1
+    for _, perm in report.support:
+        assert sorted(perm) == list(range(cm.m))
+        assert list(perm[cm.n:]) == sorted(set(range(cm.m)) - set(perm[:cm.n]))
+        assert all(cm.entries[i][perm[i]] > 0 for i in range(cm.n))
+    for i in range(cm.n):
+        for j in range(cm.m):
+            mass = sum((w for w, perm in report.support if perm[i] == j), F(0))
+            assert mass == cm.entries[i][j]
+
+
+@pytest.mark.parametrize("source", ["corpus", 1, 2, 3])
+def test_oracle_matches_the_dense_permutation_lp(source):
+    instances = corpus() if source == "corpus" else _triage_instances(source)
+    feasible = 0
+    for inst in instances:
+        report = sp.feasibility_oracle(inst)
+        assert report.feasible == _dense_oracle(inst).feasible
+        if report.feasible:
+            _assert_oracle_support_rebuilds(inst, report)
+            feasible += 1
+        else:
+            assert report.support is None
+    assert 0 < feasible < len(instances)
+
+
+@pytest.fixture
+def lp_columns(monkeypatch):
+    """The column count of every system the oracle hands the solver."""
+    columns = []
+    solve = verification.feasible_nonnegative_solution
+
+    def recording(rows, rhs):
+        columns.append(len(rows[0]))
+        return solve(rows, rhs)
+
+    monkeypatch.setattr(verification, "feasible_nonnegative_solution", recording)
+    return columns
+
+
+def test_oracle_lp_on_the_identity_has_one_column(lp_columns):
+    identity = [[F(int(i == j)) for j in range(6)] for i in range(6)]
+    inst = sp.instance_from_conditional([F(1, 6)] * 6, identity)
+    report = sp.feasibility_oracle(inst)
+    assert report.support == ((F(1), tuple(range(6))),)
+    assert lp_columns == [1]  # 720 permutations in the dense LP
+
+
+def test_oracle_lp_on_a_two_cell_band_has_two_columns(lp_columns):
+    band = [[F(1, 2) if j in (i, (i + 1) % 5) else F(0) for j in range(5)]
+            for i in range(5)]
+    inst = sp.instance_from_conditional([F(1, 5)] * 5, band)
+    report = sp.feasibility_oracle(inst)
+    assert report.feasible and sp.check_feasible(inst).feasible
+    _assert_oracle_support_rebuilds(inst, report)
+    assert len(lp_columns) == 1 and lp_columns[0] <= 2  # 120 in the dense LP
+
+
+def test_oracle_without_a_support_injection_never_solves(lp_columns):
+    inst = sp.make_instance(
+        ["x1", "x2"], ["y1", "y2", "y3"], [["1/2", "0", "0"], ["1/2", "0", "0"]]
+    )
+    assert sp.feasibility_oracle(inst) == sp.OracleReport(feasible=False, support=None)
+    assert not sp.check_feasible(inst).feasible
+    assert lp_columns == []
