@@ -41,12 +41,16 @@ from .errors import (
 from .model import (
     ConditionalMatrix,
     Instance,
+    _clip_rat,
     _fractions,
     _numerators,
     as_fraction,
     conditional_y_given_x,
     rat_str,
 )
+
+# find_deterministic_scheme backtracks over column choices, exponential in m.
+_DETERMINISTIC_MAX_M = 8
 
 
 @dataclass(frozen=True)
@@ -102,9 +106,9 @@ class Scheme:
     marks an unassigned row — never produced by construction, but
     representable so that verification can diagnose broken schemes.
 
-    Only shape constraints are enforced here.  Whether the weights sum to
-    one, the assignments are bijections, and the scheme matches a given
-    instance are questions for ``sidepad.verification``.
+    Only shape and positivity constraints are enforced here.  Whether the
+    weights sum to one, the assignments are bijections, and the scheme
+    matches a given instance are questions for ``sidepad.verification``.
     """
 
     x_labels: tuple[str, ...]
@@ -125,11 +129,13 @@ class Scheme:
             if len(set(labels)) != len(labels):
                 raise InputError(f"duplicate {kind} labels in scheme")
         px = tuple(as_fraction(v) for v in self.px)
-        if len(px) != n or any(v <= 0 for v in px):
-            raise InputError("scheme needs one positive mass per state")
         weights = tuple(as_fraction(v) for v in self.weights)
-        if len(weights) != p or any(v <= 0 for v in weights):
-            raise InputError("scheme needs one positive weight per signal")
+        if len(px) != n or len(weights) != p:
+            raise InputError("scheme needs one mass per state and one weight per signal")
+        for kind, values in (("state mass", px), ("signal weight", weights)):
+            bad = next((v for v in values if v <= 0), None)
+            if bad is not None:
+                raise InputError(f"{kind} must be positive, got {_clip_rat(bad)}")
         if len(self.assignments) != p:
             raise InputError("scheme needs one assignment per signal")
         assignments = []
@@ -464,7 +470,7 @@ class DeterministicSearch:
 
 
 def find_deterministic_scheme(
-    inst: Instance, *, limit: int = 1_000_000, max_m: int = 8
+    inst: Instance, *, limit: int = 1_000_000
 ) -> DeterministicSearch:
     """Search for a scheme whose encoder is deterministic: every supported
     (x, y) maps to exactly one signal.
@@ -478,12 +484,13 @@ def find_deterministic_scheme(
     scheme is a relabeling of one found this way), and the remaining rows
     are filled by exhaustive backtracking.
 
-    Raises :class:`CapExceededError` for m above ``max_m`` and
-    :class:`InfeasibleError` for infeasible instances.
+    Raises :class:`CapExceededError` for m above ``_DETERMINISTIC_MAX_M``
+    and :class:`InfeasibleError` for infeasible instances.
     """
-    if inst.m > max_m:
+    if inst.m > _DETERMINISTIC_MAX_M:
         raise CapExceededError(
-            f"deterministic search caps at m={max_m} columns; got {inst.m}"
+            f"deterministic search caps at m={_DETERMINISTIC_MAX_M} columns; "
+            f"got {inst.m}"
         )
     cm = conditional_y_given_x(inst)
     _column_condition(cm, strict=True)

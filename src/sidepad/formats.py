@@ -28,27 +28,32 @@ and other scripts' digits are refused.
     p signal lines:  z-label  weight  m 1-based column indices
 
 Scheme parsing enforces *syntax* only: header, counts, parseable rationals,
-positive weights and masses, unique labels, column indices in range.  The
-semantic laws — weights summing to one, per-signal bijectivity, agreement
-with a particular instance — are deliberately left to verification, so a
-hand-edited broken scheme still loads and then fails ``verify`` with a
-witness instead of being unreadable.
+column indices in range.  :class:`Scheme` enforces unique labels and
+positive weights and masses.  The semantic laws — weights summing to one,
+per-signal bijectivity, agreement with a particular instance — are
+deliberately left to verification, so a hand-edited broken scheme still
+loads and then fails ``verify`` with a witness instead of being unreadable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from typing import Callable
 
 from .construction import Scheme
 from .errors import InputError
-from .model import Instance, _clip, _clip_rat, make_instance, rat_parse, rat_str
+from .model import Instance, _clip, make_instance, rat_parse, rat_str
 
 INSTANCE_MAGIC = ("INSTANCE", "v1")
 SCHEME_MAGIC = ("SCHEME", "v1")
 
 
 class _Cursor:
-    """Token stream with positional error messages."""
+    """Token stream read in counted runs, converted in order.  ``what(k)``
+    names a run's k-th token (from 0) only in a message: for the token
+    refused, or the first one missing once those before it have passed.
+    A run is a slice, so a header that claims 10**9 tokens costs nothing."""
 
     def __init__(self, text: str):
         tokens: list[str] = []
@@ -57,34 +62,13 @@ class _Cursor:
         self._tokens = tokens
         self._pos = 0
 
-    def next(self, what: str) -> str:
-        if self._pos >= len(self._tokens):
-            raise InputError(f"unexpected end of document: expected {what}")
-        token = self._tokens[self._pos]
-        self._pos += 1
-        return token
-
-    def next_int(self, what: str, minimum: int = 1) -> int:
-        token = self.next(what)
-        if not (token.isascii() and token.isdigit()):
-            raise InputError(f"expected {what}, got {_clip(token)}")
-        try:
-            value = int(token)
-        except ValueError:
-            # int()'s limit on digits per conversion (4,300 by default).
-            raise InputError(
-                f"{what} too long ({len(token)} digits): {_clip(token)}"
-            ) from None
-        if value < minimum:
-            raise InputError(f"{what} must be >= {minimum}, got {value}")
-        return value
-
-    def next_rational(self, what: str) -> Fraction:
-        token = self.next(what)
-        try:
-            return rat_parse(token)
-        except InputError as exc:
-            raise InputError(f"{what}: {exc}") from None
+    def run(self, count: int, what: Callable[[int], str], convert=None) -> list:
+        tokens = self._tokens[self._pos : self._pos + count]
+        self._pos += len(tokens)
+        values = tokens if convert is None else convert(tokens, what)
+        if len(tokens) < count:
+            raise InputError(f"unexpected end of document: expected {what(len(tokens))}")
+        return values
 
     def finish(self, kind: str) -> None:
         if self._pos != len(self._tokens):
@@ -92,11 +76,42 @@ class _Cursor:
             raise InputError(f"trailing tokens after {kind} document (first: {extra!r})")
 
     def expect_magic(self, magic: tuple[str, str]) -> None:
-        got = (self.next("format name"), self.next("format version"))
+        got = tuple(self.run(2, ("format name", "format version").__getitem__))
         if got != magic:
             raise InputError(
                 f"bad header: expected {' '.join(magic)!r}, got {' '.join(got)!r}"
             )
+
+
+def _counts(tokens: list[str], what: Callable[[int], str], top=None) -> list[int]:
+    """Counts and 1-based column indices: ASCII digits, from 1 up to ``top``."""
+    values: list[int] = []
+    for token in tokens:
+        if not (token.isascii() and token.isdigit()):
+            raise InputError(f"expected {what(len(values))}, got {_clip(token)}")
+        try:
+            value = int(token)
+        except ValueError:
+            # int()'s limit on digits per conversion (4,300 by default).
+            raise InputError(
+                f"{what(len(values))} too long ({len(token)} digits): {_clip(token)}"
+            ) from None
+        if value < 1:
+            raise InputError(f"{what(len(values))} must be >= 1, got {value}")
+        if top is not None and value > top:
+            raise InputError(f"column index {value} out of range 1..{top}")
+        values.append(value)
+    return values
+
+
+def _rationals(tokens: list[str], what: Callable[[int], str]) -> list[Fraction]:
+    values: list[Fraction] = []
+    try:
+        for token in tokens:
+            values.append(rat_parse(token))
+    except InputError as exc:
+        raise InputError(f"{what(len(values))}: {exc}") from None
+    return values
 
 
 def parse_instance(text: str) -> Instance:
@@ -104,12 +119,11 @@ def parse_instance(text: str) -> Instance:
     malformation, including mass not summing to one."""
     cur = _Cursor(text)
     cur.expect_magic(INSTANCE_MAGIC)
-    n = cur.next_int("state count n")
-    m = cur.next_int("side-information count m")
-    x_labels = [cur.next(f"x label {i+1}") for i in range(n)]
-    y_labels = [cur.next(f"y label {j+1}") for j in range(m)]
+    n, m = cur.run(2, ("state count n", "side-information count m").__getitem__, _counts)
+    x_labels = cur.run(n, lambda i: f"x label {i+1}")
+    y_labels = cur.run(m, lambda j: f"y label {j+1}")
     grid = [
-        [cur.next_rational(f"P_XY entry ({i+1},{j+1})") for j in range(m)]
+        cur.run(m, lambda j: f"P_XY entry ({i+1},{j+1})", _rationals)
         for i in range(n)
     ]
     cur.finish("INSTANCE")
@@ -132,35 +146,21 @@ def parse_scheme(text: str) -> Scheme:
     """Parse a ``SCHEME v1`` document (syntax checks only; see module doc)."""
     cur = _Cursor(text)
     cur.expect_magic(SCHEME_MAGIC)
-    n = cur.next_int("state count n")
-    m = cur.next_int("column count m")
-    p = cur.next_int("signal count p")
+    n, m, p = cur.run(
+        3, ("state count n", "column count m", "signal count p").__getitem__, _counts
+    )
     if n > m:
         raise InputError(f"scheme needs n <= m, got n={n} m={m}")
-    x_labels = [cur.next(f"x label {i+1}") for i in range(n)]
-    y_labels = [cur.next(f"y label {j+1}") for j in range(m)]
-    px = []
-    for i in range(n):
-        v = cur.next_rational(f"P_X({x_labels[i] if i < len(x_labels) else i+1})")
-        if v <= 0:
-            raise InputError(f"state mass must be positive, got {_clip_rat(v)}")
-        px.append(v)
-    z_labels = []
-    weights = []
-    assignments = []
+    x_labels = cur.run(n, lambda i: f"x label {i+1}")
+    y_labels = cur.run(m, lambda j: f"y label {j+1}")
+    px = cur.run(n, lambda i: f"P_X({x_labels[i]})", _rationals)
+    columns = partial(_counts, top=m)
+    z_labels, weights, assignments = [], [], []
     for k in range(p):
-        z_labels.append(cur.next(f"z label {k+1}"))
-        w = cur.next_rational(f"weight of signal {k+1}")
-        if w <= 0:
-            raise InputError(f"signal weight must be positive, got {_clip_rat(w)}")
-        weights.append(w)
-        sigma = []
-        for i in range(m):
-            col = cur.next_int(f"column for row {i+1} of signal {k+1}", minimum=1)
-            if col > m:
-                raise InputError(f"column index {col} out of range 1..{m}")
-            sigma.append(col - 1)
-        assignments.append(tuple(sigma))
+        z_labels += cur.run(1, lambda _: f"z label {k+1}")
+        weights += cur.run(1, lambda _: f"weight of signal {k+1}", _rationals)
+        sigma = cur.run(m, lambda i: f"column for row {i+1} of signal {k+1}", columns)
+        assignments.append([col - 1 for col in sigma])
     cur.finish("SCHEME")
     return Scheme(
         x_labels=tuple(x_labels),
@@ -179,9 +179,6 @@ def serialize_scheme(scheme: Scheme) -> str:
     row (possible in code, useful to exercise verification failures) has
     no wire form and is refused.
     """
-    for sigma in scheme.assignments:
-        if any(col is None for col in sigma):
-            raise InputError("scheme with unassigned rows cannot be serialized")
     lines = [
         " ".join(SCHEME_MAGIC),
         f"{scheme.n} {scheme.m} {scheme.p}",
@@ -189,7 +186,9 @@ def serialize_scheme(scheme: Scheme) -> str:
         " ".join(scheme.y_labels),
         " ".join(rat_str(v) for v in scheme.px),
     ]
-    for k in range(scheme.p):
-        cols = " ".join(str(col + 1) for col in scheme.assignments[k])  # type: ignore[operator]
-        lines.append(f"{scheme.z_labels[k]} {rat_str(scheme.weights[k])} {cols}")
+    for z, w, sigma in zip(scheme.z_labels, scheme.weights, scheme.assignments):
+        cols = [str(col + 1) for col in sigma if col is not None]
+        if len(cols) < len(sigma):
+            raise InputError("scheme with unassigned rows cannot be serialized")
+        lines.append(f"{z} {rat_str(w)} {' '.join(cols)}")
     return "\n".join(lines) + "\n"

@@ -56,6 +56,9 @@ Witness = dict[str, object]
 # of VerificationReport.
 LAWS = ("consistency", "informativeness", "secrecy")
 
+# The oracle's LP has one variable per support injection: up to m! of them.
+_ORACLE_MAX_M = 6
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -347,7 +350,7 @@ class OracleReport:
     support: Optional[tuple[tuple[Fraction, tuple[int, ...]], ...]]
 
 
-def feasibility_oracle(inst: Instance, *, max_m: int = 6) -> OracleReport:
+def feasibility_oracle(inst: Instance) -> OracleReport:
     """Decide scheme existence by exact LP over support injections — no
     extension, no matchings, no decomposition.
 
@@ -359,13 +362,10 @@ def feasibility_oracle(inst: Instance, *, max_m: int = 6) -> OracleReport:
     One variable per injection of the states into their supports and one
     row per supported cell thus keep the same feasible mixtures, and no
     injection (Hall fails on the support) means no scheme, with no solve.
-    Refuses m above ``max_m`` with :class:`CapExceededError`.
+    Refuses m above ``_ORACLE_MAX_M`` with :class:`CapExceededError`.
     """
-    if inst.m > max_m:
-        raise CapExceededError(
-            f"oracle caps at m={max_m} columns; got {inst.m} "
-            f"({inst.m}! permutation variables)"
-        )
+    if inst.m > _ORACLE_MAX_M:
+        raise CapExceededError(f"oracle caps at m={_ORACLE_MAX_M} columns; got {inst.m}")
     cm = conditional_y_given_x(inst)
     supports = [[j for j in range(cm.m) if cm.entries[i][j]] for i in range(cm.n)]
     injections = [()]

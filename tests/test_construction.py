@@ -330,13 +330,14 @@ def test_p_x_is_summed_once_per_call(call):
     assert _marginal_x_calls(call, corr23()) == 1
 
 
-def test_deterministic_search_caps_width():
+def test_deterministic_search_caps_width(monkeypatch):
     inst = sp.make_instance(
         ["x1"], [f"y{j}" for j in range(9)], [[F(1, 9)] * 9]
     )
     with pytest.raises(sp.CapExceededError):
         sp.find_deterministic_scheme(inst)
-    assert sp.find_deterministic_scheme(inst, max_m=9).status == "found"
+    monkeypatch.setattr(sp.construction, "_DETERMINISTIC_MAX_M", 9)
+    assert sp.find_deterministic_scheme(inst).status == "found"
 
 
 def test_deterministic_search_refuses_infeasible():

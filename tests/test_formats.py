@@ -1,12 +1,19 @@
 """INSTANCE v1 / SCHEME v1 documents: parsing, serialization, round-trips."""
 
+import tracemalloc
+from fractions import Fraction
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sidepad as sp
-from corpus import corr23, det22, mixed23, otp2
+from corpus import corpus, corr23, det22, mixed23, otp2
+from sidepad.errors import InputError
+from sidepad.formats import INSTANCE_MAGIC, SCHEME_MAGIC
+from sidepad.model import _clip, _clip_rat, make_instance, rat_parse
 from test_model import DIGIT_LIMIT, instances, needs_digit_limit
 
 CORR23_DOC = """\
@@ -144,6 +151,23 @@ def test_scheme_shape_validation():
             px=(F(1, 2), F(1, 2)), weights=(F(1),), assignments=((0,),),
         )
 
+    def scheme(px, weights):
+        return sp.Scheme(
+            x_labels=("x1", "x2"), y_labels=("y1", "y2"), z_labels=("z1", "z2"),
+            px=px, weights=weights, assignments=((0, 1), (1, 0)),
+        )
+
+    half = (F(1, 2), F(1, 2))
+    with pytest.raises(sp.InputError, match="^state mass must be positive, got 0$"):
+        scheme((F(0), F(1)), half)
+    with pytest.raises(sp.InputError, match="^signal weight must be positive, got -1/2$"):
+        scheme(half, (F(-1, 2), F(3, 2)))
+    # Two bad values: the first in order is named, masses before weights.
+    with pytest.raises(sp.InputError, match="^state mass must be positive, got -1$"):
+        scheme((F(-1), F(0)), (F(0), F(1)))
+    with pytest.raises(sp.InputError):
+        scheme((F(1),), half)  # one mass for two states
+
 
 # Header counts are plain ASCII digit strings: int() alone would also read
 # '1_0' as 10 and '٣' (Arabic-Indic three) as 3.
@@ -173,6 +197,25 @@ def test_parse_scheme_counts_and_indices_are_ascii(old, new):
         sp.parse_scheme(doc.replace(old, new, 1))
 
 
+@pytest.mark.parametrize(
+    "parse, text",
+    [(sp.parse_instance, "INSTANCE v1\n10000000 2\nx1\n"),
+     (sp.parse_scheme, "SCHEME v1\n1 10000000 10000000\nx1\n")],
+    ids=["instance", "scheme"],
+)
+def test_a_header_claiming_many_tokens_reads_only_the_document(parse, text):
+    # A run takes the tokens there are, never a list of the count claimed:
+    # 10**7 slots would show as 80 MB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(sp.InputError, match="^unexpected end of document"):
+            parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peaked at {peak / 2**20:.1f} MiB"
+
+
 @needs_digit_limit
 @pytest.mark.parametrize(
     "old, new",
@@ -187,3 +230,173 @@ def test_parse_scheme_refuses_numbers_past_the_digit_limit(old, new):
     with pytest.raises(sp.InputError, match="too long") as caught:
         sp.parse_scheme(long_doc)
     assert len(str(caught.value)) < 200
+
+
+# The reader as it was before it read counted runs, kept verbatim as the
+# reference for the differential test below: it formatted a position
+# message for every token and checked mass and weight positivity itself.
+class _ReferenceCursor:
+    """Token stream with positional error messages."""
+
+    def __init__(self, text: str):
+        tokens: list[str] = []
+        for line in text.splitlines():
+            tokens.extend(line.split("#", 1)[0].split())
+        self._tokens = tokens
+        self._pos = 0
+
+    def next(self, what: str) -> str:
+        if self._pos >= len(self._tokens):
+            raise InputError(f"unexpected end of document: expected {what}")
+        token = self._tokens[self._pos]
+        self._pos += 1
+        return token
+
+    def next_int(self, what: str, minimum: int = 1) -> int:
+        token = self.next(what)
+        if not (token.isascii() and token.isdigit()):
+            raise InputError(f"expected {what}, got {_clip(token)}")
+        try:
+            value = int(token)
+        except ValueError:
+            # int()'s limit on digits per conversion (4,300 by default).
+            raise InputError(
+                f"{what} too long ({len(token)} digits): {_clip(token)}"
+            ) from None
+        if value < minimum:
+            raise InputError(f"{what} must be >= {minimum}, got {value}")
+        return value
+
+    def next_rational(self, what: str) -> Fraction:
+        token = self.next(what)
+        try:
+            return rat_parse(token)
+        except InputError as exc:
+            raise InputError(f"{what}: {exc}") from None
+
+    def finish(self, kind: str) -> None:
+        if self._pos != len(self._tokens):
+            extra = self._tokens[self._pos]
+            raise InputError(f"trailing tokens after {kind} document (first: {extra!r})")
+
+    def expect_magic(self, magic: tuple[str, str]) -> None:
+        got = (self.next("format name"), self.next("format version"))
+        if got != magic:
+            raise InputError(
+                f"bad header: expected {' '.join(magic)!r}, got {' '.join(got)!r}"
+            )
+
+
+def _reference_parse_instance(text: str) -> sp.Instance:
+    cur = _ReferenceCursor(text)
+    cur.expect_magic(INSTANCE_MAGIC)
+    n = cur.next_int("state count n")
+    m = cur.next_int("side-information count m")
+    x_labels = [cur.next(f"x label {i+1}") for i in range(n)]
+    y_labels = [cur.next(f"y label {j+1}") for j in range(m)]
+    grid = [
+        [cur.next_rational(f"P_XY entry ({i+1},{j+1})") for j in range(m)]
+        for i in range(n)
+    ]
+    cur.finish("INSTANCE")
+    return make_instance(x_labels, y_labels, grid)
+
+
+def _reference_parse_scheme(text: str) -> sp.Scheme:
+    cur = _ReferenceCursor(text)
+    cur.expect_magic(SCHEME_MAGIC)
+    n = cur.next_int("state count n")
+    m = cur.next_int("column count m")
+    p = cur.next_int("signal count p")
+    if n > m:
+        raise InputError(f"scheme needs n <= m, got n={n} m={m}")
+    x_labels = [cur.next(f"x label {i+1}") for i in range(n)]
+    y_labels = [cur.next(f"y label {j+1}") for j in range(m)]
+    px = []
+    for i in range(n):
+        v = cur.next_rational(f"P_X({x_labels[i] if i < len(x_labels) else i+1})")
+        if v <= 0:
+            raise InputError(f"state mass must be positive, got {_clip_rat(v)}")
+        px.append(v)
+    z_labels = []
+    weights = []
+    assignments = []
+    for k in range(p):
+        z_labels.append(cur.next(f"z label {k+1}"))
+        w = cur.next_rational(f"weight of signal {k+1}")
+        if w <= 0:
+            raise InputError(f"signal weight must be positive, got {_clip_rat(w)}")
+        weights.append(w)
+        sigma = []
+        for i in range(m):
+            col = cur.next_int(f"column for row {i+1} of signal {k+1}", minimum=1)
+            if col > m:
+                raise InputError(f"column index {col} out of range 1..{m}")
+            sigma.append(col - 1)
+        assignments.append(tuple(sigma))
+    cur.finish("SCHEME")
+    return sp.Scheme(
+        x_labels=tuple(x_labels),
+        y_labels=tuple(y_labels),
+        z_labels=tuple(z_labels),
+        px=tuple(px),
+        weights=tuple(weights),
+        assignments=tuple(assignments),
+    )
+
+
+CORPUS = corpus()
+FEASIBLE = [inst for inst in CORPUS if sp.check_feasible(inst).feasible]
+
+
+@cache
+def _scheme_document(index: int) -> str:
+    return sp.serialize_scheme(sp.build_scheme(FEASIBLE[index]))
+
+
+@st.composite
+def one_edit_documents(draw):
+    """A serialized corpus instance, or the scheme built from a feasible
+    one, with one token replaced, deleted or inserted."""
+    if draw(st.booleans()):
+        inst = CORPUS[draw(st.integers(0, len(CORPUS) - 1))]
+        tokens = sp.serialize_instance(inst).split()
+    else:
+        index = draw(st.integers(0, len(FEASIBLE) - 1))
+        inst, tokens = FEASIBLE[index], _scheme_document(index).split()
+    pool = ["", "0", "-1", str(inst.m + 1), "x", "1/0", "\u0663", "1_0", "+1",
+            "-1/2", "0.5", "1e3", draw(st.sampled_from(inst.x_labels + inst.y_labels)),
+            "1" * (DIGIT_LIMIT + 1)]
+    edit = draw(st.sampled_from(["replace", "delete", "insert"]))
+    # Uniform over the document: a drawn integer leans towards the magic line.
+    pos = draw(st.randoms(use_true_random=False)).randrange(len(tokens) + (edit == "insert"))
+    token = draw(st.sampled_from(pool))
+    if edit == "replace":
+        tokens[pos] = token
+    elif edit == "delete":
+        del tokens[pos]
+    else:
+        tokens.insert(pos, token)
+    return " ".join(tokens)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(one_edit_documents())
+def test_reader_matches_the_reference_on_one_edit_documents(text):
+    # A reference refusal for a nonpositive mass or weight may now be
+    # preceded by a later token fault in the same document, which the
+    # reader reports first: there only the error type must agree.
+    for parse, reference in ((sp.parse_instance, _reference_parse_instance),
+                             (sp.parse_scheme, _reference_parse_scheme)):
+        got, want = _outcome(parse, text), _outcome(reference, text)
+        if isinstance(want, tuple) and "must be positive" in want[1]:
+            assert isinstance(got, tuple) and got[0] is want[0]
+        else:
+            assert got == want

@@ -252,13 +252,14 @@ def test_oracle_point_mass():
     assert report.support == ((F(1), (0,)),)
 
 
-def test_oracle_caps_column_count():
+def test_oracle_caps_column_count(monkeypatch):
     inst = sp.make_instance(
         ["x1"], [f"y{j}" for j in range(7)], [[F(1, 7)] * 7]
     )
     with pytest.raises(sp.CapExceededError):
         sp.feasibility_oracle(inst)
-    assert sp.feasibility_oracle(inst, max_m=7).feasible
+    monkeypatch.setattr(verification, "_ORACLE_MAX_M", 7)
+    assert sp.feasibility_oracle(inst).feasible
 
 
 def test_oracle_matches_column_condition_on_random_instances():
