@@ -138,14 +138,19 @@ class Scheme:
                 raise InputError(f"{kind} must be positive, got {_clip_rat(bad)}")
         if len(self.assignments) != p:
             raise InputError("scheme needs one assignment per signal")
+        # A row of ints, bools and Nones that are all columns or None passes
+        # at C speed (types first, so nothing unhashable is hashed); any
+        # other row takes the per-entry test, which names the first bad one.
+        kinds, valid = {int, bool, type(None)}, {None, *range(m)}
         assignments = []
         for sigma in self.assignments:
             row = tuple(sigma)
             if len(row) != m:
                 raise InputError("each assignment must cover all m rows")
-            for col in row:
-                if col is not None and not (isinstance(col, int) and 0 <= col < m):
-                    raise InputError(f"assignment column {col!r} out of range")
+            if not (kinds.issuperset(map(type, row)) and valid.issuperset(row)):
+                for col in row:
+                    if col is not None and not (isinstance(col, int) and 0 <= col < m):
+                        raise InputError(f"assignment column {col!r} out of range")
             assignments.append(row)
         object.__setattr__(self, "px", px)
         object.__setattr__(self, "weights", weights)

@@ -194,6 +194,30 @@ class Instance:
         return tuple(map(_numerators, self.p_xy))
 
     @cached_property
+    def _conditional(self) -> "ConditionalMatrix":
+        """P_{Y|X} for :func:`conditional_y_given_x`, built from each row's
+        integer numerators without a Fraction division.  Memoised outside
+        the dataclass fields: eq, hash and repr ignore it."""
+        px = marginal_x(self)
+        rows = tuple(i for i, v in enumerate(px) if v > 0)
+        if not rows:
+            # Unreachable: a valid Instance's mass sums to 1.  Kept as a guard.
+            raise InputError("instance has empty X support")
+        entries = []
+        for i in rows:
+            # Row i over its own denominator d is nums / d, and P_X(i) = S / d
+            # with S = sum(nums): the conditional row is nums / S.
+            nums, _ = self._rows[i]
+            fraction = _fractions(sum(nums))
+            entries.append(tuple(map(fraction, nums)))
+        return ConditionalMatrix(
+            rows=rows,
+            cols=tuple(range(self.m)),
+            entries=tuple(entries),
+            masses=tuple(px[i] for i in rows),
+        )
+
+    @cached_property
     def _world(self) -> "_Sampler":
         """Exact sampler of (x row, y column) pairs from P_XY, row-major over
         the positive cells: their numerators over the lcm of their
@@ -207,28 +231,62 @@ class Instance:
         return _Sampler(cells, weights)
 
 
+# A sampler whose limit needs at most this many bits keeps its lookup table
+# as a list of 2**bits entries (at most 64 Ki); a wider one bisects.
+_TABLE_BITS = 16
+
+
 class _Sampler:
     """Exact inverse-transform sampler of ``values[k]`` with probability
     ``weights[k] / S`` for positive integer weights summing to S.  With G
-    their gcd, one uniform integer below the limit S / G is bisected into
-    the running sums of ``weights[k] / G``: the table the Fraction masses
-    ``weights[k] / S`` give over the lcm of their denominators.  The
-    integer comes from the runtime's draw rule (``RandomSource.randbelow``);
-    ``runtime.simulate`` reads ``limit`` and ``thresholds`` and applies the
-    same rule inline."""
+    their gcd, the limit is L = S / G and ``thresholds`` are the running
+    sums of ``weights[k] / G``: the table the Fraction masses
+    ``weights[k] / S`` give over the lcm of their denominators.
 
-    __slots__ = ("limit", "thresholds", "values")
+    One draw reads u = ``getrandbits(bits)``, with ``bits`` the bit length
+    of L, and looks it up: ``table[u]`` is ``bisect_right(thresholds, u)``,
+    the index of the value drawn, when u < L, and -1, meaning draw u again,
+    otherwise.  That is the runtime's draw rule (``RandomSource.randbelow``)
+    followed by the bisection, on the same integers.  Up to ``_TABLE_BITS``
+    bits the table is a list; past it, an object that bisects."""
+
+    __slots__ = ("bits", "limit", "table", "thresholds", "values")
 
     def __init__(self, values: Sequence[object], weights: Sequence[int]):
         g = gcd(*weights)
         self.values = list(values)
         self.thresholds = list(accumulate(w // g for w in weights))
-        self.limit = self.thresholds[-1]
+        self.limit = limit = self.thresholds[-1]
+        self.bits = bits = limit.bit_length()
+        if bits > _TABLE_BITS:
+            self.table = _Bisection(self.thresholds)
+            return
+        table: list[int] = []
+        prev = 0
+        for k, t in enumerate(self.thresholds):
+            table += [k] * (t - prev)
+            prev = t
+        table += [-1] * ((1 << bits) - limit)
+        self.table = table
 
     def draw(self, rng) -> object:
         """One value; ``rng`` offers the draw rule as ``randbelow`` (a
         runtime RandomSource)."""
-        return self.values[bisect_right(self.thresholds, rng.randbelow(self.limit))]
+        return self.values[self.table[rng.randbelow(self.limit)]]
+
+
+class _Bisection:
+    """A wide sampler's table: ``self[u]`` bisects ``u`` into the
+    thresholds, or is -1 when ``u`` is not below the last one."""
+
+    __slots__ = ("limit", "thresholds")
+
+    def __init__(self, thresholds: list[int]):
+        self.thresholds = thresholds
+        self.limit = thresholds[-1]
+
+    def __getitem__(self, u: int) -> int:
+        return bisect_right(self.thresholds, u) if u < self.limit else -1
 
 
 def _numerators(values: Iterable[Fraction]) -> tuple[list[int], int]:
@@ -363,25 +421,8 @@ class ConditionalMatrix:
 
 def conditional_y_given_x(inst: Instance) -> ConditionalMatrix:
     """P_{Y|X}(y|x) = P_XY(x,y) / P_X(x) over supported x, all y columns,
-    built from each row's integer numerators without a Fraction division."""
-    px = marginal_x(inst)
-    rows = tuple(i for i, v in enumerate(px) if v > 0)
-    if not rows:
-        # Unreachable for a valid Instance (mass sums to 1), kept as a guard.
-        raise InputError("instance has empty X support")
-    entries = []
-    for i in rows:
-        # Row i over its own denominator d is nums / d, and P_X(i) = S / d
-        # with S = sum(nums): the conditional row is nums / S.
-        nums, _ = inst._rows[i]
-        fraction = _fractions(sum(nums))
-        entries.append(tuple(map(fraction, nums)))
-    return ConditionalMatrix(
-        rows=rows,
-        cols=tuple(range(inst.m)),
-        entries=tuple(entries),
-        masses=tuple(px[i] for i in rows),
-    )
+    built once per instance (``Instance._conditional``)."""
+    return inst._conditional
 
 
 def column_sums(cm: ConditionalMatrix) -> tuple[Fraction, ...]:

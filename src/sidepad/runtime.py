@@ -25,7 +25,13 @@ builds every table: the masses are given as integer numerators a_k over
 one common denominator; with S their sum and G their gcd, one uniform
 integer below L = S / G, drawn by the rule above, is bisected into the
 running sums of a_k / G.  That is the table of the Fraction masses
-a_k / S over the lcm of their denominators.  The instance's joint passes
+a_k / S over the lcm of their denominators.  Each sampler answers that
+bisection by lookup: with k the bit length of L, ``table[u]`` for every
+u < 2**k is the index bisection gives when u < L and -1 otherwise, so a
+draw reads ``table[getrandbits(k)]`` and reads again on -1.  That is the
+same integer, in the same order, mapped to the same index as the rule
+followed by bisection.  Up to 16 bits the table is a list of 2**k
+entries; a wider one bisects on lookup.  The instance's joint passes
 P_XY's numerators over their lcm (so G = 1 and L is that lcm); an
 encoder cell passes its signals' weight numerators, giving the masses
 alpha_k / sum(alpha).  No float takes part in a draw: ``simulate``
@@ -43,7 +49,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -54,7 +59,7 @@ from .errors import (
     OffSupportError,
     UnverifiedSchemeError,
 )
-from .model import Instance, _Sampler
+from .model import Instance, _Bisection, _Sampler
 from .verification import (
     LAWS,
     _scheme_rows,
@@ -227,12 +232,12 @@ def simulate(
     # One tally slot per (world cell, encoder outcome).  Slot w counts world
     # cell w when its encoder is deterministic; a randomized cell's signals
     # take slots past the world's, in its sampler's order, and its own slot
-    # stays empty.  ``plans[w]`` is None or (first slot, limit, bit length,
-    # thresholds) of cell w's encoder.
+    # stays empty.  ``plans[w]`` is None or (first slot, bit length, table)
+    # of cell w's encoder.
     world = inst._world
     scheme_row = {inst_row: pos for pos, inst_row in enumerate(supp)}
     keys: list[Optional[tuple[int, int, int]]] = [None] * len(world.values)
-    plans: list[Optional[tuple[int, int, int, list[int]]]] = []
+    plans: list[Optional[tuple[int, int, Union[list[int], _Bisection]]]] = []
     for w, (x, j) in enumerate(world.values):
         i = scheme_row[x]
         choice = _conditional_signals(scheme, i, j)
@@ -240,33 +245,30 @@ def simulate(
             keys[w] = (i, j, choice)
             plans.append(None)
         else:
-            limit = choice.limit
-            plans.append((len(keys), limit, limit.bit_length(), choice.thresholds))
+            plans.append((len(keys), choice.bits, choice.table))
             keys += [(i, j, k) for k in choice.values]
 
     tally = [0] * len(keys)
-    w_limit = world.limit
-    w_bits = w_limit.bit_length()
-    w_thresholds = world.thresholds
+    w_bits, w_table = world.bits, world.table
     base = RandomSource(seed)
     quota, remainder = divmod(n_samples, shards)
     for shard in range(min(shards, n_samples)):
         getrandbits = base.substream(shard)._getrandbits
         for _ in range(quota + (1 if shard < remainder else 0)):
-            # Both draws: the rule RandomSource.randbelow defines, inlined.
-            u = getrandbits(w_bits)
-            while u >= w_limit:
-                u = getrandbits(w_bits)
-            w = bisect_right(w_thresholds, u)
+            # Both draws: the rule RandomSource.randbelow defines, read
+            # through the sampler's table (-1: draw again).
+            w = w_table[getrandbits(w_bits)]
+            while w < 0:
+                w = w_table[getrandbits(w_bits)]
             plan = plans[w]
             if plan is None:
                 tally[w] += 1
             else:
-                first, limit, bits, thresholds = plan
-                u = getrandbits(bits)
-                while u >= limit:
-                    u = getrandbits(bits)
-                tally[first + bisect_right(thresholds, u)] += 1
+                first, bits, table = plan
+                k = table[getrandbits(bits)]
+                while k < 0:
+                    k = table[getrandbits(bits)]
+                tally[first + k] += 1
 
     # A sample decodes when the lowest state row that its signal sends to its
     # column is its own; a broken scheme may send several there.

@@ -69,6 +69,12 @@ class CheckResult:
     witness: Optional[Witness] = None
 
 
+# Every law that holds reports this one result: it is immutable and carries
+# no witness, and building a frozen dataclass is most of a passing check's
+# cost (``decode`` runs the informativeness check on every call).
+_PASS = CheckResult(ok=True)
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """The three law verdicts, and the marginals Q_Z, Q_XZ, Q_YZ and Q_XY as
@@ -155,14 +161,14 @@ def check_consistency(scheme: Scheme, inst: Instance) -> CheckResult:
                         "expected": want,
                     },
                 )
-    return CheckResult(ok=True)
+    return _PASS
 
 
 def check_informativeness(scheme: Scheme) -> CheckResult:
     """For every (y, z) with Q_YZ > 0, is exactly one state possible?"""
     joint = scheme._joint
     if joint.clash is None:
-        return CheckResult(ok=True)
+        return _PASS
     j, k = joint.clash
     return CheckResult(
         ok=False,
@@ -198,7 +204,7 @@ def check_secrecy(scheme: Scheme) -> CheckResult:
                         "expected": Fraction(q_z * b, joint.den * joint.e),
                     },
                 )
-    return CheckResult(ok=True)
+    return _PASS
 
 
 def verify_scheme(scheme: Scheme, inst: Instance) -> VerificationReport:

@@ -183,6 +183,40 @@ def test_build_scheme_worked_example_structure():
     assert scheme.assignments == ((0, 1, 2), (1, 2, 0))
 
 
+def _columns_verdict(assignments):
+    """The Scheme's column rule entry by entry: None, or the message for the
+    first entry that is neither None nor an int in range (bools are ints)."""
+    m = len(assignments[0])
+    for row in assignments:
+        for col in row:
+            if col is not None and not (isinstance(col, int) and 0 <= col < m):
+                return f"assignment column {col!r} out of range"
+    return None
+
+
+@given(st.lists(
+    st.lists(
+        st.sampled_from([None, 0, 1, 2, True, False, 1.0, 3, -1, F(1), "1", [1]]),
+        min_size=3, max_size=3,
+    ),
+    min_size=2, max_size=2,
+))
+def test_scheme_column_check_names_the_first_bad_column(rows):
+    base = sp.build_scheme(corr23())
+    want = _columns_verdict(rows)
+    try:
+        scheme = sp.Scheme(
+            x_labels=base.x_labels, y_labels=base.y_labels,
+            z_labels=base.z_labels, px=base.px, weights=base.weights,
+            assignments=rows,
+        )
+    except sp.InputError as exc:
+        assert str(exc) == want
+    else:
+        assert want is None
+        assert scheme.assignments == tuple(map(tuple, rows))
+
+
 def test_build_scheme_xor_pad_pairing():
     scheme = sp.build_scheme(otp2())
     # z1 pairs (x1,y1),(x2,y2); z2 pairs (x1,y2),(x2,y1)

@@ -1,7 +1,7 @@
 """Exact rational parsing and the instance data model."""
 
 import sys
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction as F
 
 import pytest
@@ -141,6 +141,19 @@ def test_conditional_keeps_zero_y_columns():
     cm = sp.conditional_y_given_x(inst)
     assert cm.cols == (0, 1)
     assert cm.entries == ((F(1), F(0)),)
+
+
+def test_conditional_is_built_once_per_instance():
+    inst = sp.make_instance(
+        ["x1", "x2"], ["y1", "y2"], [["1/3", "0"], ["1/3", "1/3"]]
+    )
+    cm = sp.conditional_y_given_x(inst)
+    assert sp.conditional_y_given_x(inst) is cm
+    # An equal instance builds its own, equal conditional.
+    twin = replace(inst)
+    assert sp.conditional_y_given_x(twin) is not cm
+    assert sp.conditional_y_given_x(twin) == cm
+    assert twin == inst
 
 
 def test_conditional_matrix_validates_rows():

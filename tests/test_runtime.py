@@ -6,6 +6,7 @@ import hashlib
 import random
 import time
 import types
+from bisect import bisect_right
 from fractions import Fraction as F
 from itertools import accumulate
 from math import lcm
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import sidepad as sp
 from corpus import PINNED_SEEDS, corpus, corr23, det22, mixed23, otp2
+from sidepad.model import _TABLE_BITS, _Sampler
 from sidepad.runtime import _conditional_signals
 from sidepad.verification import _scheme_rows
 from test_construction import reference_scheme
@@ -42,6 +44,68 @@ def _assert_world_is_the_fraction_table(inst):
     )
     world = inst._world
     assert (world.limit, world.thresholds, world.values) == want
+    _assert_table_fits(world)
+
+
+def _assert_table_fits(sampler):
+    """A sampler's table is a list of exactly 2**bits entries, at most
+    2**16, when its limit has at most 16 bits, and no list otherwise."""
+    assert sampler.bits == sampler.limit.bit_length()
+    if sampler.bits <= _TABLE_BITS:
+        assert type(sampler.table) is list
+        assert len(sampler.table) == 1 << sampler.bits <= 2**16
+    else:
+        assert not isinstance(sampler.table, list)
+
+
+def _bisect_draw(sampler, rng):
+    """One draw by the rule the lookup table replaces: the integer below
+    the limit, bisected into the thresholds."""
+    u = rng.randbelow(sampler.limit)
+    return sampler.values[bisect_right(sampler.thresholds, u)]
+
+
+def _sampler_of_limit(limit, rng):
+    """A sampler whose weights sum to ``limit`` with gcd 1 (the first is 1),
+    cut at up to 20 random points."""
+    cuts = sorted({1, *(rng.randrange(1, limit) for _ in range(20))}) if limit > 1 else []
+    weights = [b - a for a, b in zip([0, *cuts], [*cuts, limit])]
+    return _Sampler(range(len(weights)), weights)
+
+
+@pytest.mark.parametrize("limit", [1, 2, 2**16 - 1, 2**16, 2**16 + 1])
+def test_sampler_table_is_the_bisection_at_every_integer(limit):
+    sampler = _sampler_of_limit(limit, random.Random(limit))
+    assert sampler.limit == limit
+    _assert_table_fits(sampler)
+    span = range(1 << sampler.bits)
+    assert [sampler.table[u] for u in span] == [
+        bisect_right(sampler.thresholds, u) if u < limit else -1 for u in span
+    ]
+    a, b = sp.RandomSource(limit), sp.RandomSource(limit)
+    assert [sampler.draw(a) for _ in range(200)] == [
+        _bisect_draw(sampler, b) for _ in range(200)
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2**32 + 1, 2**200), st.integers(0, 2**64 - 1))
+def test_wide_sampler_table_is_the_bisection(limit, seed):
+    # Past 2**32 one getrandbits call spans several 32-bit words.
+    rng = random.Random(seed)
+    sampler = _sampler_of_limit(limit, rng)
+    _assert_table_fits(sampler)
+    probes = [0, limit - 1, limit, (1 << sampler.bits) - 1]
+    probes += [t + d for t in sampler.thresholds for d in (-1, 0, 1)]
+    probes += [rng.getrandbits(sampler.bits) for _ in range(50)]
+    for u in probes:
+        if 0 <= u < 1 << sampler.bits:
+            want = bisect_right(sampler.thresholds, u) if u < limit else -1
+            assert sampler.table[u] == want
+    a, b = sp.RandomSource(seed), sp.RandomSource(seed)
+    assert [sampler.draw(a) for _ in range(50)] == [
+        _bisect_draw(sampler, b) for _ in range(50)
+    ]
 
 
 def test_random_source_validates_seed():
@@ -199,9 +263,10 @@ def _reference_simulate(
     scheme, inst, n_samples, seed, *, shards=1, min_count=1000,
     allow_unverified=False,
 ):
-    """``simulate`` as it ran before it tallied: each sample drawn through
-    the samplers on ``random.Random.randrange``, encoded, decoded and
-    counted one at a time.  Law checks are left to ``simulate``."""
+    """``simulate`` as it ran before it tallied: each sample drawn by
+    bisection (``_bisect_draw``, never the samplers' tables) on
+    ``random.Random.randrange``, encoded, decoded and counted one at a
+    time.  Law checks are left to ``simulate``."""
     supp = _scheme_rows(scheme, inst)
     scheme_row = {inst_row: pos for pos, inst_row in enumerate(supp)}
     world = inst._world
@@ -220,8 +285,8 @@ def _reference_simulate(
             randbelow=random.Random(base.substream(shard).seed).randrange
         )
         for _ in range(quota + (1 if shard < remainder else 0)):
-            i, j, choice = encoders[world.draw(rng)]
-            k = choice if isinstance(choice, int) else choice.draw(rng)
+            i, j, choice = encoders[_bisect_draw(world, rng)]
+            k = choice if isinstance(choice, int) else _bisect_draw(choice, rng)
             counts_z[k] += 1
             counts_xz[i][k] += 1
             rows = inverse[k][j]
@@ -339,6 +404,88 @@ def test_simulate_matches_the_reference_loop_on_random_schemes(
         except sp.SidepadError as exc:
             outcomes.append((type(exc), str(exc)))
     assert outcomes[0] == outcomes[1]
+
+
+def _wide_instances():
+    """Instances past the 16-bit table cap: a 2x3 grid over the prime
+    65537, whose world limit takes 17 bits, and a 3x4 one whose
+    conditional rows sit over the primes 65537, 65539 and 65543, so the
+    world limit takes 50 bits and its randomized encoders 19 to 48."""
+    p = 65537
+    small = sp.make_instance(
+        ["x1", "x2"], ["y1", "y2", "y3"],
+        [[F(20000, p), F(12000, p), 0], [0, F(15000, p), F(18537, p)]],
+    )
+    p, q, r = 65537, 65539, 65543
+    large = sp.instance_from_conditional([F(1, 3)] * 3, [
+        [F(30000, p), F(35537, p), 0, 0],
+        [0, F(20000, q), F(45539, q), 0],
+        [F(10000, r), 0, F(5000, r), F(50543, r)],
+    ])
+    return [small, large]
+
+
+@st.composite
+def wide_instances(draw):
+    """Feasible instances with large, mostly coprime denominators: P_X over
+    a random total up to 2**24 and conditional rows from a mixture of up
+    to three permutations with weights over a total in [2**16, 2**40]."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(n, 4))
+    total = draw(st.integers(2**16, 2**40))
+    cuts = draw(st.lists(st.integers(1, total - 1), max_size=2, unique=True))
+    conditional = [[F(0)] * m for _ in range(n)]
+    for a, b in zip([0, *sorted(cuts)], [*sorted(cuts), total]):
+        perm = draw(st.permutations(range(m)))
+        for i in range(n):
+            conditional[i][perm[i]] += F(b - a, total)
+    units = draw(st.lists(st.integers(1, 2**24), min_size=n, max_size=n))
+    px = [F(u, sum(units)) for u in units]
+    return sp.instance_from_conditional(px, conditional)
+
+
+def _samplers(scheme, inst):
+    """The world sampler and every randomized encoder that simulate reads."""
+    supp = _scheme_rows(scheme, inst)
+    cells = ((supp.index(x), j) for x, j in inst._world.values)
+    encoders = [_conditional_signals(scheme, i, j) for i, j in cells]
+    return [inst._world] + [c for c in encoders if not isinstance(c, int)]
+
+
+def test_simulate_matches_the_reference_loop_past_the_table_cap():
+    small, large = _wide_instances()
+    for inst in (small, large):
+        scheme = sp.build_scheme(inst)
+        samplers = _samplers(scheme, inst)
+        for sampler in samplers:
+            _assert_table_fits(sampler)
+        assert samplers[0].bits > _TABLE_BITS
+        if inst is large:
+            encoder_bits = [sampler.bits for sampler in samplers[1:]]
+            assert min(encoder_bits) > _TABLE_BITS and max(encoder_bits) > 32
+        for shards, seed in zip((1, 3), PINNED_SEEDS):
+            _assert_simulate_matches_reference(
+                scheme, inst, 3000, seed, shards=shards, min_count=1
+            )
+        broken = dataclasses.replace(
+            scheme, weights=(scheme.weights[0] * 2, *scheme.weights[1:])
+        )
+        _assert_simulate_matches_reference(
+            broken, inst, 500, 9, shards=2, min_count=20, allow_unverified=True
+        )
+
+
+@settings(max_examples=50, deadline=None)
+@given(wide_instances(), st.integers(0, 300), st.integers(0, 2**64 - 1))
+def test_simulate_matches_the_reference_loop_on_wide_instances(
+    inst, n_samples, seed
+):
+    scheme = sp.build_scheme(inst)
+    for sampler in _samplers(scheme, inst):
+        _assert_table_fits(sampler)
+    _assert_simulate_matches_reference(
+        scheme, inst, n_samples, seed, shards=2, min_count=5
+    )
 
 
 def test_sample_world_frequencies_uniform_2x2():
@@ -627,6 +774,7 @@ def _assert_encoders_match_fraction_samplers(scheme):
             total = sum((scheme.weights[k] for k in ks), F(0))
             want = _fraction_table((k, scheme.weights[k] / total) for k in ks)
             assert (choice.limit, choice.thresholds, choice.values) == want
+            _assert_table_fits(choice)
             randomized += 1
     return randomized
 
