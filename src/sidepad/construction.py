@@ -191,8 +191,9 @@ class _Joint:
     first (column, signal) in (y, z) order reached by two states, or None.
     Row and signal lists are ascending.  Fractions appear only in the reports
     verification builds from these numerators.  ``encoders`` starts empty:
-    the runtime memoises each cell's encoder distribution there on first
-    use.
+    ``encode`` memoises each cell's encoder distribution there on first
+    use.  ``simulate`` does not: it draws each sample once from its own
+    table over (cell, signal) pairs, built from ``phi`` and ``a``.
     """
 
     def __init__(self, scheme: Scheme):

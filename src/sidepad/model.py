@@ -370,10 +370,11 @@ class ConditionalMatrix:
     ascending); every column of the instance is retained, including
     zero-mass ones, whose conditional entries are necessarily zero.
     Each row sums to exactly one; signs and sums are checked on each row's
-    integer numerators over its own lcm (``_rows``).  ``masses``, P_X of
-    the covered rows, is filled by :func:`conditional_y_given_x` so that
-    its callers need not sum P_X again; it may be left empty and takes no
-    part in equality.
+    integer numerators over its own lcm, which are dropped once they have
+    given the column sums ``_columns``.  ``masses``, P_X of the covered
+    rows, is filled by :func:`conditional_y_given_x` so that its callers
+    need not sum P_X again; it may be left empty and takes no part in
+    equality.
     """
 
     rows: tuple[int, ...]
@@ -386,7 +387,8 @@ class ConditionalMatrix:
             raise InputError("conditional matrix: one entry row per covered row")
         if self.masses and len(self.masses) != len(self.rows):
             raise InputError("conditional matrix: one mass per covered row")
-        for row, (nums, den) in zip(self.entries, self._rows):
+        rows = tuple(map(_numerators, self.entries))
+        for row, (nums, den) in zip(self.entries, rows):
             if len(row) != len(self.cols):
                 raise InputError("conditional matrix: ragged row")
             if nums and min(nums) < 0:
@@ -396,6 +398,11 @@ class ConditionalMatrix:
                     "conditional matrix row sums to "
                     f"{_clip_rat(Fraction(sum(nums), den))}, expected 1"
                 )
+        # The column sums as ``(cols, L)``: integer numerators over L, the
+        # lcm of the rows' denominators.  ``column_sums``, the column test
+        # ``cols[j] > L`` and ``extend``'s slacks ``L - cols[j]`` all read
+        # it.  Kept outside the dataclass fields: eq, hash and repr ignore it.
+        object.__setattr__(self, "_columns", _column_numerators(rows, len(self.cols)))
 
     @property
     def n(self) -> int:
@@ -404,19 +411,6 @@ class ConditionalMatrix:
     @property
     def m(self) -> int:
         return len(self.cols)
-
-    @cached_property
-    def _rows(self) -> tuple[tuple[list[int], int], ...]:
-        """Each entry row as ``(nums, den)`` over its own lcm, like
-        ``Instance._rows``; validation and ``_columns`` read it."""
-        return tuple(map(_numerators, self.entries))
-
-    @cached_property
-    def _columns(self) -> tuple[list[int], int]:
-        """The column sums as ``(cols, L)``: integer numerators over L, the
-        lcm of the rows' denominators.  ``column_sums``, the column test
-        ``cols[j] > L`` and ``extend``'s slacks ``L - cols[j]`` all read it."""
-        return _column_numerators(self._rows, self.m)
 
 
 def conditional_y_given_x(inst: Instance) -> ConditionalMatrix:

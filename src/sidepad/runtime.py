@@ -18,6 +18,14 @@ ceil-or-floor(n/shards) draws from sub-stream k", so any
 (seed, n, shards) triple reproduces bit-identical results; a shard with
 no draws is never seeded, so surplus shards cost nothing.
 
+``sample_world`` and ``encode`` draw in two steps: a world cell (x, y)
+from P_XY, then, only when phi(x, y) holds several signals, one of them.
+``simulate`` draws each sample once, from one table over the (world cell,
+signal) pairs whose masses are the product of those two steps.  So a
+deterministic scheme's ``simulate`` reads exactly the integers a loop of
+``sample_world`` and ``encode`` reads, but a randomized scheme's does not:
+its outputs are those of the one-draw rule, not of that loop.
+
 Exactness contract
 ------------------
 Every discrete draw is an exact inverse transform, and one integer rule
@@ -34,14 +42,19 @@ followed by bisection.  Up to 16 bits the table is a list of 2**k
 entries; a wider one bisects on lookup.  The instance's joint passes
 P_XY's numerators over their lcm (so G = 1 and L is that lcm); an
 encoder cell passes its signals' weight numerators, giving the masses
-alpha_k / sum(alpha).  No float takes part in a draw: ``simulate``
-tallies integer counts per (world cell, signal) pair, and floats appear
-only in the *report* of empirical frequencies.  A deterministic encoder
-cell consumes no randomness; the world draw always consumes some, even
-on a point mass (a draw below 1 still reads bits).  Each table is built
-once: an instance keeps the sampler of its joint, and a scheme's
-compiled joint (``Scheme._joint``, read here directly) keeps each cell's
-encoder distribution.  ``simulate`` refuses schemes through
+alpha_k / sum(alpha); ``simulate``'s table passes, for each pair
+(cell, k), a numerator of P_XY(cell) * alpha_k / sum(alpha over the
+cell's signals), all over one denominator (see ``_slot_sampler``).  No
+float takes part in a draw: ``simulate`` tallies integer counts per
+(world cell, signal) pair, and floats appear only in the *report* of
+empirical frequencies.  A deterministic encoder cell consumes no
+randomness; every other draw consumes some, even on a point mass (a draw
+below 1 still reads bits), and a ``simulate`` sample takes one draw.  An
+instance keeps the sampler of its joint, and a scheme's compiled joint
+(``Scheme._joint``, read here directly) keeps each cell's encoder
+distribution for ``encode``.  ``simulate`` builds its table from the
+world sampler's thresholds once per call and builds no encoder.
+``simulate`` refuses schemes through
 ``verify_scheme``, whose report builds its marginals only on first read.
 """
 
@@ -50,7 +63,8 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Optional, Union
+from math import gcd, lcm
+from typing import Optional
 
 from .construction import Scheme
 from .errors import (
@@ -59,7 +73,7 @@ from .errors import (
     OffSupportError,
     UnverifiedSchemeError,
 )
-from .model import Instance, _Bisection, _Sampler
+from .model import Instance, _Sampler
 from .verification import (
     LAWS,
     _scheme_rows,
@@ -110,9 +124,15 @@ def sample_world(inst: Instance, rng: RandomSource) -> tuple[int, int]:
     return inst._world.draw(rng)  # type: ignore[return-value]
 
 
-def _conditional_signals(
-    scheme: Scheme, x_index: int, y_index: int
-) -> Union[int, _Sampler]:
+def _off_support(scheme: Scheme, x_index: int, y_index: int) -> OffSupportError:
+    """The refusal for a cell (state row, column) the scheme never emits."""
+    return OffSupportError(
+        f"pair ({scheme.x_labels[x_index]}, {scheme.y_labels[y_index]}) "
+        "has zero probability under the scheme"
+    )
+
+
+def _conditional_signals(scheme: Scheme, x_index: int, y_index: int) -> int | _Sampler:
     """Encoder distribution for one supported pair: a bare signal index when
     deterministic, an exact sampler otherwise.  Memoised per cell."""
     memo = scheme._joint.encoders
@@ -121,10 +141,7 @@ def _conditional_signals(
         return choice
     ks = _signals_at(scheme, x_index, y_index)
     if not ks:
-        raise OffSupportError(
-            f"pair ({scheme.x_labels[x_index]}, {scheme.y_labels[y_index]}) "
-            "has zero probability under the scheme"
-        )
+        raise _off_support(scheme, x_index, y_index)
     if len(ks) == 1:
         choice = ks[0]
     else:
@@ -132,6 +149,41 @@ def _conditional_signals(
         choice = _Sampler(ks, [a[k] for k in ks])
     memo[x_index, y_index] = choice
     return choice
+
+
+def _slot_sampler(scheme: Scheme, inst: Instance) -> _Sampler:
+    """Exact sampler of ``simulate``'s slots (i, j, k): scheme state row i,
+    column j, signal k, in the world cells' order (``inst._world``), each
+    cell's signals ascending.  Slot (i, j, k) has mass
+    P_XY(x, y) * alpha_k / A_xy, with A_xy the weights' sum over phi(x, y).
+    As integers: c, the cell's world numerator, and A, A_xy's numerator,
+    are divided by their gcd g, and the slot weighs
+    (c / g) * (M / (A / g)) * a_k, with a_k alpha_k's numerator and M the
+    lcm of A / g over the cells.  The masses are those of a world draw
+    followed by an encoder draw, and a scheme whose every cell has one
+    signal gets the world's own thresholds.  The first instance cell the
+    scheme never emits raises :class:`OffSupportError`."""
+    scheme_row = {x: i for i, x in enumerate(_scheme_rows(scheme, inst))}
+    world, phi, a = inst._world, scheme._joint.phi, scheme._joint.a
+    cells = []
+    prev = 0
+    for (x, j), t in zip(world.values, world.thresholds):
+        i = scheme_row[x]
+        ks = phi[i].get(j)
+        if not ks:
+            raise _off_support(scheme, i, j)
+        c, A = t - prev, sum(a[k] for k in ks)
+        g = gcd(c, A)
+        cells.append((i, j, ks, c // g, A // g))
+        prev = t
+    M = lcm(*(A for *_, A in cells))
+    slots, weights = [], []
+    for i, j, ks, c, A in cells:
+        scale = c * (M // A)
+        for k in ks:
+            slots.append((i, j, k))
+            weights.append(scale * a[k])
+    return _Sampler(slots, weights)
 
 
 def encode(scheme: Scheme, x_index: int, y_index: int, rng: RandomSource) -> int:
@@ -201,9 +253,9 @@ def simulate(
 ) -> SimReport:
     """Run the whole loop end to end, ``n_samples`` times: sample (x, y)
     from the instance, encode, decode, and tally signal frequencies and
-    per-signal state frequencies.  Each sample only draws its world cell
-    (and its signal, if that cell's encoder is randomized) and counts the
-    pair; counts and decode successes are read off those tallies, a pair
+    per-signal state frequencies.  Each sample is one draw of a (world
+    cell, signal) pair from their joint law (``_slot_sampler``), counted;
+    counts and decode successes are read off those tallies, a pair
     decoding when its signal sends no lower state row to its column.
 
     The scheme is verified against the instance first and refused with
@@ -219,7 +271,6 @@ def simulate(
     if min_count < 1:
         raise InputError(f"min_count must be >= 1, got {min_count}")
 
-    supp = _scheme_rows(scheme, inst)
     if not allow_unverified:
         report = verify_scheme(scheme, inst)
         failed = [law for law in LAWS if not getattr(report, law).ok]
@@ -229,46 +280,20 @@ def simulate(
                 "(pass allow_unverified=True to force)"
             )
 
-    # One tally slot per (world cell, encoder outcome).  Slot w counts world
-    # cell w when its encoder is deterministic; a randomized cell's signals
-    # take slots past the world's, in its sampler's order, and its own slot
-    # stays empty.  ``plans[w]`` is None or (first slot, bit length, table)
-    # of cell w's encoder.
-    world = inst._world
-    scheme_row = {inst_row: pos for pos, inst_row in enumerate(supp)}
-    keys: list[Optional[tuple[int, int, int]]] = [None] * len(world.values)
-    plans: list[Optional[tuple[int, int, Union[list[int], _Bisection]]]] = []
-    for w, (x, j) in enumerate(world.values):
-        i = scheme_row[x]
-        choice = _conditional_signals(scheme, i, j)
-        if isinstance(choice, int):
-            keys[w] = (i, j, choice)
-            plans.append(None)
-        else:
-            plans.append((len(keys), choice.bits, choice.table))
-            keys += [(i, j, k) for k in choice.values]
-
-    tally = [0] * len(keys)
-    w_bits, w_table = world.bits, world.table
+    slots = _slot_sampler(scheme, inst)
+    tally = [0] * len(slots.values)
+    bits, table = slots.bits, slots.table
     base = RandomSource(seed)
     quota, remainder = divmod(n_samples, shards)
     for shard in range(min(shards, n_samples)):
         getrandbits = base.substream(shard)._getrandbits
         for _ in range(quota + (1 if shard < remainder else 0)):
-            # Both draws: the rule RandomSource.randbelow defines, read
-            # through the sampler's table (-1: draw again).
-            w = w_table[getrandbits(w_bits)]
-            while w < 0:
-                w = w_table[getrandbits(w_bits)]
-            plan = plans[w]
-            if plan is None:
-                tally[w] += 1
-            else:
-                first, bits, table = plan
-                k = table[getrandbits(bits)]
-                while k < 0:
-                    k = table[getrandbits(bits)]
-                tally[first + k] += 1
+            # The rule RandomSource.randbelow defines, read through the
+            # slot table (-1: draw again).
+            s = table[getrandbits(bits)]
+            while s < 0:
+                s = table[getrandbits(bits)]
+            tally[s] += 1
 
     # A sample decodes when the lowest state row that its signal sends to its
     # column is its own; a broken scheme may send several there.
@@ -276,9 +301,8 @@ def simulate(
     counts_z = [0] * scheme.p
     counts_xz = [[0] * scheme.p for _ in range(scheme.n)]
     successes = 0
-    for key, count in zip(keys, tally):
+    for (i, j, k), count in zip(slots.values, tally):
         if count:
-            i, j, k = key
             counts_z[k] += count
             counts_xz[i][k] += count
             if inverse[k][j][0] == i:

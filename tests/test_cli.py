@@ -948,18 +948,18 @@ CLI_GOLDEN = {
         0,
         'samples: 3000\n'
         'decode success: 1.000000\n'
-        'empirical Q_Z: z1=0.341000 z2=0.179000 z3=0.480000\n'
-        'TV from P_X by signal (min count 1000): z1=0.005376 z2=n/a z3=0.00'
-        '6250\n'
-        'max TV: 0.006250\n',
+        'empirical Q_Z: z1=0.338667 z2=0.165000 z3=0.496333\n'
+        'TV from P_X by signal (min count 1000): z1=0.011811 z2=n/a z3=0.00'
+        '0336\n'
+        'max TV: 0.011811\n',
         '',
     ),
     'simulate mixed23.scheme --against mixed23 -n 3000 --seed 7 --json': (
         0,
         '{"kind":"simulation","samples":3000,"decode_success":1.0,'
-        '"empirical_qz":[0.341,0.179,0.48],'
-        '"tv_secrecy":[0.005376344086021501,null,0.006249999999999978],'
-        '"max_tv":0.006249999999999978,"min_count":1000,"shards":1,'
+        '"empirical_qz":[0.33866666666666667,0.165,0.49633333333333335],'
+        '"tv_secrecy":[0.011811023622047223,null,0.000335795836131636],'
+        '"max_tv":0.011811023622047223,"min_count":1000,"shards":1,'
         '"seed":7}',
         '',
     ),
@@ -1002,17 +1002,17 @@ CLI_GOLDEN = {
         0,
         'samples: 2500\n'
         'decode success: 1.000000\n'
-        'empirical Q_Z: z1=0.348000 z2=0.171200 z3=0.480800\n'
-        'TV from P_X by signal (min count 900): z1=n/a z2=n/a z3=0.002496\n'
-        'max TV: 0.002496\n',
+        'empirical Q_Z: z1=0.346800 z2=0.166000 z3=0.487200\n'
+        'TV from P_X by signal (min count 900): z1=n/a z2=n/a z3=0.008210\n'
+        'max TV: 0.008210\n',
         '',
     ),
     ('simulate mixed23.scheme --against mixed23 -n 2500 --seed 11'
      ' --shards 3 --min-count 900 --json'): (
         0,
         '{"kind":"simulation","samples":2500,"decode_success":1.0,'
-        '"empirical_qz":[0.348,0.1712,0.4808],"tv_secrecy":[null,null,'
-        '0.0024958402662229595],"max_tv":0.0024958402662229595,'
+        '"empirical_qz":[0.3468,0.166,0.4872],"tv_secrecy":[null,null,'
+        '0.008210180623973717],"max_tv":0.008210180623973717,'
         '"min_count":900,"shards":3,"seed":11}',
         '',
     ),

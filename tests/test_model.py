@@ -156,6 +156,24 @@ def test_conditional_is_built_once_per_instance():
     assert twin == inst
 
 
+def test_conditional_keeps_only_its_column_sums():
+    # Validation reads each row's integer numerators and then drops them:
+    # every instance keeps its conditional, so per-row lists would stay
+    # alive for as long as the instance does.  Only the column sums stay.
+    inst = sp.make_instance(
+        ["x1", "x2"], ["y1", "y2", "y3"],
+        [["1/4", "1/4", "0"], ["0", "1/4", "1/4"]],
+    )
+    sp.check_feasible(inst)
+    sp.build_scheme(inst)
+    sp.find_deterministic_scheme(inst)
+    sp.feasibility_oracle(inst)
+    cm = sp.conditional_y_given_x(inst)
+    assert set(vars(cm)) == {"rows", "cols", "entries", "masses", "_columns"}
+    assert cm._columns == ([1, 2, 1], 2)
+    assert sp.column_sums(cm) == (F(1, 2), F(1), F(1, 2))
+
+
 def test_conditional_matrix_validates_rows():
     with pytest.raises(sp.InputError):
         sp.ConditionalMatrix(rows=(0,), cols=(0, 1), entries=((F(1, 2), F(1, 4)),))

@@ -4,8 +4,8 @@ import collections
 import dataclasses
 import hashlib
 import random
+import re
 import time
-import types
 from bisect import bisect_right
 from fractions import Fraction as F
 from itertools import accumulate
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import sidepad as sp
 from corpus import PINNED_SEEDS, corpus, corr23, det22, mixed23, otp2
 from sidepad.model import _TABLE_BITS, _Sampler
-from sidepad.runtime import _conditional_signals
+from sidepad.runtime import _conditional_signals, _slot_sampler
 from sidepad.verification import _scheme_rows
 from test_construction import reference_scheme
 from test_joint import scrambled_schemes
@@ -189,21 +189,27 @@ def test_sample_world_builds_its_sampler_once():
     assert inst == twin and hash(inst) == hash(twin) and repr(inst) == repr(twin)
 
 
-def test_encode_memoises_each_cell_and_simulate_shares_it():
+def test_encode_memoises_each_cell_and_simulate_leaves_it():
+    # simulate draws from its own (cell, signal) table and builds no
+    # per-cell encoder, so only encode fills the memo.
     inst = mixed23()
     scheme = sp.build_scheme(inst)
     memo = scheme._joint.encoders
+    sp.simulate(scheme, inst, 10, 1)
+    assert memo == {}
     rng = sp.RandomSource(PINNED_SEEDS[0])
     sp.encode(scheme, 0, 0, rng)
     split = memo[(0, 0)]
     sp.encode(scheme, 0, 0, rng)
     assert memo[(0, 0)] is split
     sp.simulate(scheme, inst, 10, 1)
-    assert memo[(0, 0)] is split
+    assert set(memo) == {(0, 0)} and memo[(0, 0)] is split
     supported = {
         (i, j) for i in range(scheme.n) for j in range(scheme.m)
         if sp.support_signals(scheme, i, j)
     }
+    for i, j in supported:
+        sp.encode(scheme, i, j, rng)
     assert set(memo) == supported
     with pytest.raises(sp.OffSupportError):
         sp.encode(scheme, 0, 2, rng)
@@ -245,35 +251,53 @@ def _simulate_digest(build):
 
 
 def test_simulate_reports_are_pinned_on_corpus():
-    # Recorded before simulate drew from the instance's own world sampler,
-    # on the schemes of the dense-padding, from-scratch-matching builder.
+    # Recorded on the schemes of the dense-padding, from-scratch-matching
+    # builder, with one draw per sample over the (cell, signal) table.
     assert _simulate_digest(reference_scheme) == (
-        "51088bea7c048be296544d4dec08831f2288e60581120681160696a7aa055a68"
+        "a53e645927fbad81e7940a56d4e8bc3604ee13b4e05f6cbedaef4042488045fd"
     )
 
 
 def test_simulate_reports_of_built_schemes_are_pinned_on_corpus():
-    # Recorded with sparse padding and incremental matching.
+    # Recorded with sparse padding and incremental matching, with one draw
+    # per sample over the (cell, signal) table.
     assert _simulate_digest(sp.build_scheme) == (
-        "3dcc3dce69690e0374e7499616ff59497120ca7129b23b12c30f705e2ab6a7d1"
+        "b796cb8b674dd23056c60773fb6d5943b76160c1286d6bf296513a2a3e156b56"
     )
+
+
+def _reference_slots(scheme, inst):
+    """simulate's slots ((i, j, k), mass) in its order, built from the
+    documents alone: the instance's positive cells row-major, each cell's
+    signals ascending (read off the assignments), and the mass of slot
+    (i, j, k) the Fraction P_XY(x, y) * w_k / (sum of w over phi(x, y)).
+    Raises simulate's refusal at the first cell no signal covers."""
+    slots = []
+    for i, x in enumerate(_scheme_rows(scheme, inst)):
+        for j, v in enumerate(inst.p_xy[x]):
+            if v == 0:
+                continue
+            ks = [k for k, sigma in enumerate(scheme.assignments) if sigma[i] == j]
+            if not ks:
+                raise sp.OffSupportError(
+                    f"pair ({scheme.x_labels[i]}, {scheme.y_labels[j]}) "
+                    "has zero probability under the scheme"
+                )
+            total = sum((scheme.weights[k] for k in ks), F(0))
+            slots += [((i, j, k), v * scheme.weights[k] / total) for k in ks]
+    return slots
 
 
 def _reference_simulate(
     scheme, inst, n_samples, seed, *, shards=1, min_count=1000,
     allow_unverified=False,
 ):
-    """``simulate`` as it ran before it tallied: each sample drawn by
-    bisection (``_bisect_draw``, never the samplers' tables) on
-    ``random.Random.randrange``, encoded, decoded and counted one at a
-    time.  Law checks are left to ``simulate``."""
-    supp = _scheme_rows(scheme, inst)
-    scheme_row = {inst_row: pos for pos, inst_row in enumerate(supp)}
-    world = inst._world
-    encoders = {
-        (x, j): (scheme_row[x], j, _conditional_signals(scheme, scheme_row[x], j))
-        for x, j in world.values
-    }
+    """``simulate`` by its rule, one sample at a time: one
+    ``random.Random.randrange`` below the lcm of the slot masses'
+    denominators per sample, bisected into their running sums (never a
+    sampler's table), then decoded and counted.  Law checks are left to
+    ``simulate``."""
+    limit, thresholds, slots = _fraction_table(_reference_slots(scheme, inst))
     inverse = scheme._joint.inverse
     counts_z = [0] * scheme.p
     counts_xz = [[0] * scheme.p for _ in range(scheme.n)]
@@ -281,12 +305,9 @@ def _reference_simulate(
     base = sp.RandomSource(seed)
     quota, remainder = divmod(n_samples, shards)
     for shard in range(shards):
-        rng = types.SimpleNamespace(
-            randbelow=random.Random(base.substream(shard).seed).randrange
-        )
+        randrange = random.Random(base.substream(shard).seed).randrange
         for _ in range(quota + (1 if shard < remainder else 0)):
-            i, j, choice = encoders[_bisect_draw(world, rng)]
-            k = choice if isinstance(choice, int) else _bisect_draw(choice, rng)
+            i, j, k = slots[bisect_right(thresholds, randrange(limit))]
             counts_z[k] += 1
             counts_xz[i][k] += 1
             rows = inverse[k][j]
@@ -408,9 +429,9 @@ def test_simulate_matches_the_reference_loop_on_random_schemes(
 
 def _wide_instances():
     """Instances past the 16-bit table cap: a 2x3 grid over the prime
-    65537, whose world limit takes 17 bits, and a 3x4 one whose
-    conditional rows sit over the primes 65537, 65539 and 65543, so the
-    world limit takes 50 bits and its randomized encoders 19 to 48."""
+    65537, whose world limit takes 17 bits and its built scheme's slot
+    limit 33, and a 3x4 one whose conditional rows sit over the primes
+    65537, 65539 and 65543, so the world and slot limits take 50 bits."""
     p = 65537
     small = sp.make_instance(
         ["x1", "x2"], ["y1", "y2", "y3"],
@@ -444,25 +465,13 @@ def wide_instances(draw):
     return sp.instance_from_conditional(px, conditional)
 
 
-def _samplers(scheme, inst):
-    """The world sampler and every randomized encoder that simulate reads."""
-    supp = _scheme_rows(scheme, inst)
-    cells = ((supp.index(x), j) for x, j in inst._world.values)
-    encoders = [_conditional_signals(scheme, i, j) for i, j in cells]
-    return [inst._world] + [c for c in encoders if not isinstance(c, int)]
-
-
 def test_simulate_matches_the_reference_loop_past_the_table_cap():
     small, large = _wide_instances()
     for inst in (small, large):
         scheme = sp.build_scheme(inst)
-        samplers = _samplers(scheme, inst)
-        for sampler in samplers:
-            _assert_table_fits(sampler)
-        assert samplers[0].bits > _TABLE_BITS
-        if inst is large:
-            encoder_bits = [sampler.bits for sampler in samplers[1:]]
-            assert min(encoder_bits) > _TABLE_BITS and max(encoder_bits) > 32
+        assert inst._world.bits > _TABLE_BITS
+        # Past 32 bits one getrandbits call spans several 32-bit words.
+        assert _assert_slots_are_the_fraction_table(scheme, inst).bits > 32
         for shards, seed in zip((1, 3), PINNED_SEEDS):
             _assert_simulate_matches_reference(
                 scheme, inst, 3000, seed, shards=shards, min_count=1
@@ -481,11 +490,83 @@ def test_simulate_matches_the_reference_loop_on_wide_instances(
     inst, n_samples, seed
 ):
     scheme = sp.build_scheme(inst)
-    for sampler in _samplers(scheme, inst):
-        _assert_table_fits(sampler)
+    _assert_slots_are_the_fraction_table(scheme, inst)
     _assert_simulate_matches_reference(
         scheme, inst, n_samples, seed, shards=2, min_count=5
     )
+
+
+def _assert_slots_are_the_fraction_table(scheme, inst):
+    """simulate's slot sampler is the table of the reference slots' Fraction
+    masses over the lcm of their denominators; returns the sampler."""
+    slots = _slot_sampler(scheme, inst)
+    assert (slots.limit, slots.thresholds, slots.values) == _fraction_table(
+        _reference_slots(scheme, inst)
+    )
+    _assert_table_fits(slots)
+    return slots
+
+
+def test_slot_masses_are_exact_on_corpus():
+    for inst in corpus():
+        if sp.check_feasible(inst).feasible:
+            _assert_slots_are_the_fraction_table(sp.build_scheme(inst), inst)
+
+
+@given(instances())
+def test_slot_masses_are_exact_on_random_instances(inst):
+    if sp.check_feasible(inst).feasible:
+        _assert_slots_are_the_fraction_table(sp.build_scheme(inst), inst)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scrambled_schemes())
+def test_slot_masses_are_exact_on_random_schemes(case):
+    # Broken schemes, as simulate(allow_unverified=True) takes them: the
+    # same table, or the same refusal at the same cell.
+    scheme, inst = case
+    try:
+        want = _fraction_table(_reference_slots(scheme, inst))
+    except sp.OffSupportError as exc:
+        with pytest.raises(sp.OffSupportError, match=re.escape(str(exc))):
+            _slot_sampler(scheme, inst)
+        return
+    slots = _slot_sampler(scheme, inst)
+    assert (slots.limit, slots.thresholds, slots.values) == want
+
+
+def _deterministic_schemes():
+    """(scheme, instance) pairs whose every supported cell has one signal:
+    the fixtures' deterministic builds and every deterministic scheme the
+    search finds on the corpus."""
+    for factory in (otp2, corr23, det22):
+        yield sp.build_scheme(factory()), factory()
+    for inst in corpus():
+        if sp.check_feasible(inst).feasible:
+            found = sp.find_deterministic_scheme(inst, limit=10_000)
+            if found.status == "found":
+                yield found.scheme, inst
+
+
+def test_deterministic_schemes_draw_from_the_world_table():
+    # When every cell has one signal, slot w is world cell w with mass
+    # P_XY(w), so the slot table is the world's table: simulate reads the
+    # same integers, mapped to the same cells, as a world draw followed by
+    # encode's lookup, which consumes nothing.  So the seeded simulate
+    # outputs of deterministic schemes (the otp2, corr23 and det22 CLI
+    # goldens, and every Shannon pad's) are those of the two-step rule.
+    count = 0
+    for scheme, inst in _deterministic_schemes():
+        supp = _scheme_rows(scheme, inst)
+        world, slots = inst._world, _slot_sampler(scheme, inst)
+        assert all(len(ks) == 1 for row in scheme._joint.phi for ks in row.values())
+        assert [(supp[i], j) for i, j, _ in slots.values] == world.values
+        assert (slots.limit, slots.bits, slots.thresholds) == (
+            world.limit, world.bits, world.thresholds
+        )
+        assert slots.table == world.table
+        count += 1
+    assert count > 100
 
 
 def test_sample_world_frequencies_uniform_2x2():
@@ -718,13 +799,13 @@ def test_simulate_statistics_converge():
 GOLDEN_MIXED23_REPORT = sp.SimReport(
     samples=20000,
     decode_success=1.0,
-    empirical_qz=(0.33055, 0.17105, 0.4984),
+    empirical_qz=(0.33525, 0.1643, 0.50045),
     tv_secrecy=(
-        0.0061261533807290824,
-        0.0021923414206372616,
-        0.006420545746388423,
+        0.0009694258016405832,
+        0.005477784540474762,
+        0.010740333699670312,
     ),
-    max_tv=0.006420545746388423,
+    max_tv=0.010740333699670312,
     min_count=1000,
     shards=3,
     seed=202608,
