@@ -7,8 +7,10 @@ The pipeline that turns a feasible instance into a working scheme:
    rows take the column slacks by a north-west-corner fill, which keeps
    the padding sparse (at most 2m - n - 1 nonzeros).
 2. ``birkhoff_decompose`` peels the result into a convex combination of
-   permutation matrices: keep a perfect matching on the positive support,
-   subtract its minimum entry, re-match only the rows it zeroed.
+   permutation matrices: each round takes a max-bottleneck perfect
+   matching on the positive residual (its smallest entry as large as any
+   perfect matching's, after Dufosse & Ucar, LAA 2016) and subtracts that
+   smallest entry.
 3. ``build_scheme`` names one signal per permutation; signal z_k occurs
    with probability alpha_k, and under it state row i is paired with
    column sigma_k(i).
@@ -25,10 +27,12 @@ nonzeros mean fewer signals.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, islice
+from itertools import chain, compress, islice, repeat
+from operator import getitem, itemgetter
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -70,7 +74,7 @@ class ExtendedMatrix:
             raise InputError(f"need 1 <= n <= m, got n={self.n} m={self.m}")
         if len(self.entries) != self.m:
             raise InputError("extended matrix must be square (m rows)")
-        grid = tuple(tuple(as_fraction(v) for v in row) for row in self.entries)
+        grid = tuple(tuple(map(as_fraction, row)) for row in self.entries)
         object.__setattr__(self, "entries", grid)
         work, L = self._grid
         for row, nums in zip(grid, work):
@@ -90,7 +94,7 @@ class ExtendedMatrix:
         denominators (``model._numerators``): ``(rows, L)``.  Validation
         checks the 2m sums on it and ``birkhoff_decompose`` peels a copy.
         Memoised outside the dataclass fields: eq, hash and repr ignore it."""
-        cells, L = _numerators(v for row in self.entries for v in row)
+        cells, L = _numerators(chain.from_iterable(self.entries))
         it = iter(cells)
         return tuple(tuple(islice(it, len(row))) for row in self.entries), L
 
@@ -128,12 +132,12 @@ class Scheme:
                              (self.z_labels, "z")):
             if len(set(labels)) != len(labels):
                 raise InputError(f"duplicate {kind} labels in scheme")
-        px = tuple(as_fraction(v) for v in self.px)
-        weights = tuple(as_fraction(v) for v in self.weights)
+        px = tuple(map(as_fraction, self.px))
+        weights = tuple(map(as_fraction, self.weights))
         if len(px) != n or len(weights) != p:
             raise InputError("scheme needs one mass per state and one weight per signal")
         for kind, values in (("state mass", px), ("signal weight", weights)):
-            bad = next((v for v in values if v <= 0), None)
+            bad = next((v for v in values if v.numerator <= 0), None)
             if bad is not None:
                 raise InputError(f"{kind} must be positive, got {_clip_rat(bad)}")
         if len(self.assignments) != p:
@@ -300,58 +304,108 @@ def extend(cm: ConditionalMatrix) -> ExtendedMatrix:
 
 
 class _Matcher:
-    """Augmenting-path matcher on the truthy cells of a square grid:
-    ``adj`` holds each row's usable columns in ascending order, and
+    """Threshold matcher on a square grid of nonnegative residuals.
+
+    ``keys[i]`` holds one key ``j - m*residual`` per positive cell (i, j),
+    ascending: by descending residual, ties by ascending column, and
+    ``cols[i]`` the keys' columns in the same order.  So row i's cells
+    whose residual is at least the threshold t form a prefix of
+    ``cols[i]``, found by bisection; ``use[i]`` is that prefix.
     ``col_of`` maps rows and ``row_of`` columns to their partner, -1 when
     free.  The one matching routine: ``perfect_matching`` runs it once
-    from scratch, ``birkhoff_decompose`` keeps it between rounds and
-    re-matches only the rows it freed."""
+    with every truthy cell at residual 1 and t = 1, where each prefix is
+    the row's usable columns ascending; ``birkhoff_decompose`` keeps it
+    between rounds and lowers t only as far as a perfect matching needs."""
 
-    __slots__ = ("adj", "col_of", "row_of")
+    __slots__ = ("m", "keys", "cols", "bound", "use", "col_of", "row_of")
 
-    def __init__(self, grid: Sequence[Sequence[object]]):
-        m = len(grid)
-        self.adj = [list(compress(range(m), row)) for row in grid]
+    def __init__(self, work: Sequence[Sequence[int]]):
+        self.m = m = len(work)
+        self.keys, self.cols = [], []
+        for row in work:
+            # A stable sort keeps equal residuals in ascending columns.
+            cols = sorted(compress(range(m), row), key=row.__getitem__, reverse=True)
+            self.cols.append(cols)
+            self.keys.append([j - m * row[j] for j in cols])
         self.col_of = [-1] * m  # row -> column
         self.row_of = [-1] * m  # column -> row
 
+    def threshold(self, t: int) -> None:
+        """Make the cells with residual >= t, and only those, usable:
+        their keys are below ``bound``.  ``use`` is built on first need."""
+        self.bound, self.use = (1 - t) * self.m, None
+
     def match(self, rows) -> bool:
         """Match each free row in ``rows``, in order: a row grabs its
-        lowest-indexed free column, otherwise the lowest-indexed augmenting
-        path (columns tried ascending at every step) wins.  False when some
-        row has no augmenting path."""
-        adj, row_of, col_of = self.adj, self.row_of, self.col_of
+        first free usable column in ``cols`` order, otherwise a depth-first augmenting path
+        (usable columns tried in ``cols`` order at every step) wins.  When
+        a row has no augmenting path, the rows and columns the search
+        visited form a Hall violator: every perfect matching uses an edge
+        leaving it, so t drops to the largest residual on an edge from a
+        visited row to an unvisited column and the search resumes with the
+        matching kept.  False when no positive cell leaves the violator,
+        so no perfect matching exists."""
+        keys, cols, row_of, col_of = self.keys, self.cols, self.row_of, self.col_of
         for i in rows:
-            free = next((j for j in adj[i] if row_of[j] == -1), None)
-            if free is not None:
-                row_of[free], col_of[i] = i, free
-            elif not self._augment(i):
-                return False
+            for j in cols[i][:bisect_left(keys[i], self.bound)]:
+                if row_of[j] == -1:
+                    row_of[j], col_of[i] = i, j
+                    break
+            else:
+                while (visited := self._augment(i)) is not None:
+                    if not self._lower(i, visited):
+                        return False
         return True
 
-    def _augment(self, root: int) -> bool:
+    def _lower(self, root: int, visited: list[int]) -> bool:
+        # The violator's rows are the root and the visited columns' rows.
+        # Each row's first column outside it, in ``cols`` order, carries
+        # the row's largest residual leaving it; t drops to the largest.
+        keys, cols, use, seen = self.keys, self.cols, self.use, set(visited)
+        top = 0  # the smallest key found, 0 while none is
+        for r in (root, *map(self.row_of.__getitem__, visited)):
+            end = len(use[r])
+            for j, k in zip(cols[r][end:], keys[r][end:]):
+                if j not in seen:
+                    top = min(top, k)
+                    break
+        if not top:
+            return False
+        self.threshold(-(top // self.m))
+        return True
+
+    def _augment(self, root: int) -> list[int] | None:
         # Depth-first search on an explicit stack, in the recursive scan
-        # order: rows[d] is frame d's row, todo[d] its untried columns and
-        # cols[d] the column frame d descended through.
-        adj, row_of, col_of = self.adj, self.row_of, self.col_of
-        visited = [False] * len(adj)
-        rows, cols, todo = [root], [], [iter(adj[root])]
-        while todo:
-            for j in todo[-1]:
+        # order: rows[d] is frame d's row, cols[d] the column frame d
+        # descended through, ``untried`` the top frame's untried columns and
+        # todo[d] those of frame d below it.  Returns None on success, else
+        # the columns visited.
+        if self.use is None:
+            ends = map(bisect_left, self.keys, repeat(self.bound))
+            self.use = list(map(getitem, self.cols, map(slice, ends)))
+        use, row_of, col_of = self.use, self.row_of, self.col_of
+        visited = [False] * len(use)
+        rows, cols, todo, untried = [root], [], [], iter(use[root])
+        while True:
+            for j in untried:
                 if not visited[j]:
                     break
             else:
-                del rows[-1], todo[-1], cols[-1:]
+                if not todo:
+                    return list(compress(range(len(use)), visited))
+                untried = todo.pop()
+                del rows[-1], cols[-1]
                 continue
             visited[j] = True
             cols.append(j)
-            if row_of[j] == -1:
+            r = row_of[j]
+            if r == -1:
                 for r, c in zip(rows, cols):
                     row_of[c], col_of[r] = r, c
-                return True
-            rows.append(row_of[j])
-            todo.append(iter(adj[row_of[j]]))
-        return False
+                return None
+            rows.append(r)
+            todo.append(untried)
+            untried = iter(use[r])
 
 
 def perfect_matching(support: Sequence[Sequence[object]]) -> tuple[int, ...] | None:
@@ -365,7 +419,8 @@ def perfect_matching(support: Sequence[Sequence[object]]) -> tuple[int, ...] | N
     m = len(support)
     if m == 0 or any(len(row) != m for row in support):
         raise InputError("support grid must be square and non-empty")
-    matcher = _Matcher(support)
+    matcher = _Matcher([list(map(bool, row)) for row in support])
+    matcher.threshold(1)
     return tuple(matcher.col_of) if matcher.match(range(m)) else None
 
 
@@ -377,37 +432,63 @@ def birkhoff_decompose(
 
     Residuals are ints over L, the lcm of the entry denominators, copied
     from the grid ``ExtendedMatrix`` validated; weights become Fractions
-    only on return.  Each round subtracts the smallest
-    matched residual along a perfect matching of the positive cells.  The
-    matching survives the round: a zeroed cell leaves its row's column
-    list and frees its row, and only the freed rows are re-matched, in
-    ascending order, by :class:`_Matcher`'s scan.  Every round zeroes at
-    least one cell and the last zeroes m, so there are at most nnz - m + 1
-    terms.
+    only on return.  Each round peels the max-bottleneck perfect matching:
+    of all perfect matchings on the positive residual, one whose smallest
+    residual is largest (Dufosse & Ucar, LAA 2016), and subtracts that
+    smallest residual.  No matching beats a row's largest residual, nor
+    the last round's weight (residuals only shrink), so a round starts
+    :class:`_Matcher` at t0, the smaller of the two.  It keeps the last
+    matching's pairs whose residual is still >= t0 and matches the other
+    rows, ascending; the matcher lowers its threshold past each Hall
+    violator, never below the optimum, so the round ends at the max
+    bottleneck.  Every round zeroes at least one cell and the last
+    zeroes m, so there are at most nnz - m + 1 terms.
     """
     m = ext.m
     rows, L = ext._grid
     work = list(map(list, rows))
     matcher = _Matcher(work)
-    adj, col_of, row_of = matcher.adj, matcher.col_of, matcher.row_of
+    col_of, row_of, keys, cols = matcher.col_of, matcher.row_of, matcher.keys, matcher.cols
     terms: list[tuple[int, tuple[int, ...]]] = []
-    freed = range(m)
-    while any(adj):
-        if not matcher.match(freed):
+    alpha, low = L, range(m)  # low: the rows whose pair may fall below t
+    while all(keys):
+        # keys[i][0] // m is minus row i's largest residual.
+        t = min(alpha, -(max(map(itemgetter(0), keys)) // m))
+        matcher.threshold(t)
+        if terms:  # keep the last pairs still >= t, free the others
+            free = [i for i in low if work[i][col_of[i]] < t]
+            for i in free:
+                row_of[col_of[i]] = col_of[i] = -1
+        else:  # the first round matches every row
+            free = low
+        if not matcher.match(free):
             # Birkhoff's theorem guarantees a matching on any doubly
             # stochastic residual; reaching this means corrupted arithmetic.
             raise InternalInvariantError("no perfect matching on positive residual")
         sigma = tuple(col_of)
-        alpha = min(row[j] for row, j in zip(work, sigma))
+        alpha = min(map(list.__getitem__, work, sigma))
         if alpha <= 0:
             raise InternalInvariantError("matching hit a zero entry")
-        freed = []
-        for i, (row, j) in enumerate(zip(work, sigma)):
-            row[j] -= alpha
-            if not row[j]:
-                adj[i].remove(j)
-                col_of[i] = row_of[j] = -1
-                freed.append(i)
+        # Only the matched cells move: each leaves its row's order and,
+        # unless zeroed, goes back in at its new residual by bisection.
+        low = []
+        for i, (row, key, col, j) in enumerate(zip(work, keys, cols, sigma)):
+            v = row[j]
+            pos = bisect_left(key, j - m * v)
+            row[j] = v = v - alpha
+            if v < alpha:
+                low.append(i)
+            if not v:
+                del key[pos], col[pos]
+                continue
+            k = j - m * v
+            end = bisect_left(key, k, pos + 1)
+            if end > pos + 1:
+                del key[pos], col[pos]
+                key.insert(end - 1, k)
+                col.insert(end - 1, j)
+            else:
+                key[pos] = k
         terms.append((alpha, sigma))
     if sum(a for a, _ in terms) != L:
         raise InternalInvariantError("decomposition weights do not sum to 1")

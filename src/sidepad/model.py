@@ -292,9 +292,9 @@ class _Bisection:
 def _numerators(values: Iterable[Fraction]) -> tuple[list[int], int]:
     """Rationals as integer numerators over one common denominator, the lcm
     of theirs: ``(nums, den)`` with ``values[k] == nums[k] / den``."""
-    values = list(values)
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+    ratios = [v.as_integer_ratio() for v in values]
+    den = lcm(*[q for _, q in ratios])
+    return [p * (den // q) for p, q in ratios], den
 
 
 def _fractions(den: int):

@@ -114,6 +114,25 @@ def test_build_json(capsys, paths):
     assert payload["assignments"] == [[1, 2, 3], [2, 3, 1]]
 
 
+# A 3x6 mixture of six permutations: the max-bottleneck split takes 6
+# signals against a lower bound of 5, where first-fit took 11.  The CI
+# quick loop builds the same document and checks its p against this test.
+MIXTURE36 = (
+    "INSTANCE v1\n3 6\nx1 x2 x3\ny1 y2 y3 y4 y5 y6\n"
+    "15/72 0 3/72 3/72 1/72 2/72\n"
+    "3/72 20/72 1/72 0 0 0\n"
+    "3/72 1/72 0 3/72 15/72 2/72\n"
+)
+
+
+def test_build_json_pins_p_on_a_permutation_mixture(capsys, tmp_path):
+    path = tmp_path / "mixture.inst"
+    path.write_text(MIXTURE36, encoding="utf-8")
+    code, out, _ = run(capsys, "build", str(path), "--json")
+    payload = json.loads(out)
+    assert (code, payload["p"], payload["p_lower_bound"]) == (0, 6, 5)
+
+
 # --- verify --------------------------------------------------------------
 
 
@@ -229,9 +248,9 @@ VERIFY_GOLDEN = {
         0, "mixed23", None,
         '{"kind":"verification","verified":true,"consistency":{"ok":true,'
         '"witness":null},"informativeness":{"ok":true,"witness":null},'
-        '"secrecy":{"ok":true,"witness":null},"q_z":["1/3","1/6","1/2"],'
-        '"q_xz":[["1/6","1/12","1/4"],["1/6","1/12","1/4"]],"q_yz":[["1/6",'
-        '"1/12","0/1"],["1/6","0/1","1/4"],["0/1","1/12","1/4"]],'
+        '"secrecy":{"ok":true,"witness":null},"q_z":["1/2","1/3","1/6"],'
+        '"q_xz":[["1/4","1/6","1/12"],["1/4","1/6","1/12"]],"q_yz":[["0/1",'
+        '"1/6","1/12"],["1/4","1/6","0/1"],["1/4","0/1","1/12"]],'
         '"q_xy":[["1/4","1/4","0/1"],["0/1","1/6","1/3"]],'
         '"necessity_audit":{"ok":true,"triple_bound_ok":true,'
         '"disjoint_ok":true,"column_mass_ok":true,"column_mass":["1/2",'
@@ -311,7 +330,7 @@ def test_encode_prints_signal(capsys, paths):
 
 
 def test_encode_json_is_pinned(capsys, tmp_path):
-    # mixed23's cell (x1, y1) splits over z1 and z2.
+    # mixed23's cell (x1, y1) splits over z2 and z3.
     path = tmp_path / "mixed23.scheme"
     path.write_text(sp.serialize_scheme(sp.build_scheme(mixed23())))
     outs = []
@@ -324,7 +343,7 @@ def test_encode_json_is_pinned(capsys, tmp_path):
         outs.append(out)
     assert outs == [
         '{\n  "kind": "encode",\n  "z": "%s"\n}\n' % z
-        for z in ("z1", "z1", "z1", "z1", "z2", "z2")
+        for z in ("z2", "z2", "z2", "z2", "z3", "z3")
     ]
 
 
@@ -715,17 +734,17 @@ CLI_GOLDEN = {
         'x1 x2\n'
         'y1 y2 y3\n'
         '1/2 1/2\n'
-        'z1 1/3 1 2 3\n'
-        'z2 1/6 1 3 2\n'
-        'z3 1/2 2 3 1\n',
+        'z1 1/2 2 3 1\n'
+        'z2 1/3 1 2 3\n'
+        'z3 1/6 1 3 2\n',
         '',
     ),
     'build mixed23 --json': (
         0,
         '{"kind":"scheme","n":2,"m":3,"p":3,"x_labels":["x1","x2"],'
         '"y_labels":["y1","y2","y3"],"z_labels":["z1","z2","z3"],'
-        '"px":["1/2","1/2"],"weights":["1/3","1/6","1/2"],'
-        '"assignments":[[1,2,3],[1,3,2],[2,3,1]],"p_lower_bound":2}',
+        '"px":["1/2","1/2"],"weights":["1/2","1/3","1/6"],'
+        '"assignments":[[2,3,1],[1,2,3],[1,3,2]],"p_lower_bound":2}',
         '',
     ),
     'build otp2': (
@@ -948,18 +967,19 @@ CLI_GOLDEN = {
         0,
         'samples: 3000\n'
         'decode success: 1.000000\n'
-        'empirical Q_Z: z1=0.338667 z2=0.165000 z3=0.496333\n'
-        'TV from P_X by signal (min count 1000): z1=0.011811 z2=n/a z3=0.00'
-        '0336\n'
+        'empirical Q_Z: z1=0.495667 z2=0.338667 z3=0.165667\n'
+        'TV from P_X by signal (min count 1000): z1=0.001009 z2=0.011811 z3=n'
+        '/a\n'
         'max TV: 0.011811\n',
         '',
     ),
     'simulate mixed23.scheme --against mixed23 -n 3000 --seed 7 --json': (
         0,
         '{"kind":"simulation","samples":3000,"decode_success":1.0,'
-        '"empirical_qz":[0.33866666666666667,0.165,0.49633333333333335],'
-        '"tv_secrecy":[0.011811023622047223,null,0.000335795836131636],'
-        '"max_tv":0.011811023622047223,"min_count":1000,"shards":1,'
+        '"empirical_qz":[0.49566666666666664,0.33866666666666667,'
+        '0.16566666666666666],"tv_secrecy":[0.0010087424344317197,'
+        '0.011811023622047223,null],"max_tv":0.011811023622047223,'
+        '"min_count":1000,"shards":1,'
         '"seed":7}',
         '',
     ),
@@ -1002,17 +1022,17 @@ CLI_GOLDEN = {
         0,
         'samples: 2500\n'
         'decode success: 1.000000\n'
-        'empirical Q_Z: z1=0.346800 z2=0.166000 z3=0.487200\n'
-        'TV from P_X by signal (min count 900): z1=n/a z2=n/a z3=0.008210\n'
-        'max TV: 0.008210\n',
+        'empirical Q_Z: z1=0.491600 z2=0.346800 z3=0.161600\n'
+        'TV from P_X by signal (min count 900): z1=0.003662 z2=n/a z3=n/a\n'
+        'max TV: 0.003662\n',
         '',
     ),
     ('simulate mixed23.scheme --against mixed23 -n 2500 --seed 11'
      ' --shards 3 --min-count 900 --json'): (
         0,
         '{"kind":"simulation","samples":2500,"decode_success":1.0,'
-        '"empirical_qz":[0.3468,0.166,0.4872],"tv_secrecy":[null,null,'
-        '0.008210180623973717],"max_tv":0.008210180623973717,'
+        '"empirical_qz":[0.4916,0.3468,0.1616],"tv_secrecy":['
+        '0.003661513425549212,null,null],"max_tv":0.003661513425549212,'
         '"min_count":900,"shards":3,"seed":11}',
         '',
     ),
@@ -1023,7 +1043,7 @@ CLI_GOLDEN = {
 # off support.
 DECODE_GOLDEN = {
     'corr23': ('x1 -', 'x2 x1', '- x2'),
-    'mixed23': ('x1 x1 -', 'x2 - x1', '- x2 x2'),
+    'mixed23': ('- x1 x1', 'x1 x2 -', 'x2 - x2'),
     'otp2': ('x1 x2', 'x2 x1'),
     'det22': ('x1 x2', 'x2 x1'),
 }

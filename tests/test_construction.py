@@ -645,11 +645,9 @@ def test_birkhoff_matches_the_fraction_reference_on_mixtures(ext):
     _assert_agrees_with_the_reference(inst)
 
 
-@pytest.mark.parametrize("m", [16, 24, 32])
-@pytest.mark.parametrize("ratio", [2, 4])
-def test_birkhoff_matches_the_fraction_reference_at_scale(m, ratio):
-    # Uniform P_X over the first m/ratio rows of a mixture of m random
-    # permutations with integer weights summing to 4m.
+def _at_scale_mixture(m, ratio):
+    """Uniform P_X over the first m/ratio rows of a mixture of m random
+    permutations with integer weights summing to 4m."""
     rng = random.Random(f"birkhoff/{m}/{ratio}")
     n, total = m // ratio, 4 * m
     cuts = sorted(rng.sample(range(1, total), m - 1))
@@ -658,32 +656,87 @@ def test_birkhoff_matches_the_fraction_reference_at_scale(m, ratio):
         perm = rng.sample(range(m), m)
         for i in range(n):
             grid[i][perm[i]] += F(weight, total)
-    inst = sp.instance_from_conditional([F(1, n)] * n, grid)
+    return sp.instance_from_conditional([F(1, n)] * n, grid)
+
+
+@pytest.mark.parametrize("m", [16, 24, 32])
+@pytest.mark.parametrize("ratio", [2, 4])
+def test_birkhoff_matches_the_fraction_reference_at_scale(m, ratio):
+    inst = _at_scale_mixture(m, ratio)
     scheme, reference = _assert_agrees_with_the_reference(inst)
     assert scheme.p < reference.p
+    assert scheme.p <= 2 * sp.p_lower_bound(inst)
 
 
-def test_birkhoff_rematches_only_the_rows_it_freed(monkeypatch):
-    # Every round after the first hands the matcher exactly the rows whose
-    # matched cell the previous subtraction zeroed, ascending.
+def _max_bottleneck(work):
+    """The largest smallest cell over the permutations through positive
+    cells of a square residual, by brute force."""
+    m = len(work)
+    return max(
+        min(work[i][sigma[i]] for i in range(m))
+        for sigma in itertools.permutations(range(m))
+        if all(work[i][sigma[i]] > 0 for i in range(m))
+    )
+
+
+def _assert_max_bottleneck_rounds(ext):
+    terms = sp.birkhoff_decompose(ext)
+    _assert_terms_rebuild(ext, terms)
+    work = [list(row) for row in ext.entries]
+    for alpha, sigma in terms:
+        assert alpha == _max_bottleneck(work)
+        for i, j in enumerate(sigma):
+            work[i][j] -= alpha
+    weights = [alpha for alpha, _ in terms]
+    assert weights == sorted(weights, reverse=True)
+
+
+def test_birkhoff_peels_the_max_bottleneck_on_corpus():
+    feasible = [inst for inst in corpus() if sp.check_feasible(inst).feasible]
+    assert any(inst.m >= 3 for inst in feasible)
+    for inst in feasible:
+        if inst.m <= 5:
+            _assert_max_bottleneck_rounds(sp.extend(_conditional(inst)))
+
+
+@given(doubly_stochastic())
+def test_birkhoff_peels_the_max_bottleneck_on_mixtures(ext):
+    _assert_max_bottleneck_rounds(ext)
+
+
+@pytest.mark.parametrize("inst", [mixed23(), _at_scale_mixture(16, 2)],
+                         ids=["mixed23", "mixture16x8"])
+def test_birkhoff_keeps_the_pairs_still_above_the_start(monkeypatch, inst):
+    # A round starts at t0, the smaller of the smallest row maximum and the
+    # last weight.  The matcher sees the last matching's pairs whose
+    # residual is still >= t0 already matched, and gets every other row,
+    # ascending, to match.
     calls = []
     match = sp.construction._Matcher.match
 
     def spy(self, rows):
-        calls.append(list(rows))
+        rows = list(rows)
+        calls.append((rows, list(self.col_of)))
         return match(self, rows)
 
     monkeypatch.setattr(sp.construction._Matcher, "match", spy)
-    ext = sp.extend(_conditional(mixed23()))
+    ext = sp.extend(_conditional(inst))
     terms = sp.birkhoff_decompose(ext)
     assert len(calls) == len(terms)
-    assert calls[0] == [0, 1, 2]
+    m = ext.m
     work = [list(row) for row in ext.entries]
-    for (alpha, sigma), rows in zip(terms, calls[1:]):
+    last, previous = F(1), (-1,) * m
+    for (alpha, sigma), (rows, kept) in zip(terms, calls):
+        t0 = min(last, min(max(row) for row in work))
+        assert kept == [j if j != -1 and work[i][j] >= t0 else -1
+                        for i, j in enumerate(previous)]
+        assert rows == [i for i in range(m) if kept[i] == -1]
         for i, j in enumerate(sigma):
             work[i][j] -= alpha
-        assert rows == [i for i, j in enumerate(sigma) if work[i][j] == 0]
-    assert calls == [[0, 1, 2], [1, 2], [0, 2]]
+        last, previous = alpha, sigma
+    kept_counts = [m - len(rows) for rows, _ in calls[1:]]
+    assert max(kept_counts) > 0  # some round keeps pairs
+    assert min(kept_counts) < m  # some round re-matches rows
 
 
 def test_birkhoff_raises_when_the_matcher_finds_none(monkeypatch):

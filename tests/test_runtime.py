@@ -259,10 +259,10 @@ def test_simulate_reports_are_pinned_on_corpus():
 
 
 def test_simulate_reports_of_built_schemes_are_pinned_on_corpus():
-    # Recorded with sparse padding and incremental matching, with one draw
-    # per sample over the (cell, signal) table.
+    # Recorded with sparse padding and max-bottleneck matching, with one
+    # draw per sample over the (cell, signal) table.
     assert _simulate_digest(sp.build_scheme) == (
-        "b796cb8b674dd23056c60773fb6d5943b76160c1286d6bf296513a2a3e156b56"
+        "11df6a6851f0f79fc98a9f9538f0edd855da4d4520e3676cd08861df20c93c26"
     )
 
 
@@ -618,8 +618,8 @@ def test_encode_draws_on_overlapping_cells():
     draws = collections.Counter(
         sp.encode(scheme, 0, 0, sp.RandomSource(seed)) for seed in range(100)
     )
-    assert set(draws) == {0, 1}  # phi(x1,y1) = {z1, z2}
-    assert draws[0] > draws[1]  # weights 1/3 vs 1/6
+    assert set(draws) == {1, 2}  # phi(x1,y1) = {z2, z3}
+    assert draws[1] > draws[2]  # weights 1/3 vs 1/6
 
 
 def test_encode_off_support_and_bad_indices():
@@ -799,13 +799,13 @@ def test_simulate_statistics_converge():
 GOLDEN_MIXED23_REPORT = sp.SimReport(
     samples=20000,
     decode_success=1.0,
-    empirical_qz=(0.33525, 0.1643, 0.50045),
+    empirical_qz=(0.49475, 0.33525, 0.17),
     tv_secrecy=(
+        0.005103587670540671,
         0.0009694258016405832,
-        0.005477784540474762,
-        0.010740333699670312,
+        0.011470588235294121,
     ),
-    max_tv=0.010740333699670312,
+    max_tv=0.011470588235294121,
     min_count=1000,
     shards=3,
     seed=202608,
@@ -814,8 +814,20 @@ GOLDEN_MIXED23_REPORT = sp.SimReport(
 
 def test_simulate_golden_report():
     inst = mixed23()
-    report = sp.simulate(sp.build_scheme(inst), inst, 20000, PINNED_SEEDS[0], shards=3)
+    scheme = sp.build_scheme(inst)
+    report = sp.simulate(scheme, inst, 20000, PINNED_SEEDS[0], shards=3)
     assert report == GOLDEN_MIXED23_REPORT
+    assert report == _reference_simulate(scheme, inst, 20000, PINNED_SEEDS[0], shards=3)
+
+
+@pytest.mark.parametrize("n_samples, seed, shards, min_count",
+                         [(3000, 7, 1, 1000), (2500, 11, 3, 900)])
+def test_cli_pinned_simulate_runs_equal_the_reference(n_samples, seed, shards, min_count):
+    # The mixed23 runs whose output tests/test_cli.py pins byte for byte.
+    inst = mixed23()
+    _assert_simulate_matches_reference(
+        sp.build_scheme(inst), inst, n_samples, seed, shards=shards, min_count=min_count
+    )
 
 
 def test_encode_golden_draws():
@@ -832,10 +844,10 @@ def test_encode_golden_draws():
     scheme = sp.build_scheme(mixed23())
     rng = sp.RandomSource(PINNED_SEEDS[0])
     assert [sp.encode(scheme, 0, 0, rng) for _ in range(20)] == [
-        1, 1, 0, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1
+        2, 2, 1, 2, 2, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2
     ]
     assert [sp.encode(scheme, 1, 2, rng) for _ in range(20)] == [
-        2, 2, 2, 1, 2, 2, 1, 2, 1, 1, 2, 2, 1, 2, 2, 2, 2, 1, 2, 1
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 2, 0
     ]
 
 

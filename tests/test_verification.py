@@ -152,7 +152,7 @@ def test_support_signals_worked_example(worked):
 
 def test_support_signals_can_overlap():
     scheme = sp.build_scheme(mixed23())
-    assert sp.support_signals(scheme, 0, 0) == {0, 1}
+    assert sp.support_signals(scheme, 0, 0) == {1, 2}
 
 
 def test_decode_table_worked_example(worked):
