@@ -88,6 +88,22 @@ class ExtendedMatrix:
             if sum(col) != L:
                 raise InputError(f"extended matrix column {j} does not sum to 1")
 
+    @classmethod
+    def _of_grid(
+        cls,
+        n: int,
+        m: int,
+        entries: tuple[tuple[Fraction, ...], ...],
+        grid: tuple[tuple[tuple[int, ...], ...], int],
+    ) -> "ExtendedMatrix":
+        """The matrix of Fraction ``entries`` whose ``_grid`` the caller
+        already holds: seeded with it, so validation checks the same sums on
+        it instead of rescaling the m*m entries again."""
+        ext = object.__new__(cls)
+        ext.__dict__.update(n=n, m=m, entries=entries, _grid=grid)
+        ext.__post_init__()
+        return ext
+
     @cached_property
     def _grid(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """The entries as integer numerators over L, the lcm of all their
@@ -275,6 +291,8 @@ def extend(cm: ConditionalMatrix) -> ExtendedMatrix:
     then into the next.  The fill runs on the integer column sums over
     their common denominator L (``cm._columns``), so slacks and room are
     integers and Fractions appear only in the padding rows it returns.
+    L is also the lcm of every entry's denominator, so the conditional's
+    numerators over L and the padding's give the matrix its ``_grid``.
     The padding block so holds at most 2m - n - 1 nonzeros, and a single
     padding row is the slack row itself.  A column summing beyond 1
     raises :class:`InfeasibleError` naming the columns.
@@ -282,11 +300,14 @@ def extend(cm: ConditionalMatrix) -> ExtendedMatrix:
     _column_condition(cm, strict=True)
     cols, L = cm._columns
     n, m = cm.n, cm.m
+    rows = tuple(
+        tuple(v.numerator * (L // v.denominator) for v in row) for row in cm.entries
+    )
     if n == m:
         if any(c != L for c in cols):
             # Square with every column <= 1 and total n forces equality.
             raise InternalInvariantError("square conditional not doubly stochastic")
-        return ExtendedMatrix(n=n, m=m, entries=cm.entries)
+        return ExtendedMatrix._of_grid(n, m, cm.entries, (rows, L))
     pad = [[0] * m for _ in range(m - n)]
     r, room = 0, L  # the padding row being filled, and its room
     for j, c in enumerate(cols):
@@ -298,8 +319,11 @@ def extend(cm: ConditionalMatrix) -> ExtendedMatrix:
             if not room:
                 r, room = r + 1, L
     fraction = _fractions(L)
-    return ExtendedMatrix(
-        n=n, m=m, entries=cm.entries + tuple(tuple(map(fraction, row)) for row in pad)
+    return ExtendedMatrix._of_grid(
+        n,
+        m,
+        cm.entries + tuple(tuple(map(fraction, row)) for row in pad),
+        (rows + tuple(map(tuple, pad)), L),
     )
 
 

@@ -244,11 +244,14 @@ class _Sampler:
     ``weights[k] / S`` give over the lcm of their denominators.
 
     One draw reads u = ``getrandbits(bits)``, with ``bits`` the bit length
-    of L, and looks it up: ``table[u]`` is ``bisect_right(thresholds, u)``,
-    the index of the value drawn, when u < L, and -1, meaning draw u again,
-    otherwise.  That is the runtime's draw rule (``RandomSource.randbelow``)
-    followed by the bisection, on the same integers.  Up to ``_TABLE_BITS``
-    bits the table is a list; past it, an object that bisects."""
+    of L - 1, the fewest bits that span [0, L), and looks it up:
+    ``table[u]`` is ``bisect_right(thresholds, u)``, the index of the value
+    drawn, when u < L, and -1, meaning draw u again, otherwise.  That is
+    the runtime's draw rule (``RandomSource.randbelow``) followed by the
+    bisection, on the same integers; it matches CPython's ``randrange(L)``
+    except where L is a power of two, whose table has no -1 and is read
+    once per draw (L = 1 reads 0 bits).  Up to ``_TABLE_BITS`` bits the
+    table is a list; past it, an object that bisects."""
 
     __slots__ = ("bits", "limit", "table", "thresholds", "values")
 
@@ -257,7 +260,7 @@ class _Sampler:
         self.values = list(values)
         self.thresholds = list(accumulate(w // g for w in weights))
         self.limit = limit = self.thresholds[-1]
-        self.bits = bits = limit.bit_length()
+        self.bits = bits = (limit - 1).bit_length()
         if bits > _TABLE_BITS:
             self.table = _Bisection(self.thresholds)
             return

@@ -5,10 +5,13 @@ Randomness contract
 :class:`RandomSource` wraps the stdlib Mersenne twister (``random.Random``,
 a twisted feedback shift-register generator) seeded with an unsigned
 64-bit integer.  Every uniform integer below a bound B is drawn by one
-rule, :meth:`RandomSource.randbelow`: with k = B.bit_length(), take
-``getrandbits(k)`` and draw again while the value is >= B.  CPython's
-``randrange(B)`` applies the same rule, so outputs recorded on it still
-hold, but the contract rests only on seeding and ``getrandbits``, not on
+rule, :meth:`RandomSource.randbelow`: with k = (B - 1).bit_length(), the
+fewest bits that span [0, B), take ``getrandbits(k)`` and draw again
+while the value is >= B.  CPython's ``randrange(B)`` applies the same
+rule except at a power of two, where it reads one bit more and draws
+again half the time; this rule reads k bits once there, and B = 1 reads
+``getrandbits(0)``, which is 0 and takes nothing from the generator.
+The contract rests only on seeding and ``getrandbits``, not on
 ``randrange``'s implementation, which Python does not promise to keep.
 Sub-streams are derived by hashing, not by jumping: stream ``index`` of
 seed ``s`` reseeds a fresh generator with the first 8 bytes (big endian)
@@ -34,7 +37,7 @@ one common denominator; with S their sum and G their gcd, one uniform
 integer below L = S / G, drawn by the rule above, is bisected into the
 running sums of a_k / G.  That is the table of the Fraction masses
 a_k / S over the lcm of their denominators.  Each sampler answers that
-bisection by lookup: with k the bit length of L, ``table[u]`` for every
+bisection by lookup: with k the bit length of L - 1, ``table[u]`` for every
 u < 2**k is the index bisection gives when u < L and -1 otherwise, so a
 draw reads ``table[getrandbits(k)]`` and reads again on -1.  That is the
 same integer, in the same order, mapped to the same index as the rule
@@ -47,9 +50,10 @@ alpha_k / sum(alpha); ``simulate``'s table passes, for each pair
 cell's signals), all over one denominator (see ``_slot_sampler``).  No
 float takes part in a draw: ``simulate`` tallies integer counts per
 (world cell, signal) pair, and floats appear only in the *report* of
-empirical frequencies.  A deterministic encoder cell consumes no
-randomness; every other draw consumes some, even on a point mass (a draw
-below 1 still reads bits), and a ``simulate`` sample takes one draw.  An
+empirical frequencies.  A deterministic encoder cell and a point mass
+consume no randomness; every other draw consumes k bits per read, and a
+``simulate`` sample takes one draw.  A limit that is a power of two
+never reads twice.  An
 instance keeps the sampler of its joint, and a scheme's compiled joint
 (``Scheme._joint``, read here directly) keeps each cell's encoder
 distribution for ``encode``.  ``simulate`` builds its table from the
@@ -102,10 +106,12 @@ class RandomSource:
 
     def randbelow(self, bound: int) -> int:
         """Uniform integer in [0, bound) by the draw rule: with
-        k = bound.bit_length(), draw getrandbits(k) until it is below bound."""
+        k = (bound - 1).bit_length(), draw getrandbits(k) until it is below
+        bound.  That is CPython's ``randrange(bound)`` except at a power of
+        two, where it reads k bits once; ``randbelow(1)`` reads nothing."""
         if bound < 1:
             raise InputError(f"bound must be >= 1, got {bound}")
-        k = bound.bit_length()
+        k = (bound - 1).bit_length()
         u = self._getrandbits(k)
         while u >= bound:
             u = self._getrandbits(k)

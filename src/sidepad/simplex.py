@@ -10,7 +10,9 @@ every pivot.  Every cell equals the rational a Fraction tableau would
 hold, so pivots, verdict and solution are exactly those of rational
 arithmetic, at integer cost.  Entries may be ints or Fractions (read
 through ``numerator``/``denominator``); Fractions appear again only in
-the returned solution, which is checked exactly against the input.
+the returned solution, which is checked exactly against the input on
+integers: the basic values over one common denominator, each row over
+its own.
 
 This backs the brute-force feasibility oracle, which must stay
 structurally independent of the constructive pipeline it cross-checks.
@@ -112,13 +114,23 @@ def feasible_nonnegative_solution(
     if obj[width] != 0:
         return None
 
-    zero = Fraction(0)
-    solution = [zero] * n_vars
-    for r, var in enumerate(basis):
-        if var < n_vars:
-            solution[var] = Fraction(tableau[r][width], dens[r])
-    support = [j for j, v in enumerate(solution) if v]
+    # The positive basic values as integers xs[j] over one denominator D.
+    D = lcm(*(dens[r] for r, var in enumerate(basis) if var < n_vars))
+    xs = {
+        var: tableau[r][width] * (D // dens[r])
+        for r, var in enumerate(basis)
+        if var < n_vars and tableau[r][width]
+    }
+    # rows @ x == rhs, each row over the lcm E of its cells' denominators:
+    # sum(cell * x) = total / (E * D) must equal b.
     for r in range(n_rows):
-        if sum((rows[r][j] * solution[j] for j in support), zero) != rhs[r]:
+        cells = [(rows[r][j], x) for j, x in xs.items()]
+        E = lcm(*(v.denominator for v, _ in cells))
+        total = sum(v.numerator * (E // v.denominator) * x for v, x in cells)
+        b = rhs[r]
+        if total * b.denominator != b.numerator * E * D:
             raise InternalInvariantError("phase-1 solution fails its constraints")
+    solution = [Fraction(0)] * n_vars
+    for var, x in xs.items():
+        solution[var] = Fraction(x, D)
     return tuple(solution)

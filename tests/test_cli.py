@@ -949,17 +949,17 @@ CLI_GOLDEN = {
         0,
         'samples: 3000\n'
         'decode success: 1.000000\n'
-        'empirical Q_Z: z1=0.500333 z2=0.499667\n'
-        'TV from P_X by signal (min count 1000): z1=0.016989 z2=0.001001\n'
-        'max TV: 0.016989\n',
+        'empirical Q_Z: z1=0.498667 z2=0.501333\n'
+        'TV from P_X by signal (min count 1000): z1=0.008690 z2=0.001330\n'
+        'max TV: 0.008690\n',
         '',
     ),
     'simulate corr23.scheme --against corr23 -n 3000 --seed 7 --json': (
         0,
         '{"kind":"simulation","samples":3000,"decode_success":1.0,'
-        '"empirical_qz":[0.5003333333333333,0.49966666666666665],'
-        '"tv_secrecy":[0.016988674217188526,0.0010006671114075882],'
-        '"max_tv":0.016988674217188526,"min_count":1000,"shards":1,'
+        '"empirical_qz":[0.49866666666666665,0.5013333333333333],'
+        '"tv_secrecy":[0.008689839572192493,0.0013297872340425343],'
+        '"max_tv":0.008689839572192493,"min_count":1000,"shards":1,'
         '"seed":7}',
         '',
     ),
@@ -987,16 +987,16 @@ CLI_GOLDEN = {
         0,
         'samples: 3000\n'
         'decode success: 1.000000\n'
-        'empirical Q_Z: z1=0.508000 z2=0.492000\n'
-        'TV from P_X by signal (min count 1000): z1=0.009186 z2=0.008808\n'
-        'max TV: 0.009186\n',
+        'empirical Q_Z: z1=0.495000 z2=0.505000\n'
+        'TV from P_X by signal (min count 1000): z1=0.005051 z2=0.002310\n'
+        'max TV: 0.005051\n',
         '',
     ),
     'simulate otp2.scheme --against otp2 -n 3000 --seed 7 --json': (
         0,
         '{"kind":"simulation","samples":3000,"decode_success":1.0,'
-        '"empirical_qz":[0.508,0.492],"tv_secrecy":[0.009186351706036766,'
-        '0.008807588075880779],"max_tv":0.009186351706036766,'
+        '"empirical_qz":[0.495,0.505],"tv_secrecy":[0.005050505050505055,'
+        '0.0023102310231023215],"max_tv":0.005050505050505055,'
         '"min_count":1000,"shards":1,"seed":7}',
         '',
     ),

@@ -20,7 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sidepad as sp
-from sidepad.model import _check_label, _clip_rat
+from sidepad.model import _check_label, _clip_rat, _numerators
 from corpus import corpus, mixed23, skew22
 from test_model import DIGIT_LIMIT
 
@@ -458,6 +458,33 @@ def test_extended_matrix_grid_is_private_and_shared_with_birkhoff():
     terms = sp.birkhoff_decompose(ext)
     assert ext._grid == before  # peeled a copy
     assert sum(a for a, _ in terms) == 1
+
+
+def test_extend_hands_over_the_grid_of_its_entries():
+    # extend seeds _grid with the integers it filled rather than converting
+    # its entries again: the grid must be their numerators over their lcm.
+    padded = 0
+    for inst in corpus():
+        if not sp.check_feasible(inst).feasible:
+            continue
+        ext = sp.extend(sp.conditional_y_given_x(inst))
+        assert "_grid" in vars(ext)
+        cells, L = _numerators(v for row in ext.entries for v in row)
+        m = ext.m
+        assert ext._grid == (
+            tuple(tuple(cells[i * m:(i + 1) * m]) for i in range(m)), L
+        )
+        padded += ext.n < m
+    assert padded > 100
+
+
+def test_extend_grid_is_checked_like_any_other():
+    # The seeded grid gets the same 2m sum checks as a converted one.
+    entries = ((F(1), F(0)), (F(0), F(1)))
+    with pytest.raises(sp.InputError, match="column 0 does not sum to 1"):
+        sp.ExtendedMatrix._of_grid(2, 2, entries, (((1, 0), (1, 0)), 1))
+    with pytest.raises(sp.InputError, match="need 1 <= n <= m"):
+        sp.ExtendedMatrix._of_grid(3, 2, entries, (((1, 0), (0, 1)), 1))
 
 
 def test_extend_refuses_like_the_reference():

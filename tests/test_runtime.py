@@ -6,6 +6,7 @@ import hashlib
 import random
 import re
 import time
+import types
 from bisect import bisect_right
 from fractions import Fraction as F
 from itertools import accumulate
@@ -16,7 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sidepad as sp
-from corpus import PINNED_SEEDS, corpus, corr23, det22, mixed23, otp2
+from corpus import (
+    PINNED_SEEDS, corpus, corr23, det22, mixed23, otp2, uniform_independent,
+)
+from sidepad import runtime
 from sidepad.model import _TABLE_BITS, _Sampler
 from sidepad.runtime import _conditional_signals, _slot_sampler
 from sidepad.verification import _scheme_rows
@@ -48,9 +52,10 @@ def _assert_world_is_the_fraction_table(inst):
 
 
 def _assert_table_fits(sampler):
-    """A sampler's table is a list of exactly 2**bits entries, at most
-    2**16, when its limit has at most 16 bits, and no list otherwise."""
-    assert sampler.bits == sampler.limit.bit_length()
+    """A sampler reads the bits that span [0, limit): its table is a list of
+    exactly 2**bits entries, at most 2**16, when that takes at most 16
+    bits, and no list otherwise."""
+    assert sampler.bits == (sampler.limit - 1).bit_length()
     if sampler.bits <= _TABLE_BITS:
         assert type(sampler.table) is list
         assert len(sampler.table) == 1 << sampler.bits <= 2**16
@@ -58,10 +63,25 @@ def _assert_table_fits(sampler):
         assert not isinstance(sampler.table, list)
 
 
-def _bisect_draw(sampler, rng):
+def _reference_draw(gen, bound):
+    """The draw rule written out on a ``random.Random``: read
+    getrandbits(k) with k = (bound - 1).bit_length(), again while the value
+    is not below bound."""
+    k = (bound - 1).bit_length()
+    u = gen.getrandbits(k)
+    while u >= bound:
+        u = gen.getrandbits(k)
+    return u
+
+
+def _is_power_of_two(bound):
+    return bound & (bound - 1) == 0
+
+
+def _bisect_draw(sampler, gen):
     """One draw by the rule the lookup table replaces: the integer below
     the limit, bisected into the thresholds."""
-    u = rng.randbelow(sampler.limit)
+    u = _reference_draw(gen, sampler.limit)
     return sampler.values[bisect_right(sampler.thresholds, u)]
 
 
@@ -82,7 +102,7 @@ def test_sampler_table_is_the_bisection_at_every_integer(limit):
     assert [sampler.table[u] for u in span] == [
         bisect_right(sampler.thresholds, u) if u < limit else -1 for u in span
     ]
-    a, b = sp.RandomSource(limit), sp.RandomSource(limit)
+    a, b = sp.RandomSource(limit), random.Random(limit)
     assert [sampler.draw(a) for _ in range(200)] == [
         _bisect_draw(sampler, b) for _ in range(200)
     ]
@@ -102,7 +122,7 @@ def test_wide_sampler_table_is_the_bisection(limit, seed):
         if 0 <= u < 1 << sampler.bits:
             want = bisect_right(sampler.thresholds, u) if u < limit else -1
             assert sampler.table[u] == want
-    a, b = sp.RandomSource(seed), sp.RandomSource(seed)
+    a, b = sp.RandomSource(seed), random.Random(seed)
     assert [sampler.draw(a) for _ in range(50)] == [
         _bisect_draw(sampler, b) for _ in range(50)
     ]
@@ -131,21 +151,83 @@ RANDRANGE_BOUNDS = (
 )
 
 
+def _randrange_or_one_read(gen, bound):
+    """CPython's randrange(bound), except at a power of two 2**k: one plain
+    getrandbits(k) read (none at all for 1), with no redraw."""
+    if _is_power_of_two(bound):
+        return gen.getrandbits(bound.bit_length() - 1)
+    return gen.randrange(bound)
+
+
 def test_randbelow_draws_what_randrange_draws():
-    # The draw rule is the one CPython's randrange(bound) applies to
-    # getrandbits, so seeded outputs recorded on randrange still hold.
+    # Below a bound that is not a power of two the draw rule is the one
+    # CPython's randrange(bound) applies to getrandbits, so seeded outputs
+    # recorded on randrange still hold there.  At a power of two the rule
+    # reads its bits once, where randrange reads one bit more and redraws.
     for seed in (*range(40), 2**32 - 1, 2**32, 2**63, 2**64 - 1):
         for bound in RANDRANGE_BOUNDS:
             rng, want = sp.RandomSource(seed), random.Random(seed)
             assert [rng.randbelow(bound) for _ in range(200)] == [
-                want.randrange(bound) for _ in range(200)
+                _randrange_or_one_read(want, bound) for _ in range(200)
             ]
         # Mixed bounds consume the generator's state the same way too.
         rng, want = sp.RandomSource(seed), random.Random(seed)
         bounds = RANDRANGE_BOUNDS * 14
         assert [rng.randbelow(b) for b in bounds] == [
-            want.randrange(b) for b in bounds
+            _randrange_or_one_read(want, b) for b in bounds
         ]
+    assert {b for b in RANDRANGE_BOUNDS if _is_power_of_two(b)} == {
+        1, 2, 2**31, 2**32, 2**63, 2**64
+    }
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """How many getrandbits reads the generators that ``sidepad.runtime``
+    creates have made since the fixture wrapped them with a counter.  A
+    read of 0 bits takes nothing from the generator and is not counted."""
+    count = 0
+
+    class CountingRandom(random.Random):
+        def getrandbits(self, k):
+            nonlocal count
+            count += k > 0
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(runtime, "random", types.SimpleNamespace(Random=CountingRandom))
+    return lambda: count
+
+
+@pytest.mark.parametrize("n, m, limit", [(2, 2, 4), (2, 8, 16), (4, 4, 16)])
+def test_power_of_two_limits_read_once_per_draw(reads, n, m, limit):
+    # Shannon pads whose cell count is a power of two: every table limit is
+    # that count, so k bits span it exactly and no read is drawn again.
+    inst = uniform_independent(n, m)
+    scheme = sp.build_scheme(inst)
+    assert _slot_sampler(scheme, inst).limit == inst._world.limit == limit
+    before = reads()
+    sp.simulate(scheme, inst, 5000, PINNED_SEEDS[0], shards=3)
+    assert reads() - before == 5000
+    rng = sp.RandomSource(PINNED_SEEDS[1])
+    before = reads()
+    for calls in range(1, 201):
+        sp.sample_world(inst, rng)
+        assert reads() - before == calls
+
+
+def test_point_masses_consume_no_randomness(reads):
+    gen = random.Random(PINNED_SEEDS[0])
+    state = gen.getstate()
+    assert gen.getrandbits(0) == 0 and gen.getstate() == state
+    rng = sp.RandomSource(PINNED_SEEDS[0])
+    assert [rng.randbelow(1) for _ in range(100)] == [0] * 100
+    inst = sp.make_instance(["x1"], ["y1"], [["1"]])
+    scheme = sp.build_scheme(inst)
+    assert _slot_sampler(scheme, inst).limit == 1
+    report = sp.simulate(scheme, inst, 1000, PINNED_SEEDS[1], shards=3)
+    assert (report.decode_success, report.empirical_qz) == (1.0, (1.0,))
+    assert [sp.sample_world(inst, rng) for _ in range(10)] == [(0, 0)] * 10
+    assert reads() == 0
 
 
 def test_substream_derivation_is_the_documented_hash():
@@ -173,8 +255,16 @@ def test_sample_world_reproducible_sequence():
     a = [sp.sample_world(inst, rng_a) for _ in range(6)]
     b = [sp.sample_world(inst, rng_b) for _ in range(6)]
     assert a == b
-    assert a == [(1, 1), (0, 1), (1, 2), (0, 0), (0, 0), (0, 0)]
-    assert seq[0] == (1, 1)
+    limit, thresholds, cells = _fraction_table(
+        ((i, j), v) for i, row in enumerate(inst.p_xy) for j, v in enumerate(row)
+    )
+    gen = random.Random(7)
+    assert a == [
+        cells[bisect_right(thresholds, _reference_draw(gen, limit))]
+        for _ in range(6)
+    ]
+    assert a == [(0, 1), (1, 2), (0, 0), (0, 1), (1, 1), (0, 0)]
+    assert seq[0] == a[0]
 
 
 def test_sample_world_builds_its_sampler_once():
@@ -229,7 +319,8 @@ def test_world_sampler_equals_fraction_table_on_random_instances(inst):
 def _simulate_digest(build):
     """SHA-256 of the reports' reprs over the schemes ``build`` makes for
     every feasible corpus instance, sharded and not, plus a twin with its
-    first weight doubled (fails the laws)."""
+    first weight doubled (fails the laws).  Each report must equal the
+    reference loop's first."""
     digest = hashlib.sha256()
     for inst in corpus():
         if not sp.check_feasible(inst).feasible:
@@ -242,7 +333,7 @@ def _simulate_digest(build):
             (scheme, 1, False), (scheme, 3, False), (scheme, 2, True),
             (broken, 2, True),
         ):
-            report = sp.simulate(
+            report = _assert_simulate_matches_reference(
                 target, inst, 200, 11,
                 shards=shards, min_count=20, allow_unverified=unverified,
             )
@@ -252,17 +343,19 @@ def _simulate_digest(build):
 
 def test_simulate_reports_are_pinned_on_corpus():
     # Recorded on the schemes of the dense-padding, from-scratch-matching
-    # builder, with one draw per sample over the (cell, signal) table.
+    # builder, with one draw per sample over the (cell, signal) table and
+    # the fewest bits per read.
     assert _simulate_digest(reference_scheme) == (
-        "a53e645927fbad81e7940a56d4e8bc3604ee13b4e05f6cbedaef4042488045fd"
+        "8a5b232789d700ba6feefc173cd9d67ec5f78c0e7eaa5dc2c83b1d74d4798178"
     )
 
 
 def test_simulate_reports_of_built_schemes_are_pinned_on_corpus():
     # Recorded with sparse padding and max-bottleneck matching, with one
-    # draw per sample over the (cell, signal) table.
+    # draw per sample over the (cell, signal) table and the fewest bits
+    # per read.
     assert _simulate_digest(sp.build_scheme) == (
-        "11df6a6851f0f79fc98a9f9538f0edd855da4d4520e3676cd08861df20c93c26"
+        "da7eb26b11df79b82ff56d65f8adc220b3b74cdd0597bd70916b3409108cc10b"
     )
 
 
@@ -290,13 +383,13 @@ def _reference_slots(scheme, inst):
 
 def _reference_simulate(
     scheme, inst, n_samples, seed, *, shards=1, min_count=1000,
-    allow_unverified=False,
+    allow_unverified=False, draw=_reference_draw,
 ):
-    """``simulate`` by its rule, one sample at a time: one
-    ``random.Random.randrange`` below the lcm of the slot masses'
-    denominators per sample, bisected into their running sums (never a
-    sampler's table), then decoded and counted.  Law checks are left to
-    ``simulate``."""
+    """``simulate`` by its rule, one sample at a time: one ``draw`` (the
+    written-out rule by default) from each shard's ``random.Random`` below
+    the lcm of the slot masses' denominators per sample, bisected into
+    their running sums (never a sampler's table), then decoded and
+    counted.  Law checks are left to ``simulate``."""
     limit, thresholds, slots = _fraction_table(_reference_slots(scheme, inst))
     inverse = scheme._joint.inverse
     counts_z = [0] * scheme.p
@@ -305,9 +398,9 @@ def _reference_simulate(
     base = sp.RandomSource(seed)
     quota, remainder = divmod(n_samples, shards)
     for shard in range(shards):
-        randrange = random.Random(base.substream(shard).seed).randrange
+        gen = random.Random(base.substream(shard).seed)
         for _ in range(quota + (1 if shard < remainder else 0)):
-            i, j, k = slots[bisect_right(thresholds, randrange(limit))]
+            i, j, k = slots[bisect_right(thresholds, draw(gen, limit))]
             counts_z[k] += 1
             counts_xz[i][k] += 1
             rows = inverse[k][j]
@@ -425,6 +518,31 @@ def test_simulate_matches_the_reference_loop_on_random_schemes(
         except sp.SidepadError as exc:
             outcomes.append((type(exc), str(exc)))
     assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    instances(),
+    st.integers(0, 300),
+    st.integers(0, 2**64 - 1),
+    st.integers(1, 3),
+)
+def test_simulate_draws_what_randrange_drew_below_other_limits(
+    inst, n_samples, seed, shards
+):
+    # Only a power-of-two limit changed its bit count: below any other slot
+    # limit simulate prints what the randrange-based rule gave before.
+    if not sp.check_feasible(inst).feasible:
+        return
+    scheme = sp.build_scheme(inst)
+    if _is_power_of_two(_slot_sampler(scheme, inst).limit):
+        return
+    got = sp.simulate(scheme, inst, n_samples, seed, shards=shards, min_count=10)
+    want = _reference_simulate(
+        scheme, inst, n_samples, seed, shards=shards, min_count=10,
+        draw=random.Random.randrange,
+    )
+    assert repr(got) == repr(want)
 
 
 def _wide_instances():
@@ -830,6 +948,27 @@ def test_cli_pinned_simulate_runs_equal_the_reference(n_samples, seed, shards, m
     )
 
 
+@pytest.mark.parametrize("factory", [corr23, otp2, det22])
+def test_cli_pinned_simulate_runs_of_deterministic_fixtures_equal_the_reference(factory):
+    # The otp2, corr23 and det22 runs tests/test_cli.py pins byte for byte.
+    inst = factory()
+    _assert_simulate_matches_reference(sp.build_scheme(inst), inst, 3000, 7)
+
+
+def _reference_encode_draws(scheme, i, j, gen, count):
+    """``count`` encoder draws at cell (i, j) by the written-out rule on
+    ``gen``, bisected into the table of the normalised Fraction weights."""
+    ks = sorted(sp.support_signals(scheme, i, j))
+    total = sum((scheme.weights[k] for k in ks), F(0))
+    limit, thresholds, values = _fraction_table(
+        (k, scheme.weights[k] / total) for k in ks
+    )
+    return [
+        values[bisect_right(thresholds, _reference_draw(gen, limit))]
+        for _ in range(count)
+    ]
+
+
 def test_encode_golden_draws():
     # corr23: every supported cell is deterministic, so 20 draws cycling
     # over the four cells give a fixed sequence and consume no randomness.
@@ -843,11 +982,16 @@ def test_encode_golden_draws():
     # mixed23: cells (x1, y1) and (x2, y3) each split over two signals.
     scheme = sp.build_scheme(mixed23())
     rng = sp.RandomSource(PINNED_SEEDS[0])
-    assert [sp.encode(scheme, 0, 0, rng) for _ in range(20)] == [
+    first = [sp.encode(scheme, 0, 0, rng) for _ in range(20)]
+    second = [sp.encode(scheme, 1, 2, rng) for _ in range(20)]
+    gen = random.Random(PINNED_SEEDS[0])
+    assert first == _reference_encode_draws(scheme, 0, 0, gen, 20)
+    assert second == _reference_encode_draws(scheme, 1, 2, gen, 20)
+    assert first == [
         2, 2, 1, 2, 2, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2
     ]
-    assert [sp.encode(scheme, 1, 2, rng) for _ in range(20)] == [
-        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 2, 0
+    assert second == [
+        2, 0, 0, 0, 0, 2, 2, 0, 0, 0, 0, 0, 2, 2, 0, 0, 0, 0, 0, 0
     ]
 
 
