@@ -70,14 +70,18 @@ class ExtendedMatrix:
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
+        grid = tuple(tuple(map(as_fraction, row)) for row in self.entries)
+        object.__setattr__(self, "entries", grid)
+        self._validate()
+
+    def _validate(self) -> None:
+        """The shape and the 2m sums, checked on ``_grid``."""
         if not (1 <= self.n <= self.m):
             raise InputError(f"need 1 <= n <= m, got n={self.n} m={self.m}")
         if len(self.entries) != self.m:
             raise InputError("extended matrix must be square (m rows)")
-        grid = tuple(tuple(map(as_fraction, row)) for row in self.entries)
-        object.__setattr__(self, "entries", grid)
         work, L = self._grid
-        for row, nums in zip(grid, work):
+        for row, nums in zip(self.entries, work):
             if len(row) != self.m:
                 raise InputError("extended matrix must be square (m columns)")
             if min(nums) < 0:
@@ -97,11 +101,11 @@ class ExtendedMatrix:
         grid: tuple[tuple[tuple[int, ...], ...], int],
     ) -> "ExtendedMatrix":
         """The matrix of Fraction ``entries`` whose ``_grid`` the caller
-        already holds: seeded with it, so validation checks the same sums on
-        it instead of rescaling the m*m entries again."""
+        already holds: seeded with it, so validation checks the same shape
+        and sums on it without coercing or rescaling the m*m entries again."""
         ext = object.__new__(cls)
         ext.__dict__.update(n=n, m=m, entries=entries, _grid=grid)
-        ext.__post_init__()
+        ext._validate()
         return ext
 
     @cached_property
@@ -294,7 +298,8 @@ def extend(cm: ConditionalMatrix) -> ExtendedMatrix:
     L is also the lcm of every entry's denominator, so the conditional's
     numerators over L and the padding's give the matrix its ``_grid``.
     The padding block so holds at most 2m - n - 1 nonzeros, and a single
-    padding row is the slack row itself.  A column summing beyond 1
+    padding row is the slack row itself.  For n = m every column sums to
+    1, so there is no slack and no padding row.  A column summing beyond 1
     raises :class:`InfeasibleError` naming the columns.
     """
     _column_condition(cm, strict=True)
@@ -303,11 +308,6 @@ def extend(cm: ConditionalMatrix) -> ExtendedMatrix:
     rows = tuple(
         tuple(v.numerator * (L // v.denominator) for v in row) for row in cm.entries
     )
-    if n == m:
-        if any(c != L for c in cols):
-            # Square with every column <= 1 and total n forces equality.
-            raise InternalInvariantError("square conditional not doubly stochastic")
-        return ExtendedMatrix._of_grid(n, m, cm.entries, (rows, L))
     pad = [[0] * m for _ in range(m - n)]
     r, room = 0, L  # the padding row being filled, and its room
     for j, c in enumerate(cols):
@@ -336,10 +336,8 @@ class _Matcher:
     whose residual is at least the threshold t form a prefix of
     ``cols[i]``, found by bisection; ``use[i]`` is that prefix.
     ``col_of`` maps rows and ``row_of`` columns to their partner, -1 when
-    free.  The one matching routine: ``perfect_matching`` runs it once
-    with every truthy cell at residual 1 and t = 1, where each prefix is
-    the row's usable columns ascending; ``birkhoff_decompose`` keeps it
-    between rounds and lowers t only as far as a perfect matching needs."""
+    free.  Its one caller, ``birkhoff_decompose``, keeps it between rounds
+    and lowers t only as far as a perfect matching needs."""
 
     __slots__ = ("m", "keys", "cols", "bound", "use", "col_of", "row_of")
 
@@ -430,22 +428,6 @@ class _Matcher:
             rows.append(r)
             todo.append(untried)
             untried = iter(use[r])
-
-
-def perfect_matching(support: Sequence[Sequence[object]]) -> tuple[int, ...] | None:
-    """Deterministic perfect matching on a square grid, or None.
-
-    A cell is usable when it is truthy (``True``, a positive residual) and
-    unusable when falsy (``False``, ``0``).  Rows are matched in ascending
-    index by :meth:`_Matcher.match`'s fixed scan, so the same support always
-    yields the same matching, whatever the cell type.
-    """
-    m = len(support)
-    if m == 0 or any(len(row) != m for row in support):
-        raise InputError("support grid must be square and non-empty")
-    matcher = _Matcher([list(map(bool, row)) for row in support])
-    matcher.threshold(1)
-    return tuple(matcher.col_of) if matcher.match(range(m)) else None
 
 
 def birkhoff_decompose(

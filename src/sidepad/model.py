@@ -372,6 +372,8 @@ class ConditionalMatrix:
     ``rows`` are the instance row indices it covers (exactly supp X,
     ascending); every column of the instance is retained, including
     zero-mass ones, whose conditional entries are necessarily zero.
+    Entries and masses are coerced by :func:`as_fraction`, as in
+    :class:`Instance`, so floats are refused and tokens parse.
     Each row sums to exactly one; signs and sums are checked on each row's
     integer numerators over its own lcm, which are dropped once they have
     given the column sums ``_columns``.  ``masses``, P_X of the covered
@@ -386,11 +388,14 @@ class ConditionalMatrix:
     masses: tuple[Fraction, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
+        entries = tuple(tuple(map(as_fraction, row)) for row in self.entries)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "masses", tuple(map(as_fraction, self.masses)))
         if len(self.entries) != len(self.rows):
             raise InputError("conditional matrix: one entry row per covered row")
         if self.masses and len(self.masses) != len(self.rows):
             raise InputError("conditional matrix: one mass per covered row")
-        rows = tuple(map(_numerators, self.entries))
+        rows = tuple(map(_numerators, entries))
         for row, (nums, den) in zip(self.entries, rows):
             if len(row) != len(self.cols):
                 raise InputError("conditional matrix: ragged row")

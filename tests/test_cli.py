@@ -176,6 +176,27 @@ def test_a_reader_closing_the_pipe_early_is_not_an_error(tmp_path):
     assert err == b""
 
 
+def test_the_library_and_cli_import_only_the_standard_library():
+    # Site hooks may preload third-party modules, so only the modules that
+    # importing sidepad adds are checked.
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import sidepad, sidepad.cli\n"
+        "print(*{name.partition('.')[0] for name in set(sys.modules) - before})\n"
+    )
+    src = str(Path(sp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=env, check=True, timeout=120,
+    ).stdout.split()
+    assert "sidepad" in out
+    foreign = [name for name in out
+               if name != "sidepad" and name not in sys.stdlib_module_names]
+    assert foreign == []
+
+
 def test_verify_broken_weights(capsys, paths, tmp_path):
     doc = sp.serialize_scheme(sp.build_scheme(corr23()))
     broken = doc.replace("z1 1/2", "z1 51/100", 1)

@@ -77,42 +77,6 @@ def test_extended_matrix_validates():
         )  # column sums 2 and 0
 
 
-def test_perfect_matching_identity_support():
-    support = [[i == j for j in range(3)] for i in range(3)]
-    assert sp.perfect_matching(support) == (0, 1, 2)
-
-
-def test_perfect_matching_full_support_scans_ascending():
-    support = [[True] * 3 for _ in range(3)]
-    assert sp.perfect_matching(support) == (0, 1, 2)
-
-
-def test_perfect_matching_uses_augmenting_path():
-    # Row 1 only fits column 0, which row 0 grabbed first; the augmenting
-    # path rematches row 0 onto column 1.
-    support = [[True, True], [True, False]]
-    assert sp.perfect_matching(support) == (1, 0)
-
-
-def test_perfect_matching_none_for_empty_row():
-    assert sp.perfect_matching([[False, False], [True, True]]) is None
-
-
-def test_perfect_matching_none_for_column_bottleneck():
-    # Three rows squeezed into two usable columns.
-    support = [
-        [True, True, False],
-        [True, True, False],
-        [True, True, False],
-    ]
-    assert sp.perfect_matching(support) is None
-
-
-def test_perfect_matching_rejects_non_square():
-    with pytest.raises(sp.InputError):
-        sp.perfect_matching([[True, False]])
-
-
 def test_birkhoff_of_worked_example():
     terms = sp.birkhoff_decompose(sp.extend(_conditional(corr23())))
     assert terms == ((F(1, 2), (0, 1, 2)), (F(1, 2), (1, 2, 0)))
@@ -502,14 +466,17 @@ def test_perfect_matching_long_augmenting_path():
     # path through all m rows, far deeper than the interpreter's recursion
     # limit.  The unique perfect matching shifts every row right by one.
     m = 1500
-    support = [[j == i or j == i + 1 for j in range(m)] for i in range(m - 1)]
-    support.append([j == 0 for j in range(m)])
-    assert sp.perfect_matching(support) == tuple(range(1, m)) + (0,)
+    work = [[int(j in (i, i + 1)) for j in range(m)] for i in range(m - 1)]
+    work.append([int(j == 0) for j in range(m)])
+    matcher = sp.construction._Matcher(work)
+    matcher.threshold(1)
+    assert matcher.match(range(m))
+    assert matcher.col_of == list(range(1, m)) + [0]
 
 
 def _recursive_matching(support):
-    """The textbook recursive augmenting-path matcher with the documented
-    scan order: a reference for the iterative implementation."""
+    """The textbook recursive augmenting-path matcher: rows ascending, each
+    taking its first free column, else an augmenting path."""
     m = len(support)
     col_of, row_of = [-1] * m, [-1] * m
 
@@ -531,28 +498,6 @@ def _recursive_matching(support):
     return tuple(col_of)
 
 
-def test_perfect_matching_keeps_the_recursive_scan_order():
-    rng = random.Random(1500)
-    for _ in range(400):
-        m = rng.randrange(1, 9)
-        density = rng.choice((0.2, 0.4, 0.6))
-        support = [[rng.random() < density for _ in range(m)] for _ in range(m)]
-        assert sp.perfect_matching(support) == _recursive_matching(support)
-
-
-def test_perfect_matching_reads_any_truthy_cells():
-    # The grids of the scan-order test above, each also given as residuals:
-    # 0 where the bool grid is False, a positive int where it is True.
-    rng, values = random.Random(1500), random.Random(1501)
-    for _ in range(400):
-        m = rng.randrange(1, 9)
-        density = rng.choice((0.2, 0.4, 0.6))
-        support = [[rng.random() < density for _ in range(m)] for _ in range(m)]
-        residual = [[values.randrange(1, 10**12) if cell else 0 for cell in row]
-                    for row in support]
-        assert sp.perfect_matching(residual) == sp.perfect_matching(support)
-
-
 def _reference_extend(cm):
     """The dense padding the north-west-corner fill replaced: m - n equal
     rows, entry j being (1 - column_sum_j) / (m - n)."""
@@ -563,8 +508,7 @@ def _reference_extend(cm):
 
 def _reference_birkhoff(ext):
     """The Fraction decomposition the integer engine replaced, matching
-    from scratch every round on the recursive matcher, whose scan must
-    still equal ``perfect_matching``'s on every residual it meets."""
+    from scratch every round on the recursive matcher."""
     m = ext.m
     work = [list(row) for row in ext.entries]
     terms = []
@@ -572,7 +516,6 @@ def _reference_birkhoff(ext):
         support = [[v > 0 for v in row] for row in work]
         sigma = _recursive_matching(support)
         assert sigma is not None
-        assert sp.perfect_matching(support) == sigma
         alpha = min(work[i][sigma[i]] for i in range(m))
         assert alpha > 0
         for i in range(m):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import sidepad as sp
 from sidepad.model import _check_label, _clip_rat, _numerators
-from corpus import corpus, mixed23, skew22
+from corpus import corpus, det22, mixed23, skew22
 from test_model import DIGIT_LIMIT
 
 # -- the Fraction references ------------------------------------------------
@@ -485,6 +485,15 @@ def test_extend_grid_is_checked_like_any_other():
         sp.ExtendedMatrix._of_grid(2, 2, entries, (((1, 0), (1, 0)), 1))
     with pytest.raises(sp.InputError, match="need 1 <= n <= m"):
         sp.ExtendedMatrix._of_grid(3, 2, entries, (((1, 0), (0, 1)), 1))
+
+
+def test_extend_keeps_the_conditional_rows():
+    # The conditional's Fraction rows are coerced once, by ConditionalMatrix:
+    # the extended matrix holds the very same row objects, padded or square.
+    for inst in (mixed23(), det22()):
+        cm = sp.conditional_y_given_x(inst)
+        ext = sp.extend(cm)
+        assert all(ext.entries[i] is cm.entries[i] for i in range(cm.n))
 
 
 def test_extend_refuses_like_the_reference():

@@ -181,6 +181,22 @@ def test_conditional_matrix_validates_rows():
         sp.ConditionalMatrix(rows=(0,), cols=(0,), entries=((F(-1),),))
 
 
+def test_conditional_matrix_coerces_at_its_boundary():
+    with pytest.raises(sp.InputError, match="not an exact rational value: 0.5"):
+        sp.ConditionalMatrix(rows=(0,), cols=(0, 1), entries=((0.5, 0.5),))
+    with pytest.raises(sp.InputError, match="not an exact rational value: 1.0"):
+        sp.ConditionalMatrix(rows=(0,), cols=(0,), entries=((F(1),),), masses=(1.0,))
+    cm = sp.ConditionalMatrix(rows=(0,), cols=(0, 1), entries=(("1/2", "1/2"),))
+    assert cm.entries == ((F(1, 2), F(1, 2)),)
+    assert sp.extend(cm).entries[1] == (F(1, 2), F(1, 2))
+    cm = sp.ConditionalMatrix(
+        rows=(0, 1), cols=(0, 1), entries=((1, 0), (0, 1)), masses=(F(1, 2), "1/2")
+    )
+    assert cm.entries == ((F(1), F(0)), (F(0), F(1)))
+    assert cm.masses == (F(1, 2), F(1, 2))
+    assert {type(v) for v in (*cm.entries[0], *cm.entries[1], *cm.masses)} == {F}
+
+
 def test_instance_from_conditional():
     inst = sp.instance_from_conditional(
         ["1/2", "1/2"], [["2/3", "1/3"], ["1/3", "2/3"]]
