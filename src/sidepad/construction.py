@@ -45,6 +45,7 @@ from .errors import (
 from .model import (
     ConditionalMatrix,
     Instance,
+    _check_label,
     _clip_rat,
     _fractions,
     _numerators,
@@ -130,9 +131,9 @@ class Scheme:
     marks an unassigned row — never produced by construction, but
     representable so that verification can diagnose broken schemes.
 
-    Only shape and positivity constraints are enforced here.  Whether the
-    weights sum to one, the assignments are bijections, and the scheme
-    matches a given instance are questions for ``sidepad.verification``.
+    Only label syntax, shape, ranges and positivity are enforced here.
+    Whether the scheme fits an instance is for the three laws of
+    ``sidepad.verification``, which read the real states, never padding.
     """
 
     x_labels: tuple[str, ...]
@@ -150,6 +151,8 @@ class Scheme:
             raise InputError(f"scheme needs n <= m, got n={n} m={m}")
         for labels, kind in ((self.x_labels, "x"), (self.y_labels, "y"),
                              (self.z_labels, "z")):
+            for label in labels:
+                _check_label(label, kind)
             if len(set(labels)) != len(labels):
                 raise InputError(f"duplicate {kind} labels in scheme")
         px = tuple(map(as_fraction, self.px))
@@ -518,7 +521,7 @@ def p_lower_bound(inst: Instance) -> int:
     """The fewest signals any scheme for ``inst`` can have: the largest row
     support of P(Y|X).  A signal pairs each state with one column, so a
     state needs a signal of its own for every column it reaches."""
-    return max(sum(1 for v in row if v > 0) for row in inst.p_xy)
+    return max(sum(1 for v in nums if v) for nums, _ in inst._rows)
 
 
 def _named_scheme(inst: Instance, cm: ConditionalMatrix, weights, assignments):

@@ -78,7 +78,7 @@ def shannon_reduce(inst: Instance) -> ShannonCase:
     return ShannonCase(
         independent=independent,
         y_uniform=len(set(py_support)) == 1,
-        n=sum(1 for nums, _ in inst._rows if any(nums)),
+        n=len(supp_x(inst)),
         m=len(py_support),
     )
 

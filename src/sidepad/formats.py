@@ -28,11 +28,11 @@ and other scripts' digits are refused.
     p signal lines:  z-label  weight  m 1-based column indices
 
 Scheme parsing enforces *syntax* only: header, counts, parseable rationals,
-column indices in range.  :class:`Scheme` enforces unique labels and
-positive weights and masses.  The semantic laws — weights summing to one,
-per-signal bijectivity, agreement with a particular instance — are
-deliberately left to verification, so a hand-edited broken scheme still
-loads and then fails ``verify`` with a witness instead of being unreadable.
+column indices in range.  :class:`Scheme` enforces label syntax, unique
+labels, and positive weights and masses.  The three laws are left to
+verification, which reads the real states only: padding rows are
+range-checked at load and read by no law.  A hand-edited broken scheme
+loads, then fails ``verify`` with a witness instead of being unreadable.
 """
 
 from __future__ import annotations

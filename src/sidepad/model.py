@@ -7,12 +7,12 @@ rejected at the boundary; statistical *estimates* elsewhere may be floats,
 probabilities never are.
 
 Arithmetic runs on integers.  Each row of a grid is rescaled once
-(``_numerators``) to integer numerators over the lcm of that row's own
-denominators, and validation, the marginals, the conditional and its
-column sums are sums and comparisons of those integers; Fractions are
-built only for the values handed back.  No code here puts a whole
-n-by-m grid over one common denominator: with many distinct row
-denominators that lcm, and every cell over it, grows with n.
+(``_numerators``) to integer numerators over its own lcm, and for P_XY
+that form, ``Instance._rows``, is the only one later stages read.
+Validation, the marginals, the supports, the conditional and its column
+sums are sums and comparisons of those integers; Fractions are built
+only for the values handed back.  Only ``Instance._world``, kept for
+``sample_world``, puts the whole grid over one lcm, which grows with n.
 """
 
 from __future__ import annotations
@@ -188,9 +188,9 @@ class Instance:
     def _rows(self) -> tuple[tuple[list[int], int], ...]:
         """Each row of P_XY as ``(nums, den)``: its integer numerators over
         the lcm of its own denominators (``_numerators``), never one lcm for
-        the whole grid.  Validation, the marginals and the conditional read
-        it; nothing writes to it.  Memoised outside the dataclass fields:
-        eq, hash and repr ignore it."""
+        the whole grid: the one form of P_XY that validation and every
+        later stage read.  Memoised outside the dataclass fields: eq, hash
+        and repr ignore it."""
         return tuple(map(_numerators, self.p_xy))
 
     @cached_property
@@ -219,16 +219,16 @@ class Instance:
 
     @cached_property
     def _world(self) -> "_Sampler":
-        """Exact sampler of (x row, y column) pairs from P_XY, row-major over
-        the positive cells: their numerators over the lcm of their
-        denominators, which sum to that lcm.  Memoised outside the dataclass
-        fields: eq, hash and repr ignore it."""
-        cells = [(i, j) for i, row in enumerate(self.p_xy)
-                 for j, v in enumerate(row) if v > 0]
-        weights, den = _numerators(self.p_xy[i][j] for i, j in cells)
-        if sum(weights) != den:
+        """Exact sampler of (x row, y column) pairs from P_XY for
+        ``sample_world``, row-major over the positive cells: ``_rows`` over
+        W, the lcm of the row denominators, which sum to W.  Memoised
+        outside the dataclass fields: eq, hash and repr ignore it."""
+        W = lcm(*(d for _, d in self._rows))
+        cells = {(i, j): v * (W // d) for i, (nums, d) in enumerate(self._rows)
+                 for j, v in enumerate(nums) if v}
+        if sum(cells.values()) != W:
             raise InternalInvariantError("sampler masses must sum to 1")
-        return _Sampler(cells, weights)
+        return _Sampler(cells.keys(), cells.values())
 
 
 # A sampler whose limit needs at most this many bits keeps its lookup table
@@ -355,14 +355,15 @@ def _column_numerators(
 
 def supp_x(inst: Instance) -> tuple[int, ...]:
     """Row indices with positive marginal mass, ascending: the rows holding
-    a positive cell, as cells are nonnegative."""
-    return tuple(i for i, row in enumerate(inst.p_xy) if any(row))
+    a nonzero numerator, as cells are nonnegative."""
+    return tuple(i for i, (nums, _) in enumerate(inst._rows) if any(nums))
 
 
 def supp_y(inst: Instance) -> tuple[int, ...]:
     """Column indices with positive marginal mass, ascending: the columns
-    holding a positive cell, as cells are nonnegative."""
-    return tuple(j for j, col in enumerate(zip(*inst.p_xy)) if any(col))
+    holding a nonzero numerator, as cells are nonnegative."""
+    cols = zip(*(nums for nums, _ in inst._rows))
+    return tuple(j for j, col in enumerate(cols) if any(col))
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ u < 2**k is the index bisection gives when u < L and -1 otherwise, so a
 draw reads ``table[getrandbits(k)]`` and reads again on -1.  That is the
 same integer, in the same order, mapped to the same index as the rule
 followed by bisection.  Up to 16 bits the table is a list of 2**k
-entries; a wider one bisects on lookup.  The instance's joint passes
+entries; a wider one bisects on lookup.  ``sample_world``'s table passes
 P_XY's numerators over their lcm (so G = 1 and L is that lcm); an
 encoder cell passes its signals' weight numerators, giving the masses
 alpha_k / sum(alpha); ``simulate``'s table passes, for each pair
@@ -54,11 +54,11 @@ empirical frequencies.  A deterministic encoder cell and a point mass
 consume no randomness; every other draw consumes k bits per read, and a
 ``simulate`` sample takes one draw.  A limit that is a power of two
 never reads twice.  An
-instance keeps the sampler of its joint, and a scheme's compiled joint
-(``Scheme._joint``, read here directly) keeps each cell's encoder
-distribution for ``encode``.  ``simulate`` builds its table from the
-world sampler's thresholds once per call and builds no encoder.
-``simulate`` refuses schemes through
+instance keeps the sampler of its joint for ``sample_world``, and a
+scheme's compiled joint (``Scheme._joint``, read here directly) keeps
+each cell's encoder distribution for ``encode``.  ``simulate`` builds
+its table from the instance rows once per call, and builds neither that
+world sampler nor an encoder.  ``simulate`` refuses schemes through
 ``verify_scheme``, whose report builds its marginals only on first read.
 """
 
@@ -159,33 +159,32 @@ def _conditional_signals(scheme: Scheme, x_index: int, y_index: int) -> int | _S
 
 def _slot_sampler(scheme: Scheme, inst: Instance) -> _Sampler:
     """Exact sampler of ``simulate``'s slots (i, j, k): scheme state row i,
-    column j, signal k, in the world cells' order (``inst._world``), each
+    column j, signal k, row-major over the positive cells of P_XY, each
     cell's signals ascending.  Slot (i, j, k) has mass
     P_XY(x, y) * alpha_k / A_xy, with A_xy the weights' sum over phi(x, y).
-    As integers: c, the cell's world numerator, and A, A_xy's numerator,
-    are divided by their gcd g, and the slot weighs
-    (c / g) * (M / (A / g)) * a_k, with a_k alpha_k's numerator and M the
-    lcm of A / g over the cells.  The masses are those of a world draw
-    followed by an encoder draw, and a scheme whose every cell has one
-    signal gets the world's own thresholds.  The first instance cell the
-    scheme never emits raises :class:`OffSupportError`."""
-    scheme_row = {x: i for i, x in enumerate(_scheme_rows(scheme, inst))}
-    world, phi, a = inst._world, scheme._joint.phi, scheme._joint.a
+    As integers, with row x ``nums / d`` (``Instance._rows``) and A A_xy's
+    numerator: c = nums[j] and T = d * A are divided by their gcd g, and
+    the slot weighs (c / g) * (M / (T / g)) * a_k, with a_k alpha_k's
+    numerator and M the lcm of T / g over the cells.  The masses are those
+    of a world draw followed by an encoder draw, so a scheme whose every
+    cell has one signal gets the world's own thresholds.  The first
+    instance cell the scheme never emits raises :class:`OffSupportError`."""
+    phi, a = scheme._joint.phi, scheme._joint.a
     cells = []
-    prev = 0
-    for (x, j), t in zip(world.values, world.thresholds):
-        i = scheme_row[x]
-        ks = phi[i].get(j)
-        if not ks:
-            raise _off_support(scheme, i, j)
-        c, A = t - prev, sum(a[k] for k in ks)
-        g = gcd(c, A)
-        cells.append((i, j, ks, c // g, A // g))
-        prev = t
-    M = lcm(*(A for *_, A in cells))
+    for i, x in enumerate(_scheme_rows(scheme, inst)):
+        nums, d = inst._rows[x]
+        for j, c in enumerate(nums):
+            if c:
+                ks = phi[i].get(j)
+                if not ks:
+                    raise _off_support(scheme, i, j)
+                T = d * sum(a[k] for k in ks)
+                g = gcd(c, T)
+                cells.append((i, j, ks, c // g, T // g))
+    M = lcm(*(T for *_, T in cells))
     slots, weights = [], []
-    for i, j, ks, c, A in cells:
-        scale = c * (M // A)
+    for i, j, ks, c, T in cells:
+        scale = c * (M // T)
         for k in ks:
             slots.append((i, j, k))
             weights.append(scale * a[k])

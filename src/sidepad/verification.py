@@ -149,16 +149,16 @@ def check_consistency(scheme: Scheme, inst: Instance) -> CheckResult:
     supp = _scheme_rows(scheme, inst)
     joint = scheme._joint
     for i, got_row in enumerate(joint.q_xy):
-        for j, (got, want) in enumerate(zip(got_row, inst.p_xy[supp[i]])):
-            # got / den == want, cross-multiplied.
-            if got * want.denominator != want.numerator * joint.den:
+        nums, d = inst._rows[supp[i]]
+        for j, (got, want) in enumerate(zip(got_row, nums)):
+            if got * d != want * joint.den:  # got / den != want / d
                 return CheckResult(
                     ok=False,
                     witness={
                         "x": scheme.x_labels[i],
                         "y": scheme.y_labels[j],
                         "got": Fraction(got, joint.den),
-                        "expected": want,
+                        "expected": inst.p_xy[supp[i]][j],
                     },
                 )
     return _PASS

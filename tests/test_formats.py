@@ -139,6 +139,50 @@ def test_scheme_with_hole_has_no_wire_form():
         sp.serialize_scheme(holed)
 
 
+def _one_state_scheme(**labels):
+    fields = dict(
+        x_labels=("x1",), y_labels=("y1", "y2"), z_labels=("z1", "z2"),
+        px=(F(1),), weights=(F(1, 2), F(1, 2)), assignments=((0, 1), (1, 0)),
+    )
+    return sp.Scheme(**{**fields, **labels})
+
+
+def test_scheme_checks_label_syntax_as_instance_does():
+    # Labels a document cannot carry: "a b" and "y#1" serialize to a
+    # document that parses back as another scheme (x label "a", y labels
+    # "b" and "y"), and 1 cannot be serialized at all.
+    with pytest.raises(sp.InputError, match="^bad x label 'a b': "):
+        _one_state_scheme(x_labels=("a b",), y_labels=("y#1", "y2"))
+    with pytest.raises(sp.InputError, match="^bad y label 'y#1': "):
+        _one_state_scheme(y_labels=("y#1", "y2"))
+    with pytest.raises(sp.InputError, match="^bad x label 1: "):
+        _one_state_scheme(x_labels=(1,))
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        {"x_labels": ("",)},
+        {"x_labels": (["x1"],)},
+        {"y_labels": ("y1", "y\t2")},
+        {"y_labels": ("y1", None)},
+        {"z_labels": ("z1", "z 2")},
+        {"z_labels": ("#z1", "z2")},
+        {"z_labels": ("z1", b"z2")},
+    ],
+)
+def test_scheme_refuses_labels_a_document_cannot_carry(labels):
+    with pytest.raises(sp.InputError, match="^bad [xyz] label "):
+        _one_state_scheme(**labels)
+
+
+def test_scheme_labels_round_trip_through_a_document():
+    scheme = _one_state_scheme(
+        x_labels=("état",), y_labels=("y/1", "y-2"), z_labels=("z.1", "z'2")
+    )
+    assert sp.parse_scheme(sp.serialize_scheme(scheme)) == scheme
+
+
 def test_scheme_shape_validation():
     with pytest.raises(sp.InputError):
         sp.Scheme(

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sidepad as sp
+from corpus import corpus
 
 
 @st.composite
@@ -101,6 +102,31 @@ def test_marginals_of_worked_example():
     assert sp.marginal_y(inst) == (F(1, 4), F(1, 2), F(1, 4))
     assert sp.supp_x(inst) == (0, 1)
     assert sp.supp_y(inst) == (0, 1, 2)
+
+
+def _supports_on_the_fraction_grid(inst):
+    """supp_x, supp_y and p_lower_bound written on the Fraction grid p_xy."""
+    grid = inst.p_xy
+    return (
+        tuple(i for i, row in enumerate(grid) if any(v > 0 for v in row)),
+        tuple(j for j in range(inst.m) if any(row[j] > 0 for row in grid)),
+        max(sum(1 for v in row if v > 0) for row in grid),
+    )
+
+
+def _assert_supports_are_those_of_the_fraction_grid(inst):
+    got = (sp.supp_x(inst), sp.supp_y(inst), sp.p_lower_bound(inst))
+    assert got == _supports_on_the_fraction_grid(inst)
+
+
+def test_supports_equal_the_fraction_grid_on_corpus():
+    for inst in corpus():
+        _assert_supports_are_those_of_the_fraction_grid(inst)
+
+
+@given(instances())
+def test_supports_equal_the_fraction_grid_on_random_instances(inst):
+    _assert_supports_are_those_of_the_fraction_grid(inst)
 
 
 def test_conditional_of_worked_example():

@@ -279,6 +279,19 @@ def test_sample_world_builds_its_sampler_once():
     assert inst == twin and hash(inst) == hash(twin) and repr(inst) == repr(twin)
 
 
+def test_simulate_builds_no_world_sampler():
+    # simulate's slot table is read off the instance rows; only
+    # sample_world builds the sampler that puts P_XY over one lcm.
+    for factory in (otp2, corr23, mixed23):
+        inst = factory()
+        scheme = sp.build_scheme(factory())
+        sp.simulate(scheme, inst, 100, 1)
+        sp.simulate(scheme, inst, 100, 1, allow_unverified=True)
+        assert "_world" not in vars(inst)
+        sp.sample_world(inst, sp.RandomSource(1))
+        assert "_world" in vars(inst)
+
+
 def test_encode_memoises_each_cell_and_simulate_leaves_it():
     # simulate draws from its own (cell, signal) table and builds no
     # per-cell encoder, so only encode fills the memo.

@@ -1,5 +1,6 @@
 """The three laws, the necessity audit, and the brute-force oracle."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -9,7 +10,9 @@ import pytest
 import sidepad as sp
 from sidepad import verification
 from sidepad.simplex import feasible_nonnegative_solution
-from corpus import corpus, corr23, det22, mixed23, otp2, skew22
+from corpus import (
+    corpus, corr23, det22, mixed23, otp2, skew22, uniform_independent,
+)
 from test_simplex import _triage_instances
 
 
@@ -379,3 +382,53 @@ def test_oracle_without_a_support_injection_never_solves(lp_columns):
     assert sp.feasibility_oracle(inst) == sp.OracleReport(feasible=False, support=None)
     assert not sp.check_feasible(inst).feasible
     assert lp_columns == []
+
+
+def _repadded(scheme):
+    """``scheme`` with every padding entry (rows n..m-1 of each assignment)
+    replaced by the column of its first state: in range, so it loads, but
+    no signal's assignment is a bijection any more."""
+    n = scheme.n
+    return dataclasses.replace(
+        scheme,
+        assignments=tuple(
+            sigma[:n] + (sigma[0],) * (scheme.m - n) for sigma in scheme.assignments
+        ),
+    )
+
+
+def _assert_padding_is_read_by_no_law(scheme, inst):
+    repadded = _repadded(scheme)
+    assert repadded != scheme
+    assert all(len(set(sigma)) < scheme.m for sigma in repadded.assignments)
+    before, after = sp.verify_scheme(scheme, inst), sp.verify_scheme(repadded, inst)
+    for law in verification.LAWS:
+        assert getattr(after, law) == getattr(before, law)
+    assert sp.necessity_audit(repadded) == sp.necessity_audit(scheme)
+    assert dict(sp.decode_table(repadded)) == dict(sp.decode_table(scheme))
+    assert sp.simulate(repadded, inst, 500, 7, shards=2, min_count=5) == (
+        sp.simulate(scheme, inst, 500, 7, shards=2, min_count=5)
+    )
+
+
+def test_padding_rows_are_read_by_no_law():
+    # The 1x3 uniform scheme: its one state keeps its columns, and both
+    # padding rows of every signal are sent to the state's own column.
+    inst = uniform_independent(1, 3)
+    scheme = sp.build_scheme(inst)
+    repadded = _repadded(scheme)
+    assert all(sigma == (sigma[0],) * 3 for sigma in repadded.assignments)
+    assert sp.verify_scheme(repadded, inst).all_ok
+    assert sp.necessity_audit(repadded).ok
+    _assert_padding_is_read_by_no_law(scheme, inst)
+
+
+def test_padding_rows_are_read_by_no_law_on_corpus():
+    count = 0
+    for inst in corpus():
+        if sp.check_feasible(inst).feasible:
+            scheme = sp.build_scheme(inst)
+            if scheme.n < scheme.m:
+                _assert_padding_is_read_by_no_law(scheme, inst)
+                count += 1
+    assert count > 100
