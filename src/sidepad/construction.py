@@ -149,12 +149,11 @@ class Scheme:
             raise InputError("scheme needs at least one state, column, and signal")
         if n > m:
             raise InputError(f"scheme needs n <= m, got n={n} m={m}")
-        for labels, kind in ((self.x_labels, "x"), (self.y_labels, "y"),
-                             (self.z_labels, "z")):
-            for label in labels:
-                _check_label(label, kind)
+        for kind in "xyz":
+            labels = tuple(_check_label(s, kind) for s in getattr(self, f"{kind}_labels"))
             if len(set(labels)) != len(labels):
                 raise InputError(f"duplicate {kind} labels in scheme")
+            object.__setattr__(self, f"{kind}_labels", labels)
         px = tuple(map(as_fraction, self.px))
         weights = tuple(map(as_fraction, self.weights))
         if len(px) != n or len(weights) != p:
@@ -335,44 +334,43 @@ class _Matcher:
 
     ``keys[i]`` holds one key ``j - m*residual`` per positive cell (i, j),
     ascending: by descending residual, ties by ascending column, and
-    ``cols[i]`` the keys' columns in the same order.  So row i's cells
-    whose residual is at least the threshold t form a prefix of
-    ``cols[i]``, found by bisection; ``use[i]`` is that prefix.
-    ``col_of`` maps rows and ``row_of`` columns to their partner, -1 when
-    free.  Its one caller, ``birkhoff_decompose``, keeps it between rounds
-    and lowers t only as far as a perfect matching needs."""
+    ``cols[i]`` the keys' columns in the same order.  A cell is usable when
+    its residual is at least the threshold t, so row i's usable columns are
+    a prefix of ``cols[i]``: ``threshold`` sets it as ``use[i]``, which
+    every step of ``match`` reads.  ``col_of`` maps rows and ``row_of``
+    columns to their partner, -1 when free.  Its one caller,
+    ``birkhoff_decompose``, keeps it between rounds and lowers t only as
+    far as a perfect matching needs."""
 
-    __slots__ = ("m", "keys", "cols", "bound", "use", "col_of", "row_of")
+    __slots__ = ("m", "keys", "cols", "use", "col_of", "row_of")
 
     def __init__(self, work: Sequence[Sequence[int]]):
         self.m = m = len(work)
-        self.keys, self.cols = [], []
-        for row in work:
-            # A stable sort keeps equal residuals in ascending columns.
-            cols = sorted(compress(range(m), row), key=row.__getitem__, reverse=True)
-            self.cols.append(cols)
-            self.keys.append([j - m * row[j] for j in cols])
+        self.keys = [sorted(j - m * v for j, v in enumerate(row) if v) for row in work]
+        self.cols = [[k % m for k in keys] for keys in self.keys]
         self.col_of = [-1] * m  # row -> column
         self.row_of = [-1] * m  # column -> row
 
     def threshold(self, t: int) -> None:
-        """Make the cells with residual >= t, and only those, usable:
-        their keys are below ``bound``.  ``use`` is built on first need."""
-        self.bound, self.use = (1 - t) * self.m, None
+        """Make the cells with residual >= t, and only those, usable: ``use[i]``
+        is the prefix of ``cols[i]`` whose keys are below (1 - t)*m."""
+        ends = map(bisect_left, self.keys, repeat((1 - t) * self.m))
+        self.use = list(map(getitem, self.cols, map(slice, ends)))
 
     def match(self, rows) -> bool:
-        """Match each free row in ``rows``, in order: a row grabs its
-        first free usable column in ``cols`` order, otherwise a depth-first augmenting path
-        (usable columns tried in ``cols`` order at every step) wins.  When
-        a row has no augmenting path, the rows and columns the search
+        """Match each free row in ``rows``, in order: a row grabs its first
+        free column in ``use`` order, otherwise a depth-first augmenting
+        path (usable columns tried in ``use`` order at every step) wins.
+        When a row has no augmenting path, the rows and columns the search
         visited form a Hall violator: every perfect matching uses an edge
         leaving it, so t drops to the largest residual on an edge from a
-        visited row to an unvisited column and the search resumes with the
-        matching kept.  False when no positive cell leaves the violator,
-        so no perfect matching exists."""
-        keys, cols, row_of, col_of = self.keys, self.cols, self.row_of, self.col_of
+        visited row to an unvisited column, ``use`` is rebuilt and the
+        search resumes with the matching kept.  False when no positive
+        cell leaves the violator, so no perfect matching exists."""
+        row_of, col_of = self.row_of, self.col_of
         for i in rows:
-            for j in cols[i][:bisect_left(keys[i], self.bound)]:
+            # ``self.use`` is read per row: ``_lower`` rebuilds it.
+            for j in self.use[i]:
                 if row_of[j] == -1:
                     row_of[j], col_of[i] = i, j
                     break
@@ -405,9 +403,6 @@ class _Matcher:
         # descended through, ``untried`` the top frame's untried columns and
         # todo[d] those of frame d below it.  Returns None on success, else
         # the columns visited.
-        if self.use is None:
-            ends = map(bisect_left, self.keys, repeat(self.bound))
-            self.use = list(map(getitem, self.cols, map(slice, ends)))
         use, row_of, col_of = self.use, self.row_of, self.col_of
         visited = [False] * len(use)
         rows, cols, todo, untried = [root], [], [], iter(use[root])
@@ -447,11 +442,11 @@ def birkhoff_decompose(
     smallest residual.  No matching beats a row's largest residual, nor
     the last round's weight (residuals only shrink), so a round starts
     :class:`_Matcher` at t0, the smaller of the two.  It keeps the last
-    matching's pairs whose residual is still >= t0 and matches the other
-    rows, ascending; the matcher lowers its threshold past each Hall
-    violator, never below the optimum, so the round ends at the max
-    bottleneck.  Every round zeroes at least one cell and the last
-    zeroes m, so there are at most nnz - m + 1 terms.
+    matching's pairs still usable at t0 and matches the other rows (all
+    of them in round one), ascending; the matcher lowers its threshold
+    past each Hall violator, never below the optimum, so the round ends
+    at the max bottleneck.  Every round zeroes at least one cell and the
+    last zeroes m, so there are at most nnz - m + 1 terms.
     """
     m = ext.m
     rows, L = ext._grid
@@ -459,17 +454,16 @@ def birkhoff_decompose(
     matcher = _Matcher(work)
     col_of, row_of, keys, cols = matcher.col_of, matcher.row_of, matcher.keys, matcher.cols
     terms: list[tuple[int, tuple[int, ...]]] = []
-    alpha, low = L, range(m)  # low: the rows whose pair may fall below t
+    alpha = L
     while all(keys):
         # keys[i][0] // m is minus row i's largest residual.
         t = min(alpha, -(max(map(itemgetter(0), keys)) // m))
         matcher.threshold(t)
-        if terms:  # keep the last pairs still >= t, free the others
-            free = [i for i in low if work[i][col_of[i]] < t]
-            for i in free:
-                row_of[col_of[i]] = col_of[i] = -1
-        else:  # the first round matches every row
-            free = low
+        # Keep the last pairs still >= t, free the others.  Round one frees
+        # every row: unpairing it writes row_of[-1] = -1, which changes nothing.
+        free = [i for i, j in enumerate(col_of) if j < 0 or work[i][j] < t]
+        for i in free:
+            row_of[col_of[i]] = col_of[i] = -1
         if not matcher.match(free):
             # Birkhoff's theorem guarantees a matching on any doubly
             # stochastic residual; reaching this means corrupted arithmetic.
@@ -480,13 +474,10 @@ def birkhoff_decompose(
             raise InternalInvariantError("matching hit a zero entry")
         # Only the matched cells move: each leaves its row's order and,
         # unless zeroed, goes back in at its new residual by bisection.
-        low = []
-        for i, (row, key, col, j) in enumerate(zip(work, keys, cols, sigma)):
+        for row, key, col, j in zip(work, keys, cols, sigma):
             v = row[j]
             pos = bisect_left(key, j - m * v)
             row[j] = v = v - alpha
-            if v < alpha:
-                low.append(i)
             if not v:
                 del key[pos], col[pos]
                 continue
@@ -580,9 +571,12 @@ def find_deterministic_scheme(
     scheme is a relabeling of one found this way), and the remaining rows
     are filled by exhaustive backtracking.
 
-    Raises :class:`CapExceededError` for m above ``_DETERMINISTIC_MAX_M``
+    Raises :class:`InputError` for a ``limit`` below 1, before any other
+    check, :class:`CapExceededError` for m above ``_DETERMINISTIC_MAX_M``
     and :class:`InfeasibleError` for infeasible instances.
     """
+    if limit < 1:
+        raise InputError(f"node budget must be >= 1, got {limit}")
     if inst.m > _DETERMINISTIC_MAX_M:
         raise CapExceededError(
             f"deterministic search caps at m={_DETERMINISTIC_MAX_M} columns; "
@@ -590,8 +584,6 @@ def find_deterministic_scheme(
         )
     cm = conditional_y_given_x(inst)
     _column_condition(cm, strict=True)
-    if limit < 1:
-        raise InputError(f"node budget must be >= 1, got {limit}")
 
     cells = [
         [(j, v) for j, v in enumerate(row) if v > 0] for row in cm.entries

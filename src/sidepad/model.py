@@ -11,8 +11,9 @@ Arithmetic runs on integers.  Each row of a grid is rescaled once
 that form, ``Instance._rows``, is the only one later stages read.
 Validation, the marginals, the supports, the conditional and its column
 sums are sums and comparisons of those integers; Fractions are built
-only for the values handed back.  Only ``Instance._world``, kept for
-``sample_world``, puts the whole grid over one lcm, which grows with n.
+only for the values handed back.  Two tables put the whole grid over one
+lcm, which grows with n: ``Instance._world``, kept for ``sample_world``,
+and ``simulate``'s (cell, signal) slot table, ``runtime._slot_sampler``.
 """
 
 from __future__ import annotations
@@ -389,6 +390,8 @@ class ConditionalMatrix:
     masses: tuple[Fraction, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", tuple(self.rows))
+        object.__setattr__(self, "cols", tuple(self.cols))
         entries = tuple(tuple(map(as_fraction, row)) for row in self.entries)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "masses", tuple(map(as_fraction, self.masses)))

@@ -628,6 +628,12 @@ def test_deterministic_budget(capsys, paths):
     assert "search budget exhausted" in out
 
 
+def test_deterministic_refuses_a_zero_budget(capsys, paths):
+    code, out, err = run(capsys, "deterministic", paths["mixed23"], "--limit", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: node budget must be >= 1, got 0\n"
+
+
 def test_deterministic_json_statuses(capsys, paths):
     code, out, _ = run(capsys, "deterministic", paths["det22"], "--json")
     assert code == 0

@@ -181,6 +181,25 @@ def test_scheme_column_check_names_the_first_bad_column(rows):
         assert scheme.assignments == tuple(map(tuple, rows))
 
 
+def test_scheme_stores_its_labels_as_tuples():
+    inst = mixed23()
+    scheme = sp.build_scheme(inst)
+    copy = sp.Scheme(
+        x_labels=list(scheme.x_labels),
+        y_labels=list(scheme.y_labels),
+        z_labels=list(scheme.z_labels),
+        px=scheme.px,
+        weights=scheme.weights,
+        assignments=scheme.assignments,
+    )
+    assert (copy.x_labels, copy.y_labels, copy.z_labels) == (
+        scheme.x_labels, scheme.y_labels, scheme.z_labels)
+    assert type(copy.x_labels) is type(copy.y_labels) is type(copy.z_labels) is tuple
+    assert copy == scheme
+    assert hash(copy) == hash(scheme)
+    assert sp.verify_scheme(copy, inst).all_ok
+
+
 def test_build_scheme_xor_pad_pairing():
     scheme = sp.build_scheme(otp2())
     # z1 pairs (x1,y1),(x2,y2); z2 pairs (x1,y2),(x2,y1)
@@ -343,6 +362,16 @@ def test_deterministic_search_refuses_infeasible():
         sp.find_deterministic_scheme(skew22())
 
 
+@pytest.mark.parametrize("inst", [
+    sp.make_instance(["x1"], [f"y{j}" for j in range(9)], [[F(1, 9)] * 9]),
+    skew22(),
+], ids=["past-the-width-cap", "infeasible"])
+def test_deterministic_search_checks_its_budget_first(inst):
+    # The budget is checked before the width cap and the column test.
+    with pytest.raises(sp.InputError, match="node budget must be >= 1, got 0"):
+        sp.find_deterministic_scheme(inst, limit=0)
+
+
 def test_deterministic_scheme_has_singleton_signal_sets():
     for inst in (det22(), corr23()):
         scheme = sp.find_deterministic_scheme(inst).scheme
@@ -472,6 +501,25 @@ def test_perfect_matching_long_augmenting_path():
     matcher.threshold(1)
     assert matcher.match(range(m))
     assert matcher.col_of == list(range(1, m)) + [0]
+
+
+@st.composite
+def residual_grids(draw, max_m=6):
+    m = draw(st.integers(1, max_m))
+    row = st.lists(st.integers(0, 9), min_size=m, max_size=m)
+    return draw(st.lists(row, min_size=m, max_size=m))
+
+
+@given(residual_grids(), st.integers(1, 10))
+def test_matcher_threshold_lists_the_usable_columns(work, t):
+    # A cell is usable when its residual is at least t: ``use[i]`` lists
+    # exactly those columns of row i, by residual descending, then column.
+    matcher = sp.construction._Matcher(work)
+    matcher.threshold(t)
+    assert len(matcher.use) == len(work)
+    for row, use in zip(work, matcher.use):
+        usable = [j for j, v in enumerate(row) if v >= t]
+        assert use == sorted(usable, key=lambda j: (-row[j], j))
 
 
 def _recursive_matching(support):
@@ -609,6 +657,28 @@ def test_birkhoff_matches_the_fraction_reference_at_scale(m, ratio):
     scheme, reference = _assert_agrees_with_the_reference(inst)
     assert scheme.p < reference.p
     assert scheme.p <= 2 * sp.p_lower_bound(inst)
+
+
+@pytest.mark.parametrize(("m", "ratio", "p", "digest"), [
+    (16, 2, 20, "26ec82fa6c8714861d058393c181066545f48ae92957f5a4b31423d3f7536103"),
+    (16, 4, 16, "55742b6a84c8114d8238751b8ae218356b6e5a81d1f2fb3b607e7d09e52ccb27"),
+    (32, 2, 35, "be90a05ccb481ce7def4a6620de2c1677fcba34700db3a91394ebf6e2c601355"),
+    (32, 4, 35, "f834ae0b0795d40b57220d5966a28d80a8b72b665025dab5ee5e209d07f624ce"),
+    (48, 2, 51, "28391302e2e2d24ad617be48b940fe7e31bab8e5f047c9e2777fe111605e4d76"),
+    (48, 4, 50, "a9262b8f10b4a0c55efc0a141a9b580181c2bf4c4bebabf5373bc76ec149d0f1"),
+    (64, 2, 69, "f59f946995304e4f1cb1febb862fd562984015d9d180007d264be3cc7774a468"),
+    (64, 4, 68, "b7e9f6315ed32e9c9ba362bfdf899752d6f0ab5928fc70c902cf12a5302d1523"),
+    (96, 2, 102, "42aa68f5a1a8276f85b31539328baa61ce7ad50ff373e550bd2d637022282653"),
+    (96, 4, 99, "270e95505429947ff9d2ed8c869487ac194d598b6ce2f116dd373341c44187bb"),
+])
+def test_birkhoff_terms_are_pinned_at_scale(m, ratio, p, digest):
+    # The terms, weight and permutation per line, in extraction order: any
+    # change to the matcher's scan order or the rounds' freeing rule that
+    # moves a signal shows here, at sizes no CLI golden reaches.
+    terms = sp.birkhoff_decompose(sp.extend(_conditional(_at_scale_mixture(m, ratio))))
+    lines = "".join(f"{alpha} {' '.join(map(str, sigma))}\n" for alpha, sigma in terms)
+    assert len(terms) == p
+    assert hashlib.sha256(lines.encode()).hexdigest() == digest
 
 
 def _max_bottleneck(work):

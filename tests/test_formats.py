@@ -183,6 +183,17 @@ def test_scheme_labels_round_trip_through_a_document():
     assert sp.parse_scheme(sp.serialize_scheme(scheme)) == scheme
 
 
+@pytest.mark.parametrize(("fields", "message"), [
+    ({"x_labels": ()}, "scheme needs at least one state, column, and signal"),
+    ({"assignments": ((0, 1),)}, "scheme needs one assignment per signal"),
+    ({"assignments": ((0, 1), (1,))}, "each assignment must cover all m rows"),
+], ids=["no-states", "too-few-assignments", "short-assignment"])
+def test_scheme_refuses_a_bad_shape(fields, message):
+    _one_state_scheme()  # the unchanged fields make a scheme
+    with pytest.raises(sp.InputError, match=f"^{message}$"):
+        _one_state_scheme(**fields)
+
+
 def test_scheme_shape_validation():
     with pytest.raises(sp.InputError):
         sp.Scheme(

@@ -223,6 +223,15 @@ def test_conditional_matrix_coerces_at_its_boundary():
     assert {type(v) for v in (*cm.entries[0], *cm.entries[1], *cm.masses)} == {F}
 
 
+def test_conditional_matrix_stores_rows_and_cols_as_tuples():
+    entries = ((F(1, 2), F(1, 2)),)
+    listed = sp.ConditionalMatrix(rows=[0], cols=[0, 1], entries=entries)
+    tupled = sp.ConditionalMatrix(rows=(0,), cols=(0, 1), entries=entries)
+    assert (listed.rows, listed.cols) == ((0,), (0, 1))
+    assert listed == tupled
+    assert hash(listed) == hash(tupled)
+
+
 def test_instance_from_conditional():
     inst = sp.instance_from_conditional(
         ["1/2", "1/2"], [["2/3", "1/3"], ["1/3", "2/3"]]
@@ -238,6 +247,16 @@ def test_instance_from_conditional_ignores_zero_rows():
     assert inst.p_xy == ((F(1, 2), F(1, 2)), (F(0), F(0)))
     with pytest.raises(sp.InputError):
         sp.instance_from_conditional(["1/2", "1/2"], [["1/2", "1/2"], ["0", "0"]])
+
+
+@pytest.mark.parametrize(("px", "conditional", "message"), [
+    ([], [], "conditional grid is empty"),
+    (["1/2", "1/2"], [["1/2", "1/2"], ["1"]], "conditional grid is ragged"),
+    (["2", "-1"], [["1"], ["1"]], "negative marginal mass -1"),
+], ids=["empty", "ragged", "negative-mass"])
+def test_instance_from_conditional_refuses_a_bad_grid(px, conditional, message):
+    with pytest.raises(sp.InputError, match=message):
+        sp.instance_from_conditional(px, conditional)
 
 
 @given(instances())
