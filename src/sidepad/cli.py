@@ -3,8 +3,8 @@
 Exit codes, uniformly: 0 success (feasible / verified / built / decoded),
 1 semantic failure (infeasible, verification failed, off-support event,
 no deterministic scheme), 2 malformed input (documents, labels, argument
-values), 3 capability refusal (exact-search size caps, search budget, the
-``shannon`` grid cap, a rational too long to print).
+values), 3 capability refusal (the oracle's size cap, the ``shannon`` grid
+cap, a rational too long to print).
 
 Every subcommand takes ``--json`` for a machine-readable report in which
 all rationals are printed exactly as "numerator/denominator" strings.
@@ -69,14 +69,11 @@ _EXIT_CODES = {
     CapExceededError: 3,
 }
 
-# ``deterministic``'s outcome by search status: exit code, and the text line
+# ``deterministic``'s outcome by status: exit code, and the text line
 # printed after the row-multiset verdict.
-_SEARCH_OUTCOMES = {
+_DETERMINISTIC_OUTCOMES = {
     "found": (0, "wrote deterministic scheme to {output}"),
-    "none_found": (1, "no deterministic scheme exists (searched {nodes} nodes)"),
-    "budget_exhausted": (
-        3, "search budget exhausted after {nodes} nodes (inconclusive)"
-    ),
+    "none_found": (1, "no deterministic scheme exists"),
 }
 
 
@@ -355,12 +352,12 @@ def cmd_shannon(args) -> int:
 def cmd_deterministic(args) -> int:
     inst = _load(parse_instance, args.instance)
     try:
-        outcome = find_deterministic_scheme(inst, limit=args.limit)
+        outcome = find_deterministic_scheme(inst)
     except InfeasibleError as exc:
         print(_infeasible_detail(inst, exc), file=sys.stderr)
         return 1
     condition = row_value_multisets_equal(conditional_y_given_x(inst))
-    code, line = _SEARCH_OUTCOMES[outcome.status]
+    code, line = _DETERMINISTIC_OUTCOMES[outcome.status]
     if outcome.scheme is not None:
         document = serialize_scheme(outcome.scheme)
         if args.output:
@@ -382,7 +379,7 @@ def cmd_deterministic(args) -> int:
         print(document, end="")
     else:
         print(f"row value multisets equal: {'yes' if condition else 'no'}")
-        print(line.format(output=args.output, nodes=outcome.nodes))
+        print(line.format(output=args.output))
     return code
 
 
@@ -450,9 +447,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", required=True, type=int, dest="m")
     p.add_argument("-o", "--output")
 
-    p = command(cmd_deterministic, "search for a randomness-free encoder")
+    p = command(cmd_deterministic, "decide whether a randomness-free encoder exists")
     p.add_argument("instance", help="INSTANCE v1 file")
-    p.add_argument("--limit", type=int, default=1_000_000, help="node budget")
     p.add_argument("-o", "--output", help="write the scheme here if found")
 
     for p in sub.choices.values():

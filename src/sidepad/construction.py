@@ -36,12 +36,7 @@ from operator import getitem, itemgetter
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
-from .errors import (
-    CapExceededError,
-    InfeasibleError,
-    InputError,
-    InternalInvariantError,
-)
+from .errors import InfeasibleError, InputError, InternalInvariantError
 from .model import (
     ConditionalMatrix,
     Instance,
@@ -53,9 +48,6 @@ from .model import (
     conditional_y_given_x,
     rat_str,
 )
-
-# find_deterministic_scheme backtracks over column choices, exponential in m.
-_DETERMINISTIC_MAX_M = 8
 
 
 @dataclass(frozen=True)
@@ -307,9 +299,7 @@ def extend(cm: ConditionalMatrix) -> ExtendedMatrix:
     _column_condition(cm, strict=True)
     cols, L = cm._columns
     n, m = cm.n, cm.m
-    rows = tuple(
-        tuple(v.numerator * (L // v.denominator) for v in row) for row in cm.entries
-    )
+    rows = _numerator_rows(cm)
     pad = [[0] * m for _ in range(m - n)]
     r, room = 0, L  # the padding row being filled, and its room
     for j, c in enumerate(cols):
@@ -527,28 +517,40 @@ def _named_scheme(inst: Instance, cm: ConditionalMatrix, weights, assignments):
     )
 
 
+def _numerator_rows(cm: ConditionalMatrix) -> tuple[tuple[int, ...], ...]:
+    """The conditional's rows as integer numerators over L, the common
+    denominator of its column sums ``cm._columns``."""
+    _, L = cm._columns
+    return tuple(
+        tuple(v.numerator * (L // v.denominator) for v in row) for row in cm.entries
+    )
+
+
+def _same_values(rows: Sequence[Sequence[int]]) -> bool:
+    """Whether all rows hold one multiset of values (rows of one length)."""
+    first = sorted(rows[0])
+    return all(sorted(row) == first for row in rows[1:])
+
+
 def row_value_multisets_equal(cm: ConditionalMatrix) -> bool:
     """Whether all rows of the conditional matrix share one multiset of
     positive values.
 
-    This is necessary for a deterministic scheme to exist (each signal
-    must take, in every row, a cell whose value equals the signal weight),
-    but it is *not* claimed sufficient; the exhaustive search is the
-    ground truth.
+    This is the first half of the criterion for a deterministic scheme
+    (see :func:`find_deterministic_scheme`): each signal takes, in every
+    row, one cell whose value is the signal's weight.
     """
-    reference = sorted(v for v in cm.entries[0] if v > 0)
-    return all(
-        sorted(v for v in row if v > 0) == reference for row in cm.entries[1:]
-    )
+    return _same_values(_numerator_rows(cm))
 
 
 @dataclass(frozen=True)
 class DeterministicSearch:
-    """Outcome of the deterministic-scheme search.
+    """Outcome of the deterministic-scheme decision.
 
-    ``status`` is ``"found"`` (``scheme`` set), ``"none_found"`` (the space
-    was exhausted), or ``"budget_exhausted"`` (the node budget tripped
-    first — inconclusive).  ``nodes`` counts cell-placement attempts.
+    ``status`` is ``"found"`` (``scheme`` set) or ``"none_found"`` (no
+    deterministic scheme exists).  ``nodes`` counts colouring steps: one
+    per support cell coloured and one per cell recoloured on an
+    alternating path; it is 0 when the rows' value multisets differ.
     """
 
     status: str
@@ -556,85 +558,78 @@ class DeterministicSearch:
     nodes: int
 
 
-def find_deterministic_scheme(
-    inst: Instance, *, limit: int = 1_000_000
-) -> DeterministicSearch:
-    """Search for a scheme whose encoder is deterministic: every supported
-    (x, y) maps to exactly one signal.
+def find_deterministic_scheme(inst: Instance) -> DeterministicSearch:
+    """Decide whether a scheme with a deterministic encoder exists (every
+    supported (x, y) maps to exactly one signal), and build one if so.
 
-    In such a scheme each signal covers exactly one support cell per state
-    row, with weight equal to that cell's conditional value; so signals
-    correspond one-to-one with the support cells of the first row, and the
-    search space is the ways of extending those p partial transversals,
-    one disjoint column per row, value-matched to the signal weight.
-    Signals are pinned to first-row cells in column order (any deterministic
-    scheme is a relabeling of one found this way), and the remaining rows
-    are filled by exhaustive backtracking.
+    In such a scheme the one signal on a support cell (x, y) has weight
+    P(y|x), so a signal of weight v takes one cell of value v from every
+    row, in distinct columns.  One exists iff (1) every row has the same
+    multiset of positive values and (2) for each value v, no column holds
+    more cells of value v than a row does, c_v.  Both are necessary; given
+    them, the cells of value v form a bipartite graph, rows against
+    columns, whose largest degree is c_v, and by König's edge-colouring
+    theorem (1916) its edges take c_v colours with no two alike at a row
+    or a column.  Every row meets each colour once, so each colour class
+    is a signal of weight v.
 
-    Raises :class:`InputError` for a ``limit`` below 1, before any other
-    check, :class:`CapExceededError` for m above ``_DETERMINISTIC_MAX_M``
-    and :class:`InfeasibleError` for infeasible instances.
+    The colouring takes the support cells row by row, columns ascending,
+    on integer numerators over one denominator (``_numerator_rows``).  A
+    cell takes the first colour a of its value free at its row; if a is
+    taken at its column, the first colour b free there swaps with a along
+    the alternating a/b path from the column, which frees a there.  A
+    column with no free colour breaks (2).  Signals are named by row 0's
+    columns, ascending; each pairs the padding rows with its unused
+    columns, ascending.
+
+    Raises :class:`InfeasibleError` for infeasible instances.
     """
-    if limit < 1:
-        raise InputError(f"node budget must be >= 1, got {limit}")
-    if inst.m > _DETERMINISTIC_MAX_M:
-        raise CapExceededError(
-            f"deterministic search caps at m={_DETERMINISTIC_MAX_M} columns; "
-            f"got {inst.m}"
-        )
     cm = conditional_y_given_x(inst)
     _column_condition(cm, strict=True)
-
-    cells = [
-        [(j, v) for j, v in enumerate(row) if v > 0] for row in cm.entries
-    ]
+    rows = _numerator_rows(cm)
+    if not _same_values(rows):
+        return DeterministicSearch(status="none_found", scheme=None, nodes=0)
     n, m = cm.n, cm.m
-    first = cells[0]
-    p = len(first)
-    alphas = [v for _, v in first]
-    used: list[set[int]] = [{j} for j, _ in first]
-    chosen = [[j for j, _ in first]] + [[-1] * p for _ in range(n - 1)]
+    palette: dict[int, list[int]] = {}  # value -> its colours, one per signal
+    for k, v in enumerate(filter(None, rows[0])):
+        palette.setdefault(v, []).append(k)
+    p = sum(map(len, palette.values()))
+    col_of = [[-1] * n for _ in range(p)]  # colour k's column at each row
+    row_of = [[-1] * m for _ in range(p)]  # colour k's row at each column
     nodes = 0
-
-    # Depth-first over the slots (row i, signal k) in row-major order, on an
-    # explicit stack of the option index placed in each filled slot: a loop,
-    # not recursive closures, so the search state is freed on return.  A row
-    # whose support size differs from p offers no options.  Backtracking out
-    # of a row has undone all its placements, so ``taken`` needs no reset.
-    taken = [[False] * p for _ in range(n)]
-    picks: list[int] = []
-    i, k, t = 1, 0, 0  # the slot to fill and the first option to try there
-    while i < n:
-        options = cells[i] if len(cells[i]) == p else []
-        for t in range(t, len(options)):
-            if taken[i][t]:
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if not v:
                 continue
+            colours = palette[v]
+            a = next(k for k in colours if col_of[k][i] < 0)
+            if row_of[a][j] >= 0:
+                b = next((k for k in colours if row_of[k][j] < 0), None)
+                if b is None:
+                    return DeterministicSearch(
+                        status="none_found", scheme=None, nodes=nodes
+                    )
+                nodes += _swap_path(col_of, row_of, j, a, b)
+            col_of[a][i], row_of[a][j] = j, i
             nodes += 1
-            if nodes > limit:
-                return DeterministicSearch(
-                    status="budget_exhausted", scheme=None, nodes=nodes
-                )
-            j, v = options[t]
-            if v != alphas[k] or j in used[k]:
-                continue
-            taken[i][t] = True
-            used[k].add(j)
-            chosen[i][k] = j
-            picks.append(t)
-            i, k, t = (i, k + 1, 0) if k + 1 < p else (i + 1, 0, 0)
-            break
-        else:  # slot exhausted: undo the previous slot and try its next option
-            if not picks:
-                return DeterministicSearch(status="none_found", scheme=None, nodes=nodes)
-            i, k = (i, k - 1) if k else (i - 1, p - 1)
-            t = picks.pop()
-            taken[i][t] = False
-            used[k].remove(cells[i][t][0])
-            t += 1
 
+    signals = sorted(range(p), key=lambda k: col_of[k][0])
+    weights = [cm.entries[0][col_of[k][0]] for k in signals]
     assignments = [
-        [chosen[i][k] for i in range(n)] + sorted(set(range(m)) - used[k])
-        for k in range(p)
+        col_of[k] + [c for c in range(m) if row_of[k][c] < 0] for k in signals
     ]
-    scheme = _named_scheme(inst, cm, alphas, assignments)
+    scheme = _named_scheme(inst, cm, weights, assignments)
     return DeterministicSearch(status="found", scheme=scheme, nodes=nodes)
+
+
+def _swap_path(col_of, row_of, j: int, a: int, b: int) -> int:
+    """Swap colours a and b at each node of the path from column j that
+    alternates them, a first; b must be free at column j.  Returns the
+    number of cells recoloured, one fewer than the nodes."""
+    recoloured, at, k, ends, across = -1, j, a, row_of, col_of
+    while at >= 0:
+        to = ends[k][at]
+        ends[a][at], ends[b][at] = ends[b][at], ends[a][at]
+        at, k, ends, across = to, a + b - k, across, ends
+        recoloured += 1
+    return recoloured

@@ -34,8 +34,8 @@ class OffSupportError(SidepadError):
 
 
 class CapExceededError(SidepadError):
-    """An operation refused a size above its cap: an exact search's
-    alphabet or node budget, or a rational too long to print."""
+    """An operation refused a size above its cap: the exact oracle's
+    alphabet, the ``shannon`` grid, or a rational too long to print."""
 
 
 class UnverifiedSchemeError(SidepadError):

@@ -61,6 +61,19 @@ def skew22() -> sp.Instance:
     )
 
 
+def overfull47() -> sp.Instance:
+    """Feasible 4x7 whose rows share one multiset of conditional values
+    (one 1/4, six 1/8), but column y3 holds 1/4 twice while a row holds it
+    once: no deterministic encoder."""
+    rows = [
+        ["1/32", "1/32", "1/16", "1/32", "1/32", "1/32", "1/32"],
+        ["1/16", "1/32", "1/32", "1/32", "1/32", "1/32", "1/32"],
+        ["1/32", "1/16", "1/32", "1/32", "1/32", "1/32", "1/32"],
+        ["1/32", "1/32", "1/16", "1/32", "1/32", "1/32", "1/32"],
+    ]
+    return sp.make_instance(*_labels(4, 7), rows)
+
+
 def uniform_independent(n: int, m: int) -> sp.Instance:
     mass = Fraction(1, n * m)
     return sp.make_instance(

@@ -174,8 +174,8 @@ def test_criterion_7_deterministic_impossibility():
         7,
         ok,
         f"feasible={feasible}, randomized scheme verified={verified}, "
-        f"exhaustive search ended '{search.status}' after "
-        f"{search.nodes} nodes",
+        f"deterministic decision '{search.status}' after "
+        f"{search.nodes} colouring steps",
     )
 
 

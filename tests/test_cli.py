@@ -12,7 +12,9 @@ import pytest
 
 import sidepad as sp
 from sidepad.cli import main
-from corpus import corr23, det22, mixed23, otp2, skew22, uniform_independent
+from corpus import (
+    corr23, det22, mixed23, otp2, overfull47, skew22, uniform_independent,
+)
 from test_model import DIGIT_LIMIT, needs_digit_limit
 
 
@@ -622,18 +624,6 @@ def test_deterministic_none_found(capsys, paths):
     assert "row value multisets equal: no" in out
 
 
-def test_deterministic_budget(capsys, paths):
-    code, out, _ = run(capsys, "deterministic", paths["mixed23"], "--limit", "1")
-    assert code == 3
-    assert "search budget exhausted" in out
-
-
-def test_deterministic_refuses_a_zero_budget(capsys, paths):
-    code, out, err = run(capsys, "deterministic", paths["mixed23"], "--limit", "0")
-    assert (code, out) == (2, "")
-    assert err == "error: node budget must be >= 1, got 0\n"
-
-
 def test_deterministic_json_statuses(capsys, paths):
     code, out, _ = run(capsys, "deterministic", paths["det22"], "--json")
     assert code == 0
@@ -643,11 +633,37 @@ def test_deterministic_json_statuses(capsys, paths):
     code, out, _ = run(capsys, "deterministic", paths["mixed23"], "--json")
     assert code == 1
     assert json.loads(out)["status"] == "none_found"
-    code, out, _ = run(
-        capsys, "deterministic", paths["mixed23"], "--json", "--limit", "1"
+
+
+def test_deterministic_decides_an_overfull_column(capsys, tmp_path):
+    # Rows alike, but y3 holds a row's one 1/4 twice: decided in a few
+    # dozen colouring steps.
+    path = tmp_path / "overfull47.inst"
+    path.write_text(sp.serialize_instance(overfull47()), encoding="utf-8")
+    code, out, _ = run(capsys, "deterministic", str(path))
+    assert (code, out) == (
+        1, "row value multisets equal: yes\nno deterministic scheme exists\n"
     )
-    assert code == 3
-    assert json.loads(out)["status"] == "budget_exhausted"
+    code, out, _ = run(capsys, "deterministic", str(path), "--json")
+    assert code == 1
+    assert json.loads(out)["nodes"] == 55
+
+
+@pytest.mark.parametrize("n, m", [(3, 12), (12, 12)])
+def test_deterministic_finds_wide_shannon_pads(capsys, tmp_path, n, m):
+    inst_path, scheme_path = tmp_path / "pad.inst", tmp_path / "pad.scheme"
+    run(capsys, "shannon", "-n", str(n), "-m", str(m), "-o", str(inst_path))
+    code, out, _ = run(
+        capsys, "deterministic", str(inst_path), "-o", str(scheme_path)
+    )
+    assert code == 0
+    assert out.endswith(f"wrote deterministic scheme to {scheme_path}\n")
+    inst = sp.parse_instance(inst_path.read_text())
+    scheme = sp.parse_scheme(scheme_path.read_text())
+    assert sp.verify_scheme(scheme, inst).all_ok
+    assert scheme.p == sp.p_lower_bound(inst) == m
+    code, _, _ = run(capsys, "verify", str(scheme_path), "--against", str(inst_path))
+    assert code == 0
 
 
 def test_deterministic_infeasible(capsys, paths):
@@ -835,7 +851,7 @@ CLI_GOLDEN = {
     ),
     'deterministic corr23 --json': (
         0,
-        '{"kind":"deterministic-search","status":"found","nodes":2,'
+        '{"kind":"deterministic-search","status":"found","nodes":4,'
         '"row_multisets_equal":true,"scheme":{"n":2,"m":3,"p":2,'
         '"x_labels":["x1","x2"],"y_labels":["y1","y2","y3"],'
         '"z_labels":["z1","z2"],"px":["1/2","1/2"],"weights":["1/2","1/2"],'
@@ -845,12 +861,12 @@ CLI_GOLDEN = {
     'deterministic mixed23': (
         1,
         'row value multisets equal: no\n'
-        'no deterministic scheme exists (searched 2 nodes)\n',
+        'no deterministic scheme exists\n',
         '',
     ),
     'deterministic mixed23 --json': (
         1,
-        '{"kind":"deterministic-search","status":"none_found","nodes":2,'
+        '{"kind":"deterministic-search","status":"none_found","nodes":0,'
         '"row_multisets_equal":false,"scheme":null}',
         '',
     ),
@@ -867,7 +883,7 @@ CLI_GOLDEN = {
     ),
     'deterministic otp2 --json': (
         0,
-        '{"kind":"deterministic-search","status":"found","nodes":3,'
+        '{"kind":"deterministic-search","status":"found","nodes":6,'
         '"row_multisets_equal":true,"scheme":{"n":2,"m":2,"p":2,'
         '"x_labels":["x1","x2"],"y_labels":["y1","y2"],"z_labels":["z1",'
         '"z2"],"px":["1/2","1/2"],"weights":["1/2","1/2"],'
@@ -887,7 +903,7 @@ CLI_GOLDEN = {
     ),
     'deterministic det22 --json': (
         0,
-        '{"kind":"deterministic-search","status":"found","nodes":3,'
+        '{"kind":"deterministic-search","status":"found","nodes":4,'
         '"row_multisets_equal":true,"scheme":{"n":2,"m":2,"p":2,'
         '"x_labels":["x1","x2"],"y_labels":["y1","y2"],"z_labels":["z1",'
         '"z2"],"px":["1/2","1/2"],"weights":["2/3","1/3"],'
@@ -917,18 +933,6 @@ CLI_GOLDEN = {
         '"p_lower_bound":2}',
         '',
     ),
-    'deterministic mixed23 --limit 1': (
-        3,
-        'row value multisets equal: no\n'
-        'search budget exhausted after 2 nodes (inconclusive)\n',
-        '',
-    ),
-    'deterministic mixed23 --limit 1 --json': (
-        3,
-        '{"kind":"deterministic-search","status":"budget_exhausted",'
-        '"nodes":2,"row_multisets_equal":false,"scheme":null}',
-        '',
-    ),
     'deterministic det22 -o out': (
         0,
         'row value multisets equal: yes\n'
@@ -937,7 +941,7 @@ CLI_GOLDEN = {
     ),
     'deterministic det22 -o out --json': (
         0,
-        '{"kind":"deterministic-search","status":"found","nodes":3,'
+        '{"kind":"deterministic-search","status":"found","nodes":4,'
         '"row_multisets_equal":true,"scheme":{"n":2,"m":2,"p":2,'
         '"x_labels":["x1","x2"],"y_labels":["y1","y2"],"z_labels":["z1",'
         '"z2"],"px":["1/2","1/2"],"weights":["2/3","1/3"],'
@@ -947,7 +951,7 @@ CLI_GOLDEN = {
     'deterministic mixed23 -o out': (
         1,
         'row value multisets equal: no\n'
-        'no deterministic scheme exists (searched 2 nodes)\n',
+        'no deterministic scheme exists\n',
         '',
     ),
     'shannon -n 2 -m 3': (

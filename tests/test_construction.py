@@ -1,6 +1,5 @@
 """Extension, matchings, the exact decomposition, and scheme building."""
 
-import collections
 import gc
 import hashlib
 import itertools
@@ -13,7 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sidepad as sp
-from corpus import corpus, corr23, det22, mixed23, otp2, skew22
+from corpus import corpus, corr23, det22, mixed23, otp2, overfull47, skew22
+from test_simplex import _triage_instances
 
 
 def _conditional(inst):
@@ -250,42 +250,98 @@ def test_deterministic_search_exhausts_to_none():
     outcome = sp.find_deterministic_scheme(mixed23())
     assert outcome.status == "none_found"
     assert outcome.scheme is None
-    assert outcome.nodes > 0
-
-
-def test_deterministic_search_budget_exhaustion():
-    outcome = sp.find_deterministic_scheme(mixed23(), limit=1)
-    assert outcome.status == "budget_exhausted"
-    assert outcome.scheme is None
-    assert outcome.nodes >= 1
+    assert outcome.nodes == 0  # the rows' value multisets differ
 
 
 def test_deterministic_search_leaves_no_cyclic_garbage():
-    # Found, none found and budget exhausted: each call's search state must
-    # be freed by reference counting on return, not left for the collector.
-    instances = [(det22(), 1_000_000), (mixed23(), 1_000_000), (det22(), 1)]
+    # Found and none found: each call's state must be freed by reference
+    # counting on return, not left for the collector.
+    instances = [det22(), mixed23(), overfull47()]
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        statuses = [
-            sp.find_deterministic_scheme(inst, limit=limit).status
-            for inst, limit in instances
-        ]
+        statuses = [sp.find_deterministic_scheme(inst).status for inst in instances]
         gc.collect()
         assert gc.garbage == []
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
-    assert statuses == ["found", "none_found", "budget_exhausted"]
+    assert statuses == ["found", "none_found", "none_found"]
+
+
+def _reference_deterministic(inst, limit=1_000_000):
+    """The exhaustive backtracking search for a deterministic scheme, kept
+    as ground truth for :func:`find_deterministic_scheme`.  ``status`` is
+    "budget_exhausted" (undecided) once it has tried ``limit`` nodes.
+
+    Signals are pinned to first-row cells in column order (any
+    deterministic scheme is a relabeling of one found this way), and the
+    remaining rows are filled one signal at a time, each cell value-matched
+    to the signal weight in a column the signal has not used.
+    """
+    cm = _conditional(inst)
+    sp.construction._column_condition(cm, strict=True)
+
+    cells = [
+        [(j, v) for j, v in enumerate(row) if v > 0] for row in cm.entries
+    ]
+    n, m = cm.n, cm.m
+    first = cells[0]
+    p = len(first)
+    alphas = [v for _, v in first]
+    used: list[set[int]] = [{j} for j, _ in first]
+    chosen = [[j for j, _ in first]] + [[-1] * p for _ in range(n - 1)]
+    nodes = 0
+
+    # Depth-first over the slots (row i, signal k) in row-major order, on an
+    # explicit stack of the option index placed in each filled slot.  A row
+    # whose support size differs from p offers no options.  Backtracking out
+    # of a row has undone all its placements, so ``taken`` needs no reset.
+    taken = [[False] * p for _ in range(n)]
+    picks: list[int] = []
+    i, k, t = 1, 0, 0  # the slot to fill and the first option to try there
+    while i < n:
+        options = cells[i] if len(cells[i]) == p else []
+        for t in range(t, len(options)):
+            if taken[i][t]:
+                continue
+            nodes += 1
+            if nodes > limit:
+                return sp.DeterministicSearch(
+                    status="budget_exhausted", scheme=None, nodes=nodes
+                )
+            j, v = options[t]
+            if v != alphas[k] or j in used[k]:
+                continue
+            taken[i][t] = True
+            used[k].add(j)
+            chosen[i][k] = j
+            picks.append(t)
+            i, k, t = (i, k + 1, 0) if k + 1 < p else (i + 1, 0, 0)
+            break
+        else:  # slot exhausted: undo the previous slot and try its next option
+            if not picks:
+                return sp.DeterministicSearch(
+                    status="none_found", scheme=None, nodes=nodes
+                )
+            i, k = (i, k - 1) if k else (i - 1, p - 1)
+            t = picks.pop()
+            taken[i][t] = False
+            used[k].remove(cells[i][t][0])
+            t += 1
+
+    assignments = [
+        [chosen[i][k] for i in range(n)] + sorted(set(range(m)) - used[k])
+        for k in range(p)
+    ]
+    scheme = sp.construction._named_scheme(inst, cm, alphas, assignments)
+    return sp.DeterministicSearch(status="found", scheme=scheme, nodes=nodes)
 
 
 def _search_cases():
-    """Every feasible corpus instance under four node budgets, plus uniform
-    rows whose last row cannot match, whose long searches the budget cuts."""
-    for inst in corpus():
-        if sp.check_feasible(inst).feasible:
-            for limit in (1, 3, 17, 1_000_000):
-                yield inst, limit
+    """Uniform rows whose last row cannot match: the reference search
+    backtracks through every placement of the other rows, and its budget
+    cuts the longest searches."""
     for m in range(3, 8):
         for n in range(2, m):
             rows = [[F(1, m)] * m for _ in range(n - 1)]
@@ -295,26 +351,54 @@ def _search_cases():
             ):
                 inst = sp.instance_from_conditional([F(1, n)] * n, rows + [last])
                 if sp.check_feasible(inst).feasible:
-                    for limit in (1000, 30000):
-                        yield inst, limit
+                    yield inst
+
+
+def _differential_instances():
+    """Every feasible corpus instance and triage instance (seeds 1-4), and
+    ``_search_cases()``."""
+    triage = (inst for seed in range(1, 5) for inst in _triage_instances(seed))
+    for inst in itertools.chain(corpus(), triage):
+        if sp.check_feasible(inst).feasible:
+            yield inst
+    yield from _search_cases()
+
+
+def _assert_reference_verdict(inst, limit=30_000) -> bool:
+    """``find_deterministic_scheme`` gives the reference's verdict on
+    ``inst`` wherever the reference decides within ``limit`` nodes, and a
+    scheme it finds verifies, passes the audit and meets p_lower_bound.
+    Returns whether the reference decided."""
+    outcome = sp.find_deterministic_scheme(inst)
+    assert outcome.status in ("found", "none_found")
+    assert (outcome.scheme is None) == (outcome.status == "none_found")
+    if outcome.scheme is not None:
+        assert sp.verify_scheme(outcome.scheme, inst).all_ok
+        assert sp.necessity_audit(outcome.scheme).ok
+        assert outcome.scheme.p == sp.p_lower_bound(inst)
+    reference = _reference_deterministic(inst, limit)
+    if reference.status == "budget_exhausted":
+        return False
+    assert outcome.status == reference.status
+    return True
 
 
 def test_deterministic_search_golden_outcomes():
-    # Status, node count and scheme of every case, pinned across code
-    # versions: the search order and the budget cut must not move.
-    digest = hashlib.sha256()
-    statuses = collections.Counter()
-    nodes = 0
-    for inst, limit in _search_cases():
-        result = sp.find_deterministic_scheme(inst, limit=limit)
-        digest.update(repr((result.status, result.nodes, result.scheme)).encode())
-        statuses[result.status] += 1
-        nodes += result.nodes
-    assert statuses == {"found": 1283, "none_found": 620, "budget_exhausted": 193}
-    assert nodes == 360115
-    assert digest.hexdigest() == (
-        "4a6904a7651a30ac6223ae59db456126980c7a3ef00c074cdb798f4c9c5f3090"
-    )
+    # The reference search's verdict on every differential instance it
+    # decides; it leaves only a few of the longest uniform-row searches open.
+    instances = list(_differential_instances())
+    decided = sum(_assert_reference_verdict(inst) for inst in instances)
+    assert len(instances) - decided <= 10
+    assert decided > 1500
+
+
+def test_deterministic_search_decides_what_the_reference_cannot():
+    inst = overfull47()
+    assert sp.row_value_multisets_equal(_conditional(inst))
+    assert _reference_deterministic(inst, 10_000).status == "budget_exhausted"
+    outcome = sp.find_deterministic_scheme(inst)
+    assert (outcome.status, outcome.scheme) == ("none_found", None)
+    assert outcome.nodes == 55
 
 
 def _marginal_x_calls(call, *args):
@@ -347,14 +431,15 @@ def test_p_x_is_summed_once_per_call(call):
     assert _marginal_x_calls(call, corr23()) == 1
 
 
-def test_deterministic_search_caps_width(monkeypatch):
+def test_deterministic_search_caps_width():
+    # Width is no limit: a single uniform row over nine columns is found.
     inst = sp.make_instance(
         ["x1"], [f"y{j}" for j in range(9)], [[F(1, 9)] * 9]
     )
-    with pytest.raises(sp.CapExceededError):
-        sp.find_deterministic_scheme(inst)
-    monkeypatch.setattr(sp.construction, "_DETERMINISTIC_MAX_M", 9)
-    assert sp.find_deterministic_scheme(inst).status == "found"
+    outcome = sp.find_deterministic_scheme(inst)
+    assert outcome.status == "found"
+    assert outcome.scheme.p == 9
+    assert sp.verify_scheme(outcome.scheme, inst).all_ok
 
 
 def test_deterministic_search_refuses_infeasible():
@@ -362,19 +447,12 @@ def test_deterministic_search_refuses_infeasible():
         sp.find_deterministic_scheme(skew22())
 
 
-@pytest.mark.parametrize("inst", [
-    sp.make_instance(["x1"], [f"y{j}" for j in range(9)], [[F(1, 9)] * 9]),
-    skew22(),
-], ids=["past-the-width-cap", "infeasible"])
-def test_deterministic_search_checks_its_budget_first(inst):
-    # The budget is checked before the width cap and the column test.
-    with pytest.raises(sp.InputError, match="node budget must be >= 1, got 0"):
-        sp.find_deterministic_scheme(inst, limit=0)
-
-
 def test_deterministic_scheme_has_singleton_signal_sets():
-    for inst in (det22(), corr23()):
+    # The fixtures and every scheme found on the differential instances.
+    for inst in (det22(), corr23(), *_differential_instances()):
         scheme = sp.find_deterministic_scheme(inst).scheme
+        if scheme is None:
+            continue
         for i in range(scheme.n):
             for j in range(scheme.m):
                 covering = sp.support_signals(scheme, i, j)
@@ -457,10 +535,35 @@ def test_built_schemes_always_verify(inst):
 
 @given(feasible_instances(max_m=3))
 def test_deterministic_witness_implies_row_condition(inst):
-    outcome = sp.find_deterministic_scheme(inst, limit=20000)
+    outcome = sp.find_deterministic_scheme(inst)
     if outcome.status == "found":
         assert sp.row_value_multisets_equal(_conditional(inst))
         assert sp.verify_scheme(outcome.scheme, inst).all_ok
+
+
+@st.composite
+def shuffled_rows(draw, max_m=5):
+    """Instances whose conditional rows are permutations of one row of
+    small integer parts: every row holds one multiset of values, so the
+    columns decide."""
+    m = draw(st.integers(1, max_m))
+    n = draw(st.integers(1, m))
+    parts = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(any))
+    rows = [draw(st.permutations(parts)) for _ in range(n)]
+    px = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    return sp.instance_from_conditional(
+        [F(w, sum(px)) for w in px],
+        [[F(v, sum(parts)) for v in row] for row in rows],
+    )
+
+
+@given(st.one_of(shuffled_rows(), feasible_instances(max_m=5)))
+def test_deterministic_search_matches_the_reference_on_random_instances(inst):
+    if sp.check_feasible(inst).feasible:
+        _assert_reference_verdict(inst)
+    else:
+        with pytest.raises(sp.InfeasibleError):
+            sp.find_deterministic_scheme(inst)
 
 
 def test_decomposition_size_bound_on_random_instances():

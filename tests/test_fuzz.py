@@ -209,7 +209,7 @@ COMMANDS = ["check", "build", "verify", "encode", "decode", "simulate",
             "oracle", "shannon", "deterministic"]
 FLAGS = ["-o", "--output", "--against", "--x", "--y", "--z", "--seed", "-n",
          "--samples", "--shards", "--min-count", "--allow-unverified", "-m",
-         "--limit", "--json", "-h", "--help"]
+         "--json", "-h", "--help"]
 # Numbers stay at or below 50, so no draw asks for a long simulation or a
 # large shannon grid.
 NUMBERS = ["0", "-1", "1", "2", "3", "7", "50", "1.5", "1e3", "0x10", "", "x",
@@ -238,7 +238,7 @@ def argvs(draw):
                      "--shards", number],
         "oracle": [inst],
         "shannon": ["-n", number, "-m", "3"],
-        "deterministic": [inst, "--limit", number],
+        "deterministic": [inst],
     }
     if draw(st.integers(0, 9)) == 0:
         return draw(st.lists(TOKENS, max_size=8))

@@ -674,7 +674,7 @@ def _deterministic_schemes():
         yield sp.build_scheme(factory()), factory()
     for inst in corpus():
         if sp.check_feasible(inst).feasible:
-            found = sp.find_deterministic_scheme(inst, limit=10_000)
+            found = sp.find_deterministic_scheme(inst)
             if found.status == "found":
                 yield found.scheme, inst
 
