@@ -30,7 +30,6 @@ from .construction import (
     build_scheme,
     find_deterministic_scheme,
     p_lower_bound,
-    row_value_multisets_equal,
 )
 from .errors import (
     CapExceededError,
@@ -47,7 +46,7 @@ from .formats import (
     serialize_instance,
     serialize_scheme,
 )
-from .model import Instance, conditional_y_given_x, make_instance, rat_str
+from .model import Instance, make_instance, rat_str
 from .runtime import RandomSource, decode, encode, simulate
 from .verification import (
     LAWS,
@@ -356,7 +355,7 @@ def cmd_deterministic(args) -> int:
     except InfeasibleError as exc:
         print(_infeasible_detail(inst, exc), file=sys.stderr)
         return 1
-    condition = row_value_multisets_equal(conditional_y_given_x(inst))
+    condition = outcome.row_multisets_equal
     code, line = _DETERMINISTIC_OUTCOMES[outcome.status]
     if outcome.scheme is not None:
         document = serialize_scheme(outcome.scheme)

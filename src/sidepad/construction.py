@@ -40,6 +40,7 @@ from .errors import InfeasibleError, InputError, InternalInvariantError
 from .model import (
     ConditionalMatrix,
     Instance,
+    _Sampler,
     _check_label,
     _clip_rat,
     _fractions,
@@ -191,6 +192,11 @@ class Scheme:
         # Memoised outside the dataclass fields: eq, hash and repr ignore it.
         return _Joint(self)
 
+    def __getstate__(self) -> dict:
+        # The joint's memos hold a weak reference and a read-only mapping,
+        # which do not pickle; an unpickled scheme compiles its own.
+        return {k: v for k, v in self.__dict__.items() if k != "_joint"}
+
 
 class _Joint:
     """The scheme joint Q(x_i, y_j, z_k) = alpha_k * P_X(x_i) * [sigma_k(i) = j]
@@ -208,10 +214,11 @@ class _Joint:
     p*n cells, never an n*m grid.  The same pass yields ``clash``, the
     first (column, signal) in (y, z) order reached by two states, or None.
     Row and signal lists are ascending.  Fractions appear only in the reports
-    verification builds from these numerators.  ``encoders`` starts empty:
-    ``encode`` memoises each cell's encoder distribution there on first
-    use.  ``simulate`` does not: it draws each sample once from its own
-    table over (cell, signal) pairs, built from ``phi`` and ``a``.
+    verification builds from these numerators.  Three memos fill on first
+    use: ``encoders``, each cell's encoder distribution for ``encode``;
+    ``verdicts``, ``verify_scheme``'s three law results with a weak
+    reference to the instance they were checked against; and ``slots``,
+    ``simulate``'s table over (cell, signal) pairs for a verified scheme.
     """
 
     def __init__(self, scheme: Scheme):
@@ -223,6 +230,7 @@ class _Joint:
         singles = [(i,) for i in range(n)]
         self.inverse, self.q_z, self.clash = [], [], None
         self.encoders: dict[tuple[int, int], object] = {}
+        self.verdicts: Optional[tuple] = None
         self.m = m
         self.phi: list[dict[int, list[int]]] = [{} for _ in range(n)]
         for k, (a, sigma) in enumerate(zip(self.a, scheme.assignments)):
@@ -253,6 +261,22 @@ class _Joint:
                 q[j] = b * sum(a[k] for k in ks)
             q_xy.append(q)
         return q_xy
+
+    @cached_property
+    def slots(self) -> _Sampler:
+        """Exact sampler of slots (i, j, k): state row i, column j, signal
+        k, rows ascending, each row's columns and each column's signals
+        ascending.  Slot (i, j, k) weighs Q(x_i, y_j, z_k) = ``b[i] * a[k]``.
+        ``simulate`` reads it only for a verified scheme, whose Q_XY is
+        P_XY, so these are the masses of a world draw followed by an
+        encoder draw, in the same order."""
+        a, slots, weights = self.a, [], []
+        for i, (b, row) in enumerate(zip(self.b, self.phi)):
+            for j in sorted(row):
+                for k in row[j]:
+                    slots.append((i, j, k))
+                    weights.append(b * a[k])
+        return _Sampler(slots, weights)
 
     @cached_property
     def table(self) -> Mapping[tuple[int, int], int]:
@@ -550,12 +574,19 @@ class DeterministicSearch:
     ``status`` is ``"found"`` (``scheme`` set) or ``"none_found"`` (no
     deterministic scheme exists).  ``nodes`` counts colouring steps: one
     per support cell coloured and one per cell recoloured on an
-    alternating path; it is 0 when the rows' value multisets differ.
+    alternating path.  It is 0 exactly when the rows' value multisets
+    differ: otherwise the first support cell is always coloured.
     """
 
     status: str
     scheme: Optional[Scheme]
     nodes: int
+
+    @property
+    def row_multisets_equal(self) -> bool:
+        """The criterion's rule (1), as the decision found it
+        (:func:`row_value_multisets_equal`)."""
+        return self.nodes > 0
 
 
 def find_deterministic_scheme(inst: Instance) -> DeterministicSearch:

@@ -6,7 +6,8 @@ breaks are cosmetic everywhere except that the serializers emit a fixed
 canonical layout.  Rational tokens use the forms accepted by
 :func:`sidepad.model.rat_parse` (``a/b``, integer, finite decimal) and are
 written back canonically via ``str(Fraction)``, so serialize/parse
-round-trips reproduce values exactly.  Numbers and counts use ASCII digits
+round-trips reproduce values exactly; a reader parses each distinct
+rational token of a document once.  Numbers and counts use ASCII digits
 only: counts and column indices are plain ``[0-9]+`` (no sign, no ``_``),
 and other scripts' digits are refused.
 
@@ -38,7 +39,6 @@ loads, then fails ``verify`` with a witness instead of being unreadable.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from typing import Callable
 
 from .construction import Scheme
@@ -47,6 +47,24 @@ from .model import Instance, _clip, make_instance, rat_parse, rat_str
 
 INSTANCE_MAGIC = ("INSTANCE", "v1")
 SCHEME_MAGIC = ("SCHEME", "v1")
+
+
+class _Rationals(dict):
+    """A document's rational tokens, token -> Fraction, each distinct token
+    parsed on first lookup.  A token refused is never stored, so it is
+    refused at its first position, as without the memo."""
+
+    def __missing__(self, token: str) -> Fraction:
+        value = self[token] = rat_parse(token)
+        return value
+
+    def __call__(self, tokens: list[str], what: Callable[[int], str]) -> list[Fraction]:
+        """A run of rational tokens, as a ``_Cursor.run`` conversion."""
+        try:
+            return list(map(self.__getitem__, tokens))
+        except InputError as exc:
+            k = next(k for k, token in enumerate(tokens) if token not in self)
+            raise InputError(f"{what(k)}: {exc}") from None
 
 
 class _Cursor:
@@ -61,6 +79,7 @@ class _Cursor:
             tokens.extend(line.split("#", 1)[0].split())
         self._tokens = tokens
         self._pos = 0
+        self.rationals = _Rationals()  # one memo for every run of the document
 
     def run(self, count: int, what: Callable[[int], str], convert=None) -> list:
         tokens = self._tokens[self._pos : self._pos + count]
@@ -104,16 +123,6 @@ def _counts(tokens: list[str], what: Callable[[int], str], top=None) -> list[int
     return values
 
 
-def _rationals(tokens: list[str], what: Callable[[int], str]) -> list[Fraction]:
-    values: list[Fraction] = []
-    try:
-        for token in tokens:
-            values.append(rat_parse(token))
-    except InputError as exc:
-        raise InputError(f"{what(len(values))}: {exc}") from None
-    return values
-
-
 def parse_instance(text: str) -> Instance:
     """Parse an ``INSTANCE v1`` document.  Raises :class:`InputError` on any
     malformation, including mass not summing to one."""
@@ -123,7 +132,7 @@ def parse_instance(text: str) -> Instance:
     x_labels = cur.run(n, lambda i: f"x label {i+1}")
     y_labels = cur.run(m, lambda j: f"y label {j+1}")
     grid = [
-        cur.run(m, lambda j: f"P_XY entry ({i+1},{j+1})", _rationals)
+        cur.run(m, lambda j: f"P_XY entry ({i+1},{j+1})", cur.rationals)
         for i in range(n)
     ]
     cur.finish("INSTANCE")
@@ -153,14 +162,25 @@ def parse_scheme(text: str) -> Scheme:
         raise InputError(f"scheme needs n <= m, got n={n} m={m}")
     x_labels = cur.run(n, lambda i: f"x label {i+1}")
     y_labels = cur.run(m, lambda j: f"y label {j+1}")
-    px = cur.run(n, lambda i: f"P_X({x_labels[i]})", _rationals)
-    columns = partial(_counts, top=m)
+    px = cur.run(n, lambda i: f"P_X({x_labels[i]})", cur.rationals)
+    # 0-based columns of the canonical tokens "1".."m" (the y labels were m
+    # tokens, so the document pays for it); a run holding any other token,
+    # such as ``01`` or ``0``, is read or refused by ``_counts``.
+    index = {str(j + 1): j for j in range(m)}
+
+    def columns(tokens: list[str], what: Callable[[int], str]) -> list[int]:
+        try:
+            return list(map(index.__getitem__, tokens))
+        except KeyError:
+            return [col - 1 for col in _counts(tokens, what, top=m)]
+
     z_labels, weights, assignments = [], [], []
     for k in range(p):
         z_labels += cur.run(1, lambda _: f"z label {k+1}")
-        weights += cur.run(1, lambda _: f"weight of signal {k+1}", _rationals)
-        sigma = cur.run(m, lambda i: f"column for row {i+1} of signal {k+1}", columns)
-        assignments.append([col - 1 for col in sigma])
+        weights += cur.run(1, lambda _: f"weight of signal {k+1}", cur.rationals)
+        assignments.append(
+            cur.run(m, lambda i: f"column for row {i+1} of signal {k+1}", columns)
+        )
     cur.finish("SCHEME")
     return Scheme(
         x_labels=tuple(x_labels),
@@ -186,9 +206,9 @@ def serialize_scheme(scheme: Scheme) -> str:
         " ".join(scheme.y_labels),
         " ".join(rat_str(v) for v in scheme.px),
     ]
+    names = [str(j + 1) for j in range(scheme.m)]
     for z, w, sigma in zip(scheme.z_labels, scheme.weights, scheme.assignments):
-        cols = [str(col + 1) for col in sigma if col is not None]
-        if len(cols) < len(sigma):
+        if None in sigma:
             raise InputError("scheme with unassigned rows cannot be serialized")
-        lines.append(f"{z} {rat_str(w)} {' '.join(cols)}")
+        lines.append(f"{z} {rat_str(w)} {' '.join(map(names.__getitem__, sigma))}")
     return "\n".join(lines) + "\n"

@@ -13,7 +13,8 @@ Validation, the marginals, the supports, the conditional and its column
 sums are sums and comparisons of those integers; Fractions are built
 only for the values handed back.  Two tables put the whole grid over one
 lcm, which grows with n: ``Instance._world``, kept for ``sample_world``,
-and ``simulate``'s (cell, signal) slot table, ``runtime._slot_sampler``.
+and the (cell, signal) slot table of ``simulate`` with ``allow_unverified``,
+``runtime._slot_sampler``.
 """
 
 from __future__ import annotations
@@ -204,18 +205,18 @@ class Instance:
         if not rows:
             # Unreachable: a valid Instance's mass sums to 1.  Kept as a guard.
             raise InputError("instance has empty X support")
-        entries = []
+        entries, numerators = [], []
         for i in rows:
             # Row i over its own denominator d is nums / d, and P_X(i) = S / d
-            # with S = sum(nums): the conditional row is nums / S.
+            # with S = sum(nums): the conditional row is nums / S, and over
+            # the lcm of its reduced denominators, S / g with g = gcd(nums),
+            # its numerators are nums / g.
             nums, _ = self._rows[i]
-            fraction = _fractions(sum(nums))
-            entries.append(tuple(map(fraction, nums)))
-        return ConditionalMatrix(
-            rows=rows,
-            cols=tuple(range(self.m)),
-            entries=tuple(entries),
-            masses=tuple(px[i] for i in rows),
+            S, g = sum(nums), gcd(*nums)
+            entries.append(tuple(map(_fractions(S), nums)))
+            numerators.append(([v // g for v in nums], S // g))
+        return ConditionalMatrix._of_rows(
+            rows, self.m, tuple(entries), tuple(px[i] for i in rows), numerators
         )
 
     @cached_property
@@ -415,6 +416,18 @@ class ConditionalMatrix:
         # ``cols[j] > L`` and ``extend``'s slacks ``L - cols[j]`` all read
         # it.  Kept outside the dataclass fields: eq, hash and repr ignore it.
         object.__setattr__(self, "_columns", _column_numerators(rows, len(self.cols)))
+
+    @classmethod
+    def _of_rows(cls, rows, m, entries, masses, numerators) -> "ConditionalMatrix":
+        """The conditional ``Instance._conditional`` derives, over all m
+        columns, given each entry row as ``(nums, den)`` over the lcm of its
+        denominators: valid by construction, so nothing is coerced or
+        checked again."""
+        cm = object.__new__(cls)
+        columns = _column_numerators(numerators, m)
+        cm.__dict__.update(rows=rows, cols=tuple(range(m)), entries=entries,
+                           masses=masses, _columns=columns)
+        return cm
 
     @property
     def n(self) -> int:

@@ -46,8 +46,9 @@ entries; a wider one bisects on lookup.  ``sample_world``'s table passes
 P_XY's numerators over their lcm (so G = 1 and L is that lcm); an
 encoder cell passes its signals' weight numerators, giving the masses
 alpha_k / sum(alpha); ``simulate``'s table passes, for each pair
-(cell, k), a numerator of P_XY(cell) * alpha_k / sum(alpha over the
-cell's signals), all over one denominator (see ``_slot_sampler``).  No
+(cell, k) of a verified scheme, the numerator of Q(x, y, z_k) =
+P_X(x) * alpha_k from the compiled joint (``_Joint.slots``), which there
+equals P_XY(cell) * alpha_k / sum(alpha over the cell's signals).  No
 float takes part in a draw: ``simulate`` tallies integer counts per
 (world cell, signal) pair, and floats appear only in the *report* of
 empirical frequencies.  A deterministic encoder cell and a point mass
@@ -56,10 +57,12 @@ consume no randomness; every other draw consumes k bits per read, and a
 never reads twice.  An
 instance keeps the sampler of its joint for ``sample_world``, and a
 scheme's compiled joint (``Scheme._joint``, read here directly) keeps
-each cell's encoder distribution for ``encode``.  ``simulate`` builds
-its table from the instance rows once per call, and builds neither that
-world sampler nor an encoder.  ``simulate`` refuses schemes through
-``verify_scheme``, whose report builds its marginals only on first read.
+each cell's encoder distribution for ``encode`` and, once built,
+``simulate``'s table; ``simulate`` builds neither that world sampler nor
+an encoder.  ``simulate`` refuses schemes through ``verify_scheme``,
+which keeps a pair's verdicts on the joint, so a pair its caller has
+just verified is not checked again.  Only ``allow_unverified`` builds
+the table from the instance rows (``_slot_sampler``), on every call.
 """
 
 from __future__ import annotations
@@ -158,17 +161,20 @@ def _conditional_signals(scheme: Scheme, x_index: int, y_index: int) -> int | _S
 
 
 def _slot_sampler(scheme: Scheme, inst: Instance) -> _Sampler:
-    """Exact sampler of ``simulate``'s slots (i, j, k): scheme state row i,
-    column j, signal k, row-major over the positive cells of P_XY, each
-    cell's signals ascending.  Slot (i, j, k) has mass
-    P_XY(x, y) * alpha_k / A_xy, with A_xy the weights' sum over phi(x, y).
-    As integers, with row x ``nums / d`` (``Instance._rows``) and A A_xy's
-    numerator: c = nums[j] and T = d * A are divided by their gcd g, and
-    the slot weighs (c / g) * (M / (T / g)) * a_k, with a_k alpha_k's
-    numerator and M the lcm of T / g over the cells.  The masses are those
-    of a world draw followed by an encoder draw, so a scheme whose every
-    cell has one signal gets the world's own thresholds.  The first
-    instance cell the scheme never emits raises :class:`OffSupportError`."""
+    """Exact sampler of the slots (i, j, k) of ``simulate`` with
+    ``allow_unverified``, whose scheme's joint need not be P_XY: scheme
+    state row i, column j, signal k, row-major over the positive cells of
+    P_XY, each cell's signals ascending.  For a verified scheme it equals
+    ``_Joint.slots``, which ``simulate`` reads instead.  Slot (i, j, k)
+    has mass P_XY(x, y) * alpha_k / A_xy, with A_xy the weights' sum over
+    phi(x, y).  As integers, with row x ``nums / d`` (``Instance._rows``)
+    and A A_xy's numerator: c = nums[j] and T = d * A are divided by their
+    gcd g, and the slot weighs (c / g) * (M / (T / g)) * a_k, with a_k
+    alpha_k's numerator and M the lcm of T / g over the cells.  The masses
+    are those of a world draw followed by an encoder draw, so a scheme
+    whose every cell has one signal gets the world's own thresholds.  The
+    first instance cell the scheme never emits raises
+    :class:`OffSupportError`."""
     phi, a = scheme._joint.phi, scheme._joint.a
     cells = []
     for i, x in enumerate(_scheme_rows(scheme, inst)):
@@ -259,7 +265,7 @@ def simulate(
     """Run the whole loop end to end, ``n_samples`` times: sample (x, y)
     from the instance, encode, decode, and tally signal frequencies and
     per-signal state frequencies.  Each sample is one draw of a (world
-    cell, signal) pair from their joint law (``_slot_sampler``), counted;
+    cell, signal) pair from their joint law (``_Joint.slots``), counted;
     counts and decode successes are read off those tallies, a pair
     decoding when its signal sends no lower state row to its column.
 
@@ -285,7 +291,7 @@ def simulate(
                 "(pass allow_unverified=True to force)"
             )
 
-    slots = _slot_sampler(scheme, inst)
+    slots = _slot_sampler(scheme, inst) if allow_unverified else scheme._joint.slots
     tally = [0] * len(slots.values)
     bits, table = slots.bits, slots.table
     base = RandomSource(seed)

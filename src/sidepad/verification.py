@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Optional
+from weakref import ref
 
 from .construction import Scheme
 from .errors import (
@@ -208,13 +209,20 @@ def check_secrecy(scheme: Scheme) -> CheckResult:
 
 
 def verify_scheme(scheme: Scheme, inst: Instance) -> VerificationReport:
-    """Run all three checks; the report's marginals are built on first read."""
-    return VerificationReport(
-        consistency=check_consistency(scheme, inst),
-        informativeness=check_informativeness(scheme),
-        secrecy=check_secrecy(scheme),
-        scheme=scheme,
-    )
+    """Run all three checks; the report's marginals are built on first read.
+
+    The verdicts are kept on the scheme's compiled joint with a weak
+    reference to the instance, so a later call on the same instance object
+    (``is``, not ``==``) reuses them, and neither object is kept alive."""
+    joint = scheme._joint
+    if not (joint.verdicts and joint.verdicts[0]() is inst):
+        joint.verdicts = (
+            ref(inst),
+            check_consistency(scheme, inst),
+            check_informativeness(scheme),
+            check_secrecy(scheme),
+        )
+    return VerificationReport(*joint.verdicts[1:], scheme=scheme)
 
 
 def _signals_at(scheme: Scheme, x_index: int, y_index: int) -> list[int]:

@@ -541,6 +541,16 @@ def test_deterministic_witness_implies_row_condition(inst):
         assert sp.verify_scheme(outcome.scheme, inst).all_ok
 
 
+def test_deterministic_search_reports_the_row_rule():
+    # The CLI reads rule (1) off the decision instead of deciding it again.
+    for inst in (overfull47(), *corpus()):
+        if sp.check_feasible(inst).feasible:
+            outcome = sp.find_deterministic_scheme(inst)
+            want = sp.row_value_multisets_equal(_conditional(inst))
+            assert outcome.row_multisets_equal is want
+            assert want or outcome.status == "none_found"
+
+
 @st.composite
 def shuffled_rows(draw, max_m=5):
     """Instances whose conditional rows are permutations of one row of

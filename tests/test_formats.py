@@ -1,5 +1,6 @@
 """INSTANCE v1 / SCHEME v1 documents: parsing, serialization, round-trips."""
 
+import re
 import tracemalloc
 from fractions import Fraction
 from fractions import Fraction as F
@@ -455,3 +456,60 @@ def test_reader_matches_the_reference_on_one_edit_documents(text):
             assert isinstance(got, tuple) and got[0] is want[0]
         else:
             assert got == want
+
+
+def test_a_repeated_bad_rational_is_refused_at_its_first_position():
+    # Each distinct token is parsed once per document; one that fails is
+    # never kept, so the refusal names its first position, as the reference
+    # reader does.
+    doc = CORR23_DOC.replace("1/4 1/4 0\n0 1/4 1/4", "1/4 1/0 0\n1/0 1/4 1/0")
+    with pytest.raises(InputError) as caught:
+        sp.parse_instance(doc)
+    assert str(caught.value) == "P_XY entry (1,2): zero denominator in '1/0'"
+    assert _outcome(_reference_parse_instance, doc) == (InputError, str(caught.value))
+    doc = CORR23_SCHEME_DOC.replace("1/2 1/2\nz1 1/2", "1/2 1/3x\nz1 1/3x")
+    with pytest.raises(InputError) as caught:
+        sp.parse_scheme(doc)
+    assert str(caught.value) == "P_X(x2): not a rational token: '1/3x'"
+    doc = CORR23_SCHEME_DOC.replace("z1 1/2", "z1 1e3").replace("z2 1/2", "z2 1e3")
+    with pytest.raises(InputError, match=r"^weight of signal 1: not a rational token: '1e3'$"):
+        sp.parse_scheme(doc)
+
+
+def test_shared_rational_tokens_parse_to_equal_values():
+    doc = CORR23_DOC.replace("0 1/4 1/4", "0 0.25 2/8")
+    inst = sp.parse_instance(doc)
+    assert inst == corr23() == _reference_parse_instance(doc)
+    assert inst.p_xy[0][0] is inst.p_xy[0][1]  # one token, parsed once
+
+
+@pytest.mark.parametrize(("token", "columns", "message"), [
+    ("01", (1, 0, 0), None),
+    ("0", None, "column for row 2 of signal 2 must be >= 1, got 0"),
+    ("+1", None, "expected column for row 2 of signal 2, got '+1'"),
+    ("4", None, "column index 4 out of range 1..3"),  # m + 1
+    ("x", None, "expected column for row 2 of signal 2, got 'x'"),
+])
+def test_scheme_column_tokens_outside_the_canonical_table(token, columns, message):
+    # "1".."m" are read by lookup; any other token takes the counted-run
+    # reader, which accepts "01" and refuses the rest as before.
+    doc = CORR23_SCHEME_DOC.replace("z2 1/2 2 3 1", f"z2 1/2 2 {token} 1")
+    assert _outcome(sp.parse_scheme, doc) == _outcome(_reference_parse_scheme, doc)
+    if message is None:
+        assert sp.parse_scheme(doc).assignments[1] == columns
+    else:
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            sp.parse_scheme(doc)
+
+
+def test_documents_round_trip_on_the_corpus():
+    for inst in CORPUS:
+        text = sp.serialize_instance(inst)
+        parsed = sp.parse_instance(text)
+        assert parsed == inst == _reference_parse_instance(text)
+        assert sp.serialize_instance(parsed) == text
+    for index, inst in enumerate(FEASIBLE):
+        text = _scheme_document(index)
+        loaded = sp.parse_scheme(text)
+        assert loaded == sp.build_scheme(inst) == _reference_parse_scheme(text)
+        assert sp.serialize_scheme(loaded) == text

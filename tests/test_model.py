@@ -200,6 +200,19 @@ def test_conditional_keeps_only_its_column_sums():
     assert sp.column_sums(cm) == (F(1, 2), F(1), F(1, 2))
 
 
+def test_instance_conditional_equals_the_validated_constructor():
+    # Instance._conditional builds its matrix without coercing or checking
+    # again; the public constructor, which does both, gives the same matrix
+    # and the same integer column sums.
+    for inst in corpus():
+        cm = sp.conditional_y_given_x(inst)
+        checked = sp.ConditionalMatrix(
+            rows=cm.rows, cols=cm.cols, entries=cm.entries, masses=cm.masses
+        )
+        assert checked == cm
+        assert (checked.masses, checked._columns) == (cm.masses, cm._columns)
+
+
 def test_conditional_matrix_validates_rows():
     with pytest.raises(sp.InputError):
         sp.ConditionalMatrix(rows=(0,), cols=(0, 1), entries=((F(1, 2), F(1, 4)),))

@@ -2,11 +2,14 @@
 
 import collections
 import dataclasses
+import gc
 import hashlib
+import pickle
 import random
 import re
 import time
 import types
+import weakref
 from bisect import bisect_right
 from fractions import Fraction as F
 from itertools import accumulate
@@ -664,6 +667,62 @@ def test_slot_masses_are_exact_on_random_schemes(case):
         return
     slots = _slot_sampler(scheme, inst)
     assert (slots.limit, slots.thresholds, slots.values) == want
+
+
+def test_joint_slot_table_is_the_row_rule_on_verified_corpus_schemes():
+    # simulate draws a verified scheme's slots from the compiled joint
+    # (b[i] * a[k]); allow_unverified keeps the row rule.  On a verified
+    # scheme, both are one table, in one order, over one limit.
+    count = 0
+    for inst in corpus():
+        if sp.check_feasible(inst).feasible:
+            scheme = sp.parse_scheme(sp.serialize_scheme(sp.build_scheme(inst)))
+            assert sp.verify_scheme(scheme, inst).all_ok
+            joint, rows = scheme._joint.slots, _slot_sampler(scheme, inst)
+            assert (joint.values, joint.thresholds) == (rows.values, rows.thresholds)
+            assert (joint.limit, joint.bits, joint.table) == (rows.limit, rows.bits, rows.table)
+            count += 1
+    assert count > 500
+
+
+def test_simulate_keeps_one_slot_table_per_scheme(monkeypatch):
+    inst = corr23()
+    scheme = sp.build_scheme(inst)
+    first = sp.simulate(scheme, inst, 500, 7)
+    table = scheme._joint.slots
+    monkeypatch.setattr(runtime, "_slot_sampler", None)  # the row rule is not read
+    assert sp.simulate(scheme, inst, 500, 7) == first
+    assert scheme._joint.slots is table
+    monkeypatch.undo()
+    assert sp.simulate(scheme, inst, 500, 7, allow_unverified=True) == first
+
+
+def test_simulate_holds_no_reference_to_its_scheme_or_instance():
+    # The verdict memo refers to the instance weakly and the slot table to
+    # neither, so without the cycle collector both die with their names.
+    gc.disable()
+    try:
+        inst = sp.parse_instance(sp.serialize_instance(mixed23()))
+        scheme = sp.parse_scheme(sp.serialize_scheme(sp.build_scheme(inst)))
+        assert sp.verify_scheme(scheme, inst).all_ok
+        sp.simulate(scheme, inst, 1000, 3, shards=2)
+        scheme_ref, inst_ref = weakref.ref(scheme), weakref.ref(inst)
+        del inst
+        assert inst_ref() is None  # the scheme outlives it
+        del scheme
+        assert scheme_ref() is None
+    finally:
+        gc.enable()
+
+
+def test_a_used_scheme_pickles_without_its_memos():
+    inst = mixed23()
+    scheme = sp.build_scheme(inst)
+    report = sp.simulate(scheme, inst, 500, 5)
+    assert sp.decode_table(scheme)  # the read-only table is built
+    copy = pickle.loads(pickle.dumps(scheme))
+    assert copy == scheme and "_joint" not in vars(copy)
+    assert sp.simulate(copy, inst, 500, 5) == report
 
 
 def _deterministic_schemes():

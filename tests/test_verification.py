@@ -61,6 +61,39 @@ def test_consistency_requires_matching_shape(worked):
         sp.check_consistency(scheme, relabeled)
 
 
+def test_verdicts_follow_the_instance_they_were_checked_against(worked):
+    # The verdicts are kept per instance object: an instance B with the same
+    # labels and another P_XY gets B's verdict, before and after A's.
+    inst, scheme = worked
+    other = sp.make_instance(
+        ["x1", "x2"], ["y1", "y2", "y3"],
+        [["1/2", "0", "0"], ["0", "1/4", "1/4"]],
+    )
+    for case in (inst, other, inst, inst, other, other):
+        report = sp.verify_scheme(scheme, case)
+        assert report.all_ok is (case is inst)
+        assert report.consistency == sp.check_consistency(scheme, case)
+        assert report.scheme is scheme
+    with pytest.raises(sp.DimensionMismatchError):
+        sp.verify_scheme(scheme, otp2())
+    assert sp.verify_scheme(scheme, other).consistency.witness["x"] == "x1"
+
+
+def test_an_equal_but_distinct_instance_is_checked_again(worked, monkeypatch):
+    inst, scheme = worked
+    calls = []
+    check = verification.check_consistency
+    monkeypatch.setattr(
+        verification, "check_consistency",
+        lambda *args: calls.append(args[1]) or check(*args),
+    )
+    twin = sp.parse_instance(sp.serialize_instance(inst))
+    assert twin == inst and twin is not inst
+    for case in (inst, inst, twin, twin, inst):
+        assert sp.verify_scheme(scheme, case).all_ok
+    assert [case is inst for case in calls] == [True, False, True]
+
+
 def test_perturbed_weight_fails_consistency_with_witness(worked):
     inst, scheme = worked
     perturbed = sp.Scheme(
