@@ -68,14 +68,6 @@ _EXIT_CODES = {
     CapExceededError: 3,
 }
 
-# ``deterministic``'s outcome by status: exit code, and the text line
-# printed after the row-multiset verdict.
-_DETERMINISTIC_OUTCOMES = {
-    "found": (0, "wrote deterministic scheme to {output}"),
-    "none_found": (1, "no deterministic scheme exists"),
-}
-
-
 def _jsonable(value):
     if isinstance(value, Fraction):
         text = rat_str(value)
@@ -355,10 +347,9 @@ def cmd_deterministic(args) -> int:
     except InfeasibleError as exc:
         print(_infeasible_detail(inst, exc), file=sys.stderr)
         return 1
-    condition = outcome.row_multisets_equal
-    code, line = _DETERMINISTIC_OUTCOMES[outcome.status]
-    if outcome.scheme is not None:
-        document = serialize_scheme(outcome.scheme)
+    condition, scheme = outcome.row_multisets_equal, outcome.scheme
+    if scheme is not None:
+        document = serialize_scheme(scheme)
         if args.output:
             Path(args.output).write_text(document, encoding="utf-8")
     if args.json:
@@ -368,18 +359,19 @@ def cmd_deterministic(args) -> int:
                 "status": outcome.status,
                 "nodes": outcome.nodes,
                 "row_multisets_equal": condition,
-                "scheme": None
-                if outcome.scheme is None
-                else _scheme_payload(outcome.scheme),
+                "scheme": None if scheme is None else _scheme_payload(scheme),
             }
         )
-    elif outcome.scheme is not None and not args.output:
+    elif scheme is not None and not args.output:
         # Bare document on stdout so the result pipes into verify.
         print(document, end="")
     else:
         print(f"row value multisets equal: {'yes' if condition else 'no'}")
-        print(line.format(output=args.output))
-    return code
+        print(
+            "no deterministic scheme exists" if scheme is None
+            else f"wrote deterministic scheme to {args.output}"
+        )
+    return 1 if scheme is None else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

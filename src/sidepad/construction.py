@@ -31,7 +31,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, islice, repeat
+from itertools import compress, repeat
+from math import lcm
 from operator import getitem, itemgetter
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
@@ -105,12 +106,11 @@ class ExtendedMatrix:
     @cached_property
     def _grid(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """The entries as integer numerators over L, the lcm of all their
-        denominators (``model._numerators``): ``(rows, L)``.  Validation
+        denominators (``_numerator_rows``): ``(rows, L)``.  Validation
         checks the 2m sums on it and ``birkhoff_decompose`` peels a copy.
         Memoised outside the dataclass fields: eq, hash and repr ignore it."""
-        cells, L = _numerators(chain.from_iterable(self.entries))
-        it = iter(cells)
-        return tuple(tuple(islice(it, len(row))) for row in self.entries), L
+        L = lcm(*(v.denominator for row in self.entries for v in row))
+        return _numerator_rows(self.entries, L), L
 
 
 @dataclass(frozen=True)
@@ -323,7 +323,7 @@ def extend(cm: ConditionalMatrix) -> ExtendedMatrix:
     _column_condition(cm, strict=True)
     cols, L = cm._columns
     n, m = cm.n, cm.m
-    rows = _numerator_rows(cm)
+    rows = _numerator_rows(cm.entries, L)
     pad = [[0] * m for _ in range(m - n)]
     r, room = 0, L  # the padding row being filled, and its room
     for j, c in enumerate(cols):
@@ -541,12 +541,14 @@ def _named_scheme(inst: Instance, cm: ConditionalMatrix, weights, assignments):
     )
 
 
-def _numerator_rows(cm: ConditionalMatrix) -> tuple[tuple[int, ...], ...]:
-    """The conditional's rows as integer numerators over L, the common
-    denominator of its column sums ``cm._columns``."""
-    _, L = cm._columns
+def _numerator_rows(
+    rows: Sequence[Sequence[Fraction]], L: int
+) -> tuple[tuple[int, ...], ...]:
+    """Fraction rows as integer numerators over L, a common multiple of
+    every entry's denominator; a conditional passes the common denominator
+    of its column sums, ``cm._columns[1]``."""
     return tuple(
-        tuple(v.numerator * (L // v.denominator) for v in row) for row in cm.entries
+        tuple(v.numerator * (L // v.denominator) for v in row) for row in rows
     )
 
 
@@ -564,7 +566,7 @@ def row_value_multisets_equal(cm: ConditionalMatrix) -> bool:
     (see :func:`find_deterministic_scheme`): each signal takes, in every
     row, one cell whose value is the signal's weight.
     """
-    return _same_values(_numerator_rows(cm))
+    return _same_values(_numerator_rows(cm.entries, cm._columns[1]))
 
 
 @dataclass(frozen=True)
@@ -617,7 +619,7 @@ def find_deterministic_scheme(inst: Instance) -> DeterministicSearch:
     """
     cm = conditional_y_given_x(inst)
     _column_condition(cm, strict=True)
-    rows = _numerator_rows(cm)
+    rows = _numerator_rows(cm.entries, cm._columns[1])
     if not _same_values(rows):
         return DeterministicSearch(status="none_found", scheme=None, nodes=0)
     n, m = cm.n, cm.m

@@ -70,7 +70,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from math import gcd, lcm
+from fractions import Fraction
 from typing import Optional
 
 from .construction import Scheme
@@ -80,7 +80,7 @@ from .errors import (
     OffSupportError,
     UnverifiedSchemeError,
 )
-from .model import Instance, _Sampler
+from .model import Instance, _Sampler, _numerators
 from .verification import (
     LAWS,
     _scheme_rows,
@@ -90,6 +90,15 @@ from .verification import (
 )
 
 _SEED_LIMIT = 2**64
+
+
+def _check_count(value, what: str, least: int) -> None:
+    """Refuse, with InputError, anything but an int of at least ``least``:
+    a bool or a float is no count."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise InputError(f"{what} must be >= {least}, got {value}")
 
 
 class RandomSource:
@@ -122,8 +131,7 @@ class RandomSource:
 
     def substream(self, index: int) -> "RandomSource":
         """Independent stream number ``index`` derived from this seed."""
-        if index < 0:
-            raise InputError(f"substream index must be >= 0, got {index}")
+        _check_count(index, "substream index", 0)
         digest = hashlib.sha256(f"{self._seed}/{index}".encode("ascii")).digest()
         return RandomSource(int.from_bytes(digest[:8], "big"))
 
@@ -167,16 +175,12 @@ def _slot_sampler(scheme: Scheme, inst: Instance) -> _Sampler:
     P_XY, each cell's signals ascending.  For a verified scheme it equals
     ``_Joint.slots``, which ``simulate`` reads instead.  Slot (i, j, k)
     has mass P_XY(x, y) * alpha_k / A_xy, with A_xy the weights' sum over
-    phi(x, y).  As integers, with row x ``nums / d`` (``Instance._rows``)
-    and A A_xy's numerator: c = nums[j] and T = d * A are divided by their
-    gcd g, and the slot weighs (c / g) * (M / (T / g)) * a_k, with a_k
-    alpha_k's numerator and M the lcm of T / g over the cells.  The masses
-    are those of a world draw followed by an encoder draw, so a scheme
-    whose every cell has one signal gets the world's own thresholds.  The
-    first instance cell the scheme never emits raises
+    phi(x, y): the masses of a world draw followed by an encoder draw, so
+    a scheme whose every cell has one signal gets the world's own
+    thresholds.  The first instance cell the scheme never emits raises
     :class:`OffSupportError`."""
     phi, a = scheme._joint.phi, scheme._joint.a
-    cells = []
+    slots, masses = [], []
     for i, x in enumerate(_scheme_rows(scheme, inst)):
         nums, d = inst._rows[x]
         for j, c in enumerate(nums):
@@ -185,16 +189,10 @@ def _slot_sampler(scheme: Scheme, inst: Instance) -> _Sampler:
                 if not ks:
                     raise _off_support(scheme, i, j)
                 T = d * sum(a[k] for k in ks)
-                g = gcd(c, T)
-                cells.append((i, j, ks, c // g, T // g))
-    M = lcm(*(T for *_, T in cells))
-    slots, weights = [], []
-    for i, j, ks, c, T in cells:
-        scale = c * (M // T)
-        for k in ks:
-            slots.append((i, j, k))
-            weights.append(scale * a[k])
-    return _Sampler(slots, weights)
+                for k in ks:
+                    slots.append((i, j, k))
+                    masses.append(Fraction(c * a[k], T))
+    return _Sampler(slots, _numerators(masses)[0])
 
 
 def encode(scheme: Scheme, x_index: int, y_index: int, rng: RandomSource) -> int:
@@ -275,12 +273,9 @@ def simulate(
     skips the value checks (shape and labels must still match) for
     deliberately poking at broken schemes.
     """
-    if n_samples < 0:
-        raise InputError(f"sample count must be >= 0, got {n_samples}")
-    if shards < 1:
-        raise InputError(f"shard count must be >= 1, got {shards}")
-    if min_count < 1:
-        raise InputError(f"min_count must be >= 1, got {min_count}")
+    _check_count(n_samples, "sample count", 0)
+    _check_count(shards, "shard count", 1)
+    _check_count(min_count, "min_count", 1)
 
     if not allow_unverified:
         report = verify_scheme(scheme, inst)

@@ -153,6 +153,7 @@ def assert_matches_brute_force(scheme, inst):
         with pytest.raises(sp.UnverifiedSchemeError):
             sp.decode_table(scheme)
 
+    assert_each_pair_lies_in_one_cell(scheme, q)
     audit = sp.necessity_audit(scheme)
     triple_ok, disjoint_ok, mass_ok, column_mass, witness = brute_audit(scheme, q)
     assert audit.triple_bound_ok == triple_ok
@@ -161,6 +162,23 @@ def assert_matches_brute_force(scheme, inst):
     assert audit.ok == (triple_ok and disjoint_ok and mass_ok)
     assert audit.column_mass == column_mass
     assert audit.witness == witness
+
+
+def assert_each_pair_lies_in_one_cell(scheme, q):
+    """The fact ``necessity_audit`` reports the triple bound from: each
+    (state row, signal) pair lies in at most one phi cell, and that cell's
+    term a[k] * b[i] / den is all of Q_XZ(x, z), so Q_XYZ <= Q_XZ holds."""
+    joint = scheme._joint
+    q_xz = marginal(q, scheme, "xz")
+    for i, row in enumerate(joint.phi):
+        cell_of = {}
+        for j, ks in row.items():
+            for k in ks:
+                assert k not in cell_of, (i, k, cell_of.get(k), j)
+                cell_of[k] = j
+        for k in range(scheme.p):
+            term = F(joint.a[k] * joint.b[i], joint.den) if k in cell_of else ZERO
+            assert term == q_xz[i][k]
 
 
 def test_compiled_joint_matches_brute_force_on_corpus():

@@ -245,6 +245,14 @@ def test_substream_derivation_is_the_documented_hash():
         rng.substream(-1)
 
 
+@pytest.mark.parametrize("index", [1.5, True], ids=["float", "bool"])
+def test_substream_refuses_a_non_integer_index(index):
+    # The contract's "stream index of seed s" is defined for ints only:
+    # 1.5 and True would otherwise seed from "1/1.5" and "1/True".
+    with pytest.raises(sp.InputError, match="substream index must be an integer"):
+        sp.RandomSource(1).substream(index)
+
+
 def test_sample_world_point_mass():
     inst = sp.make_instance(["x1"], ["y1", "y2"], [["1", "0"]])
     rng = sp.RandomSource(0)
@@ -972,6 +980,25 @@ def test_simulate_validates_arguments():
         sp.simulate(scheme, inst, 10, 1, min_count=0)
     with pytest.raises(sp.DimensionMismatchError):
         sp.simulate(scheme, corr23(), 10, 1)
+
+
+@pytest.mark.parametrize(
+    "n_samples, options, message",
+    [
+        (10.0, {}, "sample count"),
+        (True, {}, "sample count"),
+        (10, {"shards": 2.0}, "shard count"),
+        (10, {"shards": True}, "shard count"),
+        (10, {"min_count": 1.5}, "min_count"),
+    ],
+    ids=["samples-float", "samples-bool", "shards-float", "shards-bool", "min-count-float"],
+)
+def test_simulate_refuses_non_integer_counts(n_samples, options, message):
+    # Neither a bare TypeError from range nor a bool copied into the report.
+    inst = otp2()
+    scheme = sp.build_scheme(inst)
+    with pytest.raises(sp.InputError, match=f"^{message} must be an integer, got "):
+        sp.simulate(scheme, inst, n_samples, 1, **options)
 
 
 def test_simulate_statistics_converge():
