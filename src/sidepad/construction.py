@@ -201,7 +201,8 @@ class Scheme:
 class _Joint:
     """The scheme joint Q(x_i, y_j, z_k) = alpha_k * P_X(x_i) * [sigma_k(i) = j]
     over real state rows, compiled in one O(p*n) pass on integers.
-    Verification and the runtime both read it.
+    Verification and the runtime both read it; ``necessity_audit`` reads
+    ``clash``, ``inverse`` and ``phi``.
 
     ``a`` and ``b`` are the weights and the state masses as integer
     numerators over D and E, the lcms of their denominators (see
@@ -573,16 +574,20 @@ def row_value_multisets_equal(cm: ConditionalMatrix) -> bool:
 class DeterministicSearch:
     """Outcome of the deterministic-scheme decision.
 
-    ``status`` is ``"found"`` (``scheme`` set) or ``"none_found"`` (no
-    deterministic scheme exists).  ``nodes`` counts colouring steps: one
-    per support cell coloured and one per cell recoloured on an
-    alternating path.  It is 0 exactly when the rows' value multisets
-    differ: otherwise the first support cell is always coloured.
+    ``scheme`` is the deterministic scheme found, or None when none
+    exists.  ``nodes`` counts colouring steps: one per support cell
+    coloured and one per cell recoloured on an alternating path.  It is 0
+    exactly when the rows' value multisets differ: otherwise the first
+    support cell is always coloured.
     """
 
-    status: str
     scheme: Optional[Scheme]
     nodes: int
+
+    @property
+    def status(self) -> str:
+        """``"found"`` when ``scheme`` is set, else ``"none_found"``."""
+        return "none_found" if self.scheme is None else "found"
 
     @property
     def row_multisets_equal(self) -> bool:
@@ -621,7 +626,7 @@ def find_deterministic_scheme(inst: Instance) -> DeterministicSearch:
     _column_condition(cm, strict=True)
     rows = _numerator_rows(cm.entries, cm._columns[1])
     if not _same_values(rows):
-        return DeterministicSearch(status="none_found", scheme=None, nodes=0)
+        return DeterministicSearch(scheme=None, nodes=0)
     n, m = cm.n, cm.m
     palette: dict[int, list[int]] = {}  # value -> its colours, one per signal
     for k, v in enumerate(filter(None, rows[0])):
@@ -639,9 +644,7 @@ def find_deterministic_scheme(inst: Instance) -> DeterministicSearch:
             if row_of[a][j] >= 0:
                 b = next((k for k in colours if row_of[k][j] < 0), None)
                 if b is None:
-                    return DeterministicSearch(
-                        status="none_found", scheme=None, nodes=nodes
-                    )
+                    return DeterministicSearch(scheme=None, nodes=nodes)
                 nodes += _swap_path(col_of, row_of, j, a, b)
             col_of[a][i], row_of[a][j] = j, i
             nodes += 1
@@ -652,7 +655,7 @@ def find_deterministic_scheme(inst: Instance) -> DeterministicSearch:
         col_of[k] + [c for c in range(m) if row_of[k][c] < 0] for k in signals
     ]
     scheme = _named_scheme(inst, cm, weights, assignments)
-    return DeterministicSearch(status="found", scheme=scheme, nodes=nodes)
+    return DeterministicSearch(scheme=scheme, nodes=nodes)
 
 
 def _swap_path(col_of, row_of, j: int, a: int, b: int) -> int:

@@ -22,13 +22,14 @@ witness returns, and a report's marginals only when first read:
 * secrecy: Q_XZ(x,z) == Q_Z(z) * P_X(x), i.e. the public signal alone
   carries nothing about the state.
 
-``necessity_audit`` additionally recomputes the quantities that make a
-verified scheme *certify* the column condition: disjointness across states
-of the sets phi(x, y) for fixed y, and the per-column signal mass sums they
-force to stay at or below one.  The third step, the triple bound
-Q_XYZ <= Q_XZ, holds by the joint's construction and is reported, not
-recomputed: a signal pairs each state with at most one column, so
-Q_XYZ(x, y, z) is either zero or all of Q_XZ(x, z).
+``necessity_audit`` reports the steps by which a verified scheme
+*certifies* the column condition.  Disjointness across states of the sets
+phi(x, y) for fixed y is informativeness itself, so it is read off the
+joint's ``clash``; the per-column signal mass sums it forces to stay at or
+below one are recomputed from phi.  The triple bound Q_XYZ <= Q_XZ holds
+by the joint's construction and is reported, not recomputed: a signal
+pairs each state with at most one column, so Q_XYZ(x, y, z) is either zero
+or all of Q_XZ(x, z).
 The decode table reads the same form, and so does the runtime, which
 refuses unverified schemes through ``verify_scheme``.
 
@@ -39,7 +40,7 @@ code with the constructive pipeline, so the two can cross-check each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Optional
@@ -93,6 +94,11 @@ class VerificationReport:
     @property
     def all_ok(self) -> bool:
         return all(getattr(self, law).ok for law in LAWS)
+
+    def __getstate__(self) -> dict:
+        # The marginal memos share a closure, which does not pickle; a copy
+        # rebuilds them on first read.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @cached_property
     def _fraction(self):
@@ -266,7 +272,9 @@ class NecessityAudit:
     ``triple_bound_ok`` (Q_XYZ <= Q_XZ) is always True: the joint puts each
     (state, signal) pair in at most one cell phi(x, y), so that cell's
     Q_XYZ is Q_XZ itself, and no scheme can break the bound.
-    ``disjoint_ok`` and ``column_mass_ok`` are recomputed.
+    ``disjoint_ok`` is informativeness (no signal reaches a column from
+    two states), read off the joint's ``clash``; ``column_mass_ok`` is
+    recomputed.
     ``column_mass[j]`` is, for each supported column y_j, the total signal
     mass sum_x sum_{z in phi(x, y_j)} Q_Z(z) — the quantity that cannot
     exceed one (None for unsupported columns).
@@ -282,62 +290,49 @@ class NecessityAudit:
 
 def necessity_audit(scheme: Scheme) -> NecessityAudit:
     """Audit the facts a verified scheme certifies (see class doc): the
-    triple bound holds by the joint's construction and is reported, not
-    recomputed; disjointness and column mass are checked on ``phi``.
+    triple bound holds by the joint's construction and disjointness is the
+    joint's ``clash``, so both are reported, not recomputed; the column
+    masses are summed over ``phi``.
 
     Meant for schemes that already pass the three checks; it still runs on
     anything and reports whichever obligation breaks first.
     """
     joint = scheme._joint
-    witness: Optional[Witness] = None
-
-    # Each supported column's cells, states ascending.  Weights and masses
-    # are positive, so a column is supported exactly when some cell reaches it.
-    columns: dict[int, list[tuple[int, list[int]]]] = {}
-    for i, row in enumerate(joint.phi):
+    # Each column's signal mass; weights and masses are positive, so a
+    # column is supported exactly when some cell reaches it.
+    totals: list[Optional[int]] = [None] * scheme.m
+    for row in joint.phi:
         for j, ks in row.items():
-            columns.setdefault(j, []).append((i, ks))
+            totals[j] = (totals[j] or 0) + sum(joint.q_z[k] for k in ks)
+    column_mass = tuple(None if t is None else Fraction(t, joint.den) for t in totals)
+    heavy = [j for j, t in enumerate(totals) if t is not None and t > joint.den]
 
-    disjoint_ok = True
-    for j in sorted(columns):
-        seen: dict[int, int] = {}
-        for i, ks in columns[j]:
-            for k in ks:
-                if k in seen and seen[k] != i:
-                    disjoint_ok = False
-                    witness = witness or {
-                        "law": "disjoint_support",
-                        "y": scheme.y_labels[j],
-                        "z": scheme.z_labels[k],
-                        "xs": (
-                            scheme.x_labels[seen[k]],
-                            scheme.x_labels[i],
-                        ),
-                    }
-                seen.setdefault(k, i)
-
-    column_mass: list[Optional[Fraction]] = []
-    mass_ok = True
-    for j in range(scheme.m):
-        if j not in columns:
-            column_mass.append(None)
-            continue
-        total = sum(joint.q_z[k] for _, ks in columns[j] for k in ks)
-        column_mass.append(Fraction(total, joint.den))
-        if total > joint.den:
-            mass_ok = False
-            witness = witness or {
-                "law": "column_mass",
-                "y": scheme.y_labels[j],
-                "mass": column_mass[j],
-            }
+    witness: Optional[Witness] = None
+    if joint.clash is not None:
+        # The first repeat in (column, state, signal) order: at the clash's
+        # column, the signal whose second state comes first.
+        j = joint.clash[0]
+        _, k = min((rows[j][1], k) for k, rows in enumerate(joint.inverse)
+                   if len(rows[j]) > 1)
+        witness = {
+            "law": "disjoint_support",
+            "y": scheme.y_labels[j],
+            "z": scheme.z_labels[k],
+            "xs": tuple(scheme.x_labels[i] for i in joint.inverse[k][j][:2]),
+        }
+    elif heavy:
+        witness = {
+            "law": "column_mass",
+            "y": scheme.y_labels[heavy[0]],
+            "mass": column_mass[heavy[0]],
+        }
 
     return NecessityAudit(
-        ok=disjoint_ok and mass_ok,
+        ok=joint.clash is None and not heavy,
         triple_bound_ok=True,
-        disjoint_ok=disjoint_ok,
-        column_mass_ok=mass_ok,
-        column_mass=tuple(column_mass),
+        disjoint_ok=joint.clash is None,
+        column_mass_ok=not heavy,
+        column_mass=column_mass,
         witness=witness,
     )
 

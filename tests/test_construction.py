@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import random
 import sys
+from collections import namedtuple
 from fractions import Fraction as F
 
 import pytest
@@ -269,6 +270,11 @@ def test_deterministic_search_leaves_no_cyclic_garbage():
     assert statuses == ["found", "none_found", "none_found"]
 
 
+# The reference search's result: ``find_deterministic_scheme``'s two
+# statuses, plus "budget_exhausted", which only a bounded search can reach.
+Outcome = namedtuple("Outcome", "status scheme nodes")
+
+
 def _reference_deterministic(inst, limit=1_000_000):
     """The exhaustive backtracking search for a deterministic scheme, kept
     as ground truth for :func:`find_deterministic_scheme`.  ``status`` is
@@ -307,9 +313,7 @@ def _reference_deterministic(inst, limit=1_000_000):
                 continue
             nodes += 1
             if nodes > limit:
-                return sp.DeterministicSearch(
-                    status="budget_exhausted", scheme=None, nodes=nodes
-                )
+                return Outcome("budget_exhausted", None, nodes)
             j, v = options[t]
             if v != alphas[k] or j in used[k]:
                 continue
@@ -321,9 +325,7 @@ def _reference_deterministic(inst, limit=1_000_000):
             break
         else:  # slot exhausted: undo the previous slot and try its next option
             if not picks:
-                return sp.DeterministicSearch(
-                    status="none_found", scheme=None, nodes=nodes
-                )
+                return Outcome("none_found", None, nodes)
             i, k = (i, k - 1) if k else (i - 1, p - 1)
             t = picks.pop()
             taken[i][t] = False
@@ -335,7 +337,7 @@ def _reference_deterministic(inst, limit=1_000_000):
         for k in range(p)
     ]
     scheme = sp.construction._named_scheme(inst, cm, alphas, assignments)
-    return sp.DeterministicSearch(status="found", scheme=scheme, nodes=nodes)
+    return Outcome("found", scheme, nodes)
 
 
 def _search_cases():

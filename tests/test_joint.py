@@ -158,6 +158,7 @@ def assert_matches_brute_force(scheme, inst):
     triple_ok, disjoint_ok, mass_ok, column_mass, witness = brute_audit(scheme, q)
     assert audit.triple_bound_ok == triple_ok
     assert audit.disjoint_ok == disjoint_ok
+    assert audit.disjoint_ok == report.informativeness.ok
     assert audit.column_mass_ok == mass_ok
     assert audit.ok == (triple_ok and disjoint_ok and mass_ok)
     assert audit.column_mass == column_mass
@@ -266,6 +267,7 @@ def broken_schemes():
             assignments=((0, 1, 2), (1, 1, 0), (0, 0, 1)),
         ), mixed23()),
         ("shared_signals", shared_signals(), collapsed_inst),
+        ("crossed_pairs", crossed_pairs(), crossed_inst()),
     ]
 
 
@@ -280,17 +282,47 @@ def shared_signals():
     )
 
 
-def test_disjointness_witness_names_the_lowest_shared_signal():
+def crossed_pairs():
+    """Two signals clash at y1: z1 pairs it with x1 and x3, z2 with x1 and
+    x2.  Informativeness names z1, the lower signal; the audit names z2,
+    whose second state comes first."""
+    return sp.Scheme(
+        x_labels=("x1", "x2", "x3"), y_labels=("y1", "y2", "y3"),
+        z_labels=("z1", "z2"), px=(F(1, 3),) * 3, weights=(F(1, 2),) * 2,
+        assignments=((0, 1, 0), (0, 0, 2)),
+    )
+
+
+def crossed_inst():
+    return sp.make_instance(
+        ["x1", "x2", "x3"], ["y1", "y2", "y3"],
+        [["1/3", "0", "0"], ["1/6", "1/6", "0"], ["1/6", "0", "1/6"]],
+    )
+
+
+@pytest.mark.parametrize("scheme, z, xs, clash, column_mass", [
     # Signals in a cell are scanned in ascending index, so the witness is
     # z2 rather than z9 (a frozenset of {1, 8} would iterate 8 first).
-    audit = sp.necessity_audit(shared_signals())
+    (shared_signals(), "z2", ("x1", "x2"), ("z2", ("x1", "x2")),
+     (F(11, 9), F(7, 9))),
+    (crossed_pairs(), "z2", ("x1", "x2"), ("z1", ("x1", "x3")),
+     (F(2), F(1, 2), F(1, 2))),
+], ids=["shared_signals", "crossed_pairs"])
+def test_disjointness_witness_names_the_lowest_shared_signal(
+    scheme, z, xs, clash, column_mass,
+):
+    audit = sp.necessity_audit(scheme)
     assert (audit.triple_bound_ok, audit.disjoint_ok, audit.column_mass_ok) == (
         True, False, False,
     )
     assert audit.witness == {
-        "law": "disjoint_support", "y": "y1", "z": "z2", "xs": ("x1", "x2"),
+        "law": "disjoint_support", "y": "y1", "z": z, "xs": xs,
     }
-    assert audit.column_mass == (F(11, 9), F(7, 9))
+    assert audit.column_mass == column_mass
+    info = sp.check_informativeness(scheme)
+    assert (info.witness["y"], info.witness["z"], info.witness["xs"]) == (
+        "y1", *clash,
+    )
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -92,6 +93,15 @@ def test_an_equal_but_distinct_instance_is_checked_again(worked, monkeypatch):
     for case in (inst, inst, twin, twin, inst):
         assert sp.verify_scheme(scheme, case).all_ok
     assert [case is inst for case in calls] == [True, False, True]
+
+
+def test_a_report_pickles_after_its_marginals_are_read(worked):
+    inst, scheme = worked
+    report = sp.verify_scheme(scheme, inst)
+    marginals = (report.q_z, report.q_xz, report.q_yz, report.q_xy)
+    copy = pickle.loads(pickle.dumps(report))
+    assert copy == report
+    assert (copy.q_z, copy.q_xz, copy.q_yz, copy.q_xy) == marginals
 
 
 def test_perturbed_weight_fails_consistency_with_witness(worked):
