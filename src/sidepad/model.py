@@ -281,17 +281,22 @@ class _Sampler:
 
 
 class _Bisection:
-    """A wide sampler's table: ``self[u]`` bisects ``u`` into the
-    thresholds, or is -1 when ``u`` is not below the last one."""
+    """A wide sampler's table, or its window from ``offset`` on: ``self[u]``
+    bisects ``offset + u`` into the thresholds, or is -1 when that is not
+    below the last one.  ``self[lo:hi]`` is the window from ``lo`` on, as a
+    list table's slice is (a window does not check ``hi``)."""
 
-    __slots__ = ("limit", "thresholds")
+    __slots__ = ("limit", "offset", "thresholds")
 
-    def __init__(self, thresholds: list[int]):
+    def __init__(self, thresholds: list[int], offset: int = 0):
         self.thresholds = thresholds
-        self.limit = thresholds[-1]
+        self.offset = offset
+        self.limit = thresholds[-1] - offset
 
-    def __getitem__(self, u: int) -> int:
-        return bisect_right(self.thresholds, u) if u < self.limit else -1
+    def __getitem__(self, u):
+        if isinstance(u, slice):
+            return _Bisection(self.thresholds, self.offset + u.start)
+        return bisect_right(self.thresholds, self.offset + u) if u < self.limit else -1
 
 
 def _numerators(values: Iterable[Fraction]) -> tuple[list[int], int]:

@@ -16,18 +16,45 @@ The contract rests only on seeding and ``getrandbits``, not on
 Sub-streams are derived by hashing, not by jumping: stream ``index`` of
 seed ``s`` reseeds a fresh generator with the first 8 bytes (big endian)
 of SHA-256 of the ASCII string ``"{s}/{index}"``.  A sharded simulation
-draws its samples on the fixed schedule "shard k performs
-ceil-or-floor(n/shards) draws from sub-stream k", so any
+tallies its samples on the fixed schedule "shard k tallies
+ceil-or-floor(n/shards) samples from sub-stream k", so any
 (seed, n, shards) triple reproduces bit-identical results; a shard with
-no draws is never seeded, so surplus shards cost nothing.
+no samples is never seeded, so surplus shards cost nothing.
 
 ``sample_world`` and ``encode`` draw in two steps: a world cell (x, y)
 from P_XY, then, only when phi(x, y) holds several signals, one of them.
-``simulate`` draws each sample once, from one table over the (world cell,
-signal) pairs whose masses are the product of those two steps.  So a
-deterministic scheme's ``simulate`` reads exactly the integers a loop of
-``sample_world`` and ``encode`` reads, but a randomized scheme's does not:
-its outputs are those of the one-draw rule, not of that loop.
+``simulate`` samples one table over the (world cell, signal) pairs, its
+slots, whose masses are the product of those two steps, and it does not
+draw its samples one at a time: it tallies a shard's count by halving
+it down the table's binary tree (Knuth and Yao's discrete-distribution
+tree, applied to counts).  With T the slot table of width 2**bits
+described below (-1 past the limit L) and K slots, a node (lo, d, c)
+holds c samples whose index u is uniform on [lo, lo + 2**d).  A stack
+starts as the one node (0, bits, c) and pops one node at a time:
+
+- a = T[lo] equals b = T[lo + 2**d - 1]: the node is pure.  Its c
+  samples are added to slot a, or, when a is -1 (all rejected), the node
+  (0, bits, c) is pushed to draw them afresh.
+- Otherwise let span = (b if b >= 0 else K) - a + 1, the slots the node
+  touches with the reject region counted as one.  When c > d * span the
+  node splits: left is the popcount of c fresh bits, Binomial(c, 1/2),
+  read as ``getrandbits(c)`` in chunks of 2**20 bits (a multiple of 32,
+  so the chunks read what one call reads).  The right half
+  (lo + 2**(d-1), d - 1, c - left) is pushed, then the left half
+  (lo, d - 1, left), which pops first.
+- Otherwise each of the c samples is one read, ``T[lo +
+  getrandbits(d)]``, and on -1 ``T[getrandbits(bits)]`` again until it is
+  not: the draw rule's redraw, from the full range.
+
+A sample's index has i.i.d. fair bits, so a node's count splits
+Binomial(c, 1/2) and each half's samples stay uniform on that half, and
+a rejected sample is replaced by an independent full-range draw: the
+tally has exactly the multinomial law of c independent draws.  It reads
+the integers c draws by the rule read only when no node splits, that is
+when c <= bits * span of the root; at that count a deterministic
+scheme's ``simulate`` reads exactly the integers a loop of
+``sample_world`` and ``encode`` reads.  A randomized scheme's does not:
+its outputs are those of the one-table walk, not of that loop.
 
 Exactness contract
 ------------------
@@ -49,12 +76,13 @@ alpha_k / sum(alpha); ``simulate``'s table passes, for each pair
 (cell, k) of a verified scheme, the numerator of Q(x, y, z_k) =
 P_X(x) * alpha_k from the compiled joint (``_Joint.slots``), which there
 equals P_XY(cell) * alpha_k / sum(alpha over the cell's signals).  No
-float takes part in a draw: ``simulate`` tallies integer counts per
+float takes part in a draw or a tally: ``simulate`` counts integers per
 (world cell, signal) pair, and floats appear only in the *report* of
 empirical frequencies.  A deterministic encoder cell and a point mass
 consume no randomness; every other draw consumes k bits per read, and a
-``simulate`` sample takes one draw.  A limit that is a power of two
-never reads twice.  An
+limit that is a power of two never reads twice.  ``simulate`` reads per
+node of its walk: one read per 2**20 bits of a split's popcount, one per
+sample at a leaf plus its redraws, none at a pure node.  An
 instance keeps the sampler of its joint for ``sample_world``, and a
 scheme's compiled joint (``Scheme._joint``, read here directly) keeps
 each cell's encoder distribution for ``encode`` and, once built,
@@ -195,6 +223,56 @@ def _slot_sampler(scheme: Scheme, inst: Instance) -> _Sampler:
     return _Sampler(slots, _numerators(masses)[0])
 
 
+# A split's popcount reads its bits in chunks of this many, a multiple of 32
+# so that chunking changes no output: getrandbits(32a) then getrandbits(k)
+# reads the same words, with the same bits, as getrandbits(32a + k).  It
+# bounds the memory a split takes, whatever its count.
+_CHUNK_BITS = 1 << 20
+
+
+def _popcount(getrandbits, count: int) -> int:
+    """The number of ones among ``count`` fresh bits, Binomial(count, 1/2),
+    read ``_CHUNK_BITS`` at a time."""
+    ones = 0
+    while count > _CHUNK_BITS:
+        ones += getrandbits(_CHUNK_BITS).bit_count()
+        count -= _CHUNK_BITS
+    return ones + getrandbits(count).bit_count()
+
+
+def _tally(slots: _Sampler, count: int, getrandbits, tally: list[int]) -> None:
+    """Add to ``tally`` the slot counts of ``count`` draws from ``slots``,
+    with ``getrandbits`` the only source, by halving counts down the table:
+    the module docstring's walk."""
+    bits, table = slots.bits, slots.table
+    rejects = len(slots.values)  # the reject region's place in a span
+    stack = [(0, bits, count)]
+    while stack:
+        lo, d, c = stack.pop()
+        if not c:
+            continue
+        size = 1 << d
+        a, b = table[lo], table[lo + size - 1]
+        if a == b:
+            if a < 0:
+                stack.append((0, bits, c))
+            else:
+                tally[a] += c
+        elif c > d * ((b if b >= 0 else rejects) - a + 1):
+            left = _popcount(getrandbits, c)
+            stack.append((lo + (size >> 1), d - 1, c - left))
+            stack.append((lo, d - 1, left))
+        else:
+            # A leaf: one read per sample, a rejected one redrawn over the
+            # whole range by the draw rule.
+            node = table if d == bits else table[lo:lo + size]
+            for _ in range(c):
+                s = node[getrandbits(d)]
+                while s < 0:
+                    s = table[getrandbits(bits)]
+                tally[s] += 1
+
+
 def encode(scheme: Scheme, x_index: int, y_index: int, rng: RandomSource) -> int:
     """Draw a signal index for state row ``x_index`` and column ``y_index``
     with the scheme's exact conditional probabilities.
@@ -262,10 +340,13 @@ def simulate(
 ) -> SimReport:
     """Run the whole loop end to end, ``n_samples`` times: sample (x, y)
     from the instance, encode, decode, and tally signal frequencies and
-    per-signal state frequencies.  Each sample is one draw of a (world
-    cell, signal) pair from their joint law (``_Joint.slots``), counted;
-    counts and decode successes are read off those tallies, a pair
-    decoding when its signal sends no lower state row to its column.
+    per-signal state frequencies.  Each shard's samples are (world cell,
+    signal) pairs from their joint law (``_Joint.slots``), tallied with
+    the exact multinomial law of that many independent draws by halving
+    the count down the slot table (the module docstring's walk: a
+    popcount per node that splits, one read per sample at a leaf); counts
+    and decode successes are read off those tallies, a pair decoding when
+    its signal sends no lower state row to its column.
 
     The scheme is verified against the instance first and refused with
     :class:`UnverifiedSchemeError` if any law fails, because statistics
@@ -288,18 +369,10 @@ def simulate(
 
     slots = _slot_sampler(scheme, inst) if allow_unverified else scheme._joint.slots
     tally = [0] * len(slots.values)
-    bits, table = slots.bits, slots.table
     base = RandomSource(seed)
     quota, remainder = divmod(n_samples, shards)
     for shard in range(min(shards, n_samples)):
-        getrandbits = base.substream(shard)._getrandbits
-        for _ in range(quota + (1 if shard < remainder else 0)):
-            # The rule RandomSource.randbelow defines, read through the
-            # slot table (-1: draw again).
-            s = table[getrandbits(bits)]
-            while s < 0:
-                s = table[getrandbits(bits)]
-            tally[s] += 1
+        _tally(slots, quota + (shard < remainder), base.substream(shard)._getrandbits, tally)
 
     # A sample decodes when the lowest state row that its signal sends to its
     # column is its own; a broken scheme may send several there.

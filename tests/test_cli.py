@@ -980,17 +980,17 @@ CLI_GOLDEN = {
         0,
         'samples: 3000\n'
         'decode success: 1.000000\n'
-        'empirical Q_Z: z1=0.498667 z2=0.501333\n'
-        'TV from P_X by signal (min count 1000): z1=0.008690 z2=0.001330\n'
-        'max TV: 0.008690\n',
+        'empirical Q_Z: z1=0.502333 z2=0.497667\n'
+        'TV from P_X by signal (min count 1000): z1=0.001659 z2=0.003014\n'
+        'max TV: 0.003014\n',
         '',
     ),
     'simulate corr23.scheme --against corr23 -n 3000 --seed 7 --json': (
         0,
         '{"kind":"simulation","samples":3000,"decode_success":1.0,'
-        '"empirical_qz":[0.49866666666666665,0.5013333333333333],'
-        '"tv_secrecy":[0.008689839572192493,0.0013297872340425343],'
-        '"max_tv":0.008689839572192493,"min_count":1000,"shards":1,'
+        '"empirical_qz":[0.5023333333333333,0.49766666666666665],'
+        '"tv_secrecy":[0.0016589250165892633,0.003014065639651703],'
+        '"max_tv":0.003014065639651703,"min_count":1000,"shards":1,'
         '"seed":7}',
         '',
     ),
@@ -998,18 +998,18 @@ CLI_GOLDEN = {
         0,
         'samples: 3000\n'
         'decode success: 1.000000\n'
-        'empirical Q_Z: z1=0.495667 z2=0.338667 z3=0.165667\n'
-        'TV from P_X by signal (min count 1000): z1=0.001009 z2=0.011811 z3=n'
+        'empirical Q_Z: z1=0.478667 z2=0.348000 z3=0.173333\n'
+        'TV from P_X by signal (min count 1000): z1=0.010446 z2=0.003831 z3=n'
         '/a\n'
-        'max TV: 0.011811\n',
+        'max TV: 0.010446\n',
         '',
     ),
     'simulate mixed23.scheme --against mixed23 -n 3000 --seed 7 --json': (
         0,
         '{"kind":"simulation","samples":3000,"decode_success":1.0,'
-        '"empirical_qz":[0.49566666666666664,0.33866666666666667,'
-        '0.16566666666666666],"tv_secrecy":[0.0010087424344317197,'
-        '0.011811023622047223,null],"max_tv":0.011811023622047223,'
+        '"empirical_qz":[0.4786666666666667,0.348,'
+        '0.17333333333333334],"tv_secrecy":[0.010445682451253463,'
+        '0.0038314176245210774,null],"max_tv":0.010445682451253463,'
         '"min_count":1000,"shards":1,'
         '"seed":7}',
         '',
@@ -1018,16 +1018,17 @@ CLI_GOLDEN = {
         0,
         'samples: 3000\n'
         'decode success: 1.000000\n'
-        'empirical Q_Z: z1=0.495000 z2=0.505000\n'
-        'TV from P_X by signal (min count 1000): z1=0.005051 z2=0.002310\n'
-        'max TV: 0.005051\n',
+        'empirical Q_Z: z1=0.499333 z2=0.500667\n'
+        'TV from P_X by signal (min count 1000): z1=0.004673 z2=0.000000\n'
+        'max TV: 0.004673\n',
         '',
     ),
     'simulate otp2.scheme --against otp2 -n 3000 --seed 7 --json': (
         0,
         '{"kind":"simulation","samples":3000,"decode_success":1.0,'
-        '"empirical_qz":[0.495,0.505],"tv_secrecy":[0.005050505050505055,'
-        '0.0023102310231023215],"max_tv":0.005050505050505055,'
+        '"empirical_qz":[0.49933333333333335,0.5006666666666667],'
+        '"tv_secrecy":[0.004672897196261655,0.0],'
+        '"max_tv":0.004672897196261655,'
         '"min_count":1000,"shards":1,"seed":7}',
         '',
     ),
@@ -1035,16 +1036,17 @@ CLI_GOLDEN = {
         0,
         'samples: 3000\n'
         'decode success: 1.000000\n'
-        'empirical Q_Z: z1=0.669000 z2=0.331000\n'
-        'TV from P_X by signal (min count 1000): z1=0.001744 z2=n/a\n'
-        'max TV: 0.001744\n',
+        'empirical Q_Z: z1=0.667667 z2=0.332333\n'
+        'TV from P_X by signal (min count 1000): z1=0.011233 z2=n/a\n'
+        'max TV: 0.011233\n',
         '',
     ),
     'simulate det22.scheme --against det22 -n 3000 --seed 7 --json': (
         0,
         '{"kind":"simulation","samples":3000,"decode_success":1.0,'
-        '"empirical_qz":[0.669,0.331],"tv_secrecy":[0.0017438963627304238,'
-        'null],"max_tv":0.0017438963627304238,"min_count":1000,"shards":1,'
+        '"empirical_qz":[0.6676666666666666,0.3323333333333333],'
+        '"tv_secrecy":[0.011233150274588127,null],'
+        '"max_tv":0.011233150274588127,"min_count":1000,"shards":1,'
         '"seed":7}',
         '',
     ),
@@ -1053,17 +1055,17 @@ CLI_GOLDEN = {
         0,
         'samples: 2500\n'
         'decode success: 1.000000\n'
-        'empirical Q_Z: z1=0.491600 z2=0.346800 z3=0.161600\n'
-        'TV from P_X by signal (min count 900): z1=0.003662 z2=n/a z3=n/a\n'
-        'max TV: 0.003662\n',
+        'empirical Q_Z: z1=0.523200 z2=0.323600 z3=0.153200\n'
+        'TV from P_X by signal (min count 900): z1=0.006881 z2=n/a z3=n/a\n'
+        'max TV: 0.006881\n',
         '',
     ),
     ('simulate mixed23.scheme --against mixed23 -n 2500 --seed 11'
      ' --shards 3 --min-count 900 --json'): (
         0,
         '{"kind":"simulation","samples":2500,"decode_success":1.0,'
-        '"empirical_qz":[0.4916,0.3468,0.1616],"tv_secrecy":['
-        '0.003661513425549212,null,null],"max_tv":0.003661513425549212,'
+        '"empirical_qz":[0.5232,0.3236,0.1532],"tv_secrecy":['
+        '0.006880733944954143,null,null],"max_tv":0.006880733944954143,'
         '"min_count":900,"shards":3,"seed":11}',
         '',
     ),

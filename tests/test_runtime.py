@@ -4,6 +4,8 @@ import collections
 import dataclasses
 import gc
 import hashlib
+import itertools
+import math
 import pickle
 import random
 import re
@@ -208,9 +210,14 @@ def test_power_of_two_limits_read_once_per_draw(reads, n, m, limit):
     inst = uniform_independent(n, m)
     scheme = sp.build_scheme(inst)
     assert _slot_sampler(scheme, inst).limit == inst._world.limit == limit
-    before = reads()
-    sp.simulate(scheme, inst, 5000, PINNED_SEEDS[0], shards=3)
-    assert reads() - before == 5000
+    # simulate's 1,667 or 1,666 samples per shard split every node of the
+    # table's tree down to its single slots: one popcount read per inner
+    # node, limit - 1 per shard, and no other read.  Two samples per shard
+    # split nothing: one read each, never a full-range redraw.
+    for n_samples, want in ((5000, 3 * (limit - 1)), (6, 6)):
+        before = reads()
+        sp.simulate(scheme, inst, n_samples, PINNED_SEEDS[0], shards=3)
+        assert reads() - before == want
     rng = sp.RandomSource(PINNED_SEEDS[1])
     before = reads()
     for calls in range(1, 201):
@@ -367,19 +374,17 @@ def _simulate_digest(build):
 
 def test_simulate_reports_are_pinned_on_corpus():
     # Recorded on the schemes of the dense-padding, from-scratch-matching
-    # builder, with one draw per sample over the (cell, signal) table and
-    # the fewest bits per read.
+    # builder, tallying the (cell, signal) table by the halving walk.
     assert _simulate_digest(reference_scheme) == (
-        "8a5b232789d700ba6feefc173cd9d67ec5f78c0e7eaa5dc2c83b1d74d4798178"
+        "41b3e903e40116869af997590d915a4cd980be8b36d842347eb4d041d098425f"
     )
 
 
 def test_simulate_reports_of_built_schemes_are_pinned_on_corpus():
-    # Recorded with sparse padding and max-bottleneck matching, with one
-    # draw per sample over the (cell, signal) table and the fewest bits
-    # per read.
+    # Recorded with sparse padding and max-bottleneck matching, tallying
+    # the (cell, signal) table by the halving walk.
     assert _simulate_digest(sp.build_scheme) == (
-        "da7eb26b11df79b82ff56d65f8adc220b3b74cdd0597bd70916b3409108cc10b"
+        "bc11275933c750cf5f4910e6bc0140e88369ab654fd137b5079b1efa5e1ecded"
     )
 
 
@@ -405,31 +410,79 @@ def _reference_slots(scheme, inst):
     return slots
 
 
+def _reference_tally(limit, thresholds, count, gen):
+    """The slot counts of ``count`` samples by the walk, written out on a
+    ``random.Random`` from its rule: a node (lo, d, c) holds c samples
+    uniform on [lo, lo + 2**d), and an index's slot is its bisection into
+    the thresholds, or the reject region, numbered as one slot past the
+    last, from the limit on.  A pure node adds its count to its slot or,
+    all rejected, starts again at the root; one whose count exceeds d times
+    the slots it touches splits by the popcount of ``getrandbits(c)``, left
+    half first; any other draws each sample by one read, redrawn by the
+    draw rule over the whole range when it is rejected."""
+    bits = (limit - 1).bit_length()
+    rejected = len(thresholds)
+    tally = [0] * rejected
+
+    def slot(u):
+        return bisect_right(thresholds, u) if u < limit else rejected
+
+    def walk(lo, d, c):
+        if c == 0:
+            return
+        a, b = slot(lo), slot(lo + 2**d - 1)
+        if a == b == rejected:
+            walk(0, bits, c)
+        elif a == b:
+            tally[a] += c
+        elif c > d * (b - a + 1):
+            left = gen.getrandbits(c).bit_count()
+            walk(lo, d - 1, left)
+            walk(lo + 2**(d - 1), d - 1, c - left)
+        else:
+            for _ in range(c):
+                u = lo + gen.getrandbits(d)
+                if u >= limit:
+                    u = _reference_draw(gen, limit)
+                tally[slot(u)] += 1
+
+    walk(0, bits, count)
+    return tally
+
+
 def _reference_simulate(
     scheme, inst, n_samples, seed, *, shards=1, min_count=1000,
-    allow_unverified=False, draw=_reference_draw,
+    allow_unverified=False, draw=None,
 ):
-    """``simulate`` by its rule, one sample at a time: one ``draw`` (the
-    written-out rule by default) from each shard's ``random.Random`` below
-    the lcm of the slot masses' denominators per sample, bisected into
-    their running sums (never a sampler's table), then decoded and
-    counted.  Law checks are left to ``simulate``."""
+    """``simulate`` by its rule: each shard's ``random.Random`` tallies the
+    slots by ``_reference_tally`` over the table of the slot masses' Fraction
+    thresholds (never a sampler's table), or, given a ``draw`` rule, by one
+    draw per sample below the lcm of their denominators, bisected into
+    their running sums.  The counts are then decoded.  Law checks are left
+    to ``simulate``."""
     limit, thresholds, slots = _fraction_table(_reference_slots(scheme, inst))
-    inverse = scheme._joint.inverse
-    counts_z = [0] * scheme.p
-    counts_xz = [[0] * scheme.p for _ in range(scheme.n)]
-    successes = 0
+    tally = [0] * len(slots)
     base = sp.RandomSource(seed)
     quota, remainder = divmod(n_samples, shards)
     for shard in range(shards):
         gen = random.Random(base.substream(shard).seed)
-        for _ in range(quota + (1 if shard < remainder else 0)):
-            i, j, k = slots[bisect_right(thresholds, draw(gen, limit))]
-            counts_z[k] += 1
-            counts_xz[i][k] += 1
-            rows = inverse[k][j]
-            if rows and rows[0] == i:
-                successes += 1
+        count = quota + (1 if shard < remainder else 0)
+        if draw is None:
+            for s, c in enumerate(_reference_tally(limit, thresholds, count, gen)):
+                tally[s] += c
+        else:
+            for _ in range(count):
+                tally[bisect_right(thresholds, draw(gen, limit))] += 1
+    inverse = scheme._joint.inverse
+    counts_z = [0] * scheme.p
+    counts_xz = [[0] * scheme.p for _ in range(scheme.n)]
+    successes = 0
+    for (i, j, k), c in zip(slots, tally):
+        counts_z[k] += c
+        counts_xz[i][k] += c
+        rows = inverse[k][j]
+        if rows and rows[0] == i:
+            successes += c
     tv = []
     for k in range(scheme.p):
         if counts_z[k] < min_count:
@@ -460,6 +513,83 @@ def _assert_simulate_matches_reference(scheme, inst, n_samples, seed, **kw):
     want = _reference_simulate(scheme, inst, n_samples, seed, **kw)
     assert dataclasses.astuple(got) == dataclasses.astuple(want)
     return got
+
+
+class _Branch(Exception):
+    """A walk asked for more bits than its script holds."""
+
+
+def _walk_paths(sampler, count):
+    """Every complete run of the walk on ``count`` samples, as (tally,
+    the widths it read, the values they gave), served by scripted reads
+    enumerated one ``getrandbits`` call at a time."""
+    scripts = [()]
+    while scripts:
+        script = scripts.pop()
+        reads = iter(script)
+        widths = []
+
+        def getrandbits(k):
+            widths.append(k)
+            value = next(reads, None)
+            if value is None:
+                raise _Branch(k)
+            return value
+
+        tally = [0] * len(sampler.values)
+        try:
+            runtime._tally(sampler, count, getrandbits, tally)
+        except _Branch as branch:
+            scripts += [(*script, v) for v in range(2**branch.args[0])]
+            continue
+        yield tuple(tally), tuple(widths), script
+
+
+def _multinomial(weights, count):
+    """The pmf of the slot counts of ``count`` independent draws with
+    masses weights[s] / sum(weights)."""
+    law = {}
+    for draws in itertools.combinations_with_replacement(range(len(weights)), count):
+        tally = tuple(draws.count(s) for s in range(len(weights)))
+        law[tally] = math.factorial(count) * math.prod(
+            F(w, sum(weights))**c / math.factorial(c) for w, c in zip(weights, tally)
+        )
+    return law
+
+
+@pytest.mark.parametrize(
+    "weights", [(1,), (1, 1), (1, 3), (3, 1), (2, 1, 1), (1, 2, 1, 4), (1,) * 8]
+)
+def test_walk_draws_the_multinomial_law(weights):
+    # Power-of-two tables, so no read is rejected and every run is finite:
+    # a run that reads b bits has probability 2**-b, and those add up, per
+    # tally, to the multinomial pmf.
+    sampler = _Sampler(range(len(weights)), weights)
+    assert _is_power_of_two(sampler.limit) and sampler.bits <= 3
+    for count in range(1, 6):
+        law = collections.defaultdict(F)
+        for tally, widths, values in _walk_paths(sampler, count):
+            law[tally] += F(1, 2**sum(widths))
+            if weights == (1, 3) and count > 2 * 2:
+                # Table [0, 1, 1, 1]: the root splits by a popcount of all
+                # its samples; the left half [0, 1] splits again past
+                # 1 * 2 samples, else draws each with one bit, and the
+                # right half is the pure slot 1.
+                left = values[0].bit_count()
+                assert widths == ((count, left) if left > 2 else (count, *[1] * left))
+            elif weights == (1, 3):
+                assert widths == (2,) * count  # the root draws each sample
+        assert dict(law) == _multinomial(weights, count)
+
+
+@pytest.mark.parametrize("shift", [-1, 0, 1, None])
+def test_popcount_chunks_read_what_one_read_reads(shift):
+    chunk = runtime._CHUNK_BITS
+    assert chunk % 32 == 0
+    count = 3 * chunk + 5 if shift is None else chunk + shift
+    gen, twin = random.Random(count), random.Random(count)
+    assert runtime._popcount(gen.getrandbits, count) == twin.getrandbits(count).bit_count()
+    assert gen.getstate() == twin.getstate()
 
 
 def _clash_twin(scheme):
@@ -545,28 +675,28 @@ def test_simulate_matches_the_reference_loop_on_random_schemes(
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    instances(),
-    st.integers(0, 300),
-    st.integers(0, 2**64 - 1),
-    st.integers(1, 3),
-)
+@given(instances(), st.integers(0, 2**64 - 1), st.integers(1, 3), st.data())
 def test_simulate_draws_what_randrange_drew_below_other_limits(
-    inst, n_samples, seed, shards
+    inst, seed, shards, data
 ):
-    # Only a power-of-two limit changed its bit count: below any other slot
-    # limit simulate prints what the randrange-based rule gave before.
+    # While no shard tallies more than bits * span of the root, no node of
+    # the walk splits and simulate reads what one draw per sample reads;
+    # below a slot limit that is not a power of two, that is what the
+    # randrange-based rule gave before.
     if not sp.check_feasible(inst).feasible:
         return
     scheme = sp.build_scheme(inst)
-    if _is_power_of_two(_slot_sampler(scheme, inst).limit):
+    slots = _slot_sampler(scheme, inst)
+    if _is_power_of_two(slots.limit):
         return
+    # The root spans every slot and the reject region.
+    n_samples = data.draw(st.integers(0, shards * slots.bits * (len(slots.values) + 1)))
     got = sp.simulate(scheme, inst, n_samples, seed, shards=shards, min_count=10)
-    want = _reference_simulate(
-        scheme, inst, n_samples, seed, shards=shards, min_count=10,
-        draw=random.Random.randrange,
-    )
-    assert repr(got) == repr(want)
+    for draw in (_reference_draw, random.Random.randrange):
+        want = _reference_simulate(
+            scheme, inst, n_samples, seed, shards=shards, min_count=10, draw=draw,
+        )
+        assert repr(got) == repr(want)
 
 
 def _wide_instances():
@@ -748,11 +878,12 @@ def _deterministic_schemes():
 
 def test_deterministic_schemes_draw_from_the_world_table():
     # When every cell has one signal, slot w is world cell w with mass
-    # P_XY(w), so the slot table is the world's table: simulate reads the
-    # same integers, mapped to the same cells, as a world draw followed by
-    # encode's lookup, which consumes nothing.  So the seeded simulate
-    # outputs of deterministic schemes (the otp2, corr23 and det22 CLI
-    # goldens, and every Shannon pad's) are those of the two-step rule.
+    # P_XY(w), so the slot table is the world's table.  Where no node of
+    # simulate's walk splits (at most bits * span of the root samples per
+    # shard), simulate reads the same integers, mapped to the same cells,
+    # as a loop of world draws and encode's lookups, which consume nothing.
+    # Past that count its tallies have that loop's law but not its reads:
+    # the otp2, corr23 and det22 CLI goldens (3,000 samples) are the walk's.
     count = 0
     for scheme, inst in _deterministic_schemes():
         supp = _scheme_rows(scheme, inst)
@@ -1016,13 +1147,13 @@ def test_simulate_statistics_converge():
 GOLDEN_MIXED23_REPORT = sp.SimReport(
     samples=20000,
     decode_success=1.0,
-    empirical_qz=(0.49475, 0.33525, 0.17),
+    empirical_qz=(0.4971, 0.33385, 0.16905),
     tv_secrecy=(
-        0.005103587670540671,
-        0.0009694258016405832,
-        0.011470588235294121,
+        0.0023134178233755742,
+        0.0024711696869851585,
+        0.007837917775805975,
     ),
-    max_tv=0.011470588235294121,
+    max_tv=0.007837917775805975,
     min_count=1000,
     shards=3,
     seed=202608,
