@@ -1,28 +1,34 @@
 """Scheme construction.
 
-The pipeline that turns a feasible instance into a working scheme:
+``build_scheme`` turns a feasible instance into a working scheme.  It
+colours first whenever a deterministic scheme exists, else it pads and
+peels:
 
-1. ``extend`` pads the conditional matrix P_{Y|X} (n rows, m columns,
+1. When every row of P_{Y|X} holds one multiset of values and no column
+   holds a value more often than a row does (König's criterion, see
+   ``find_deterministic_scheme``), the support's edge colouring, kept on
+   free-colour bitmasks, is the scheme: one signal per colour, and as few
+   signals as the largest row support, ``p_lower_bound``.
+2. Otherwise ``extend`` pads the conditional matrix (n rows, m columns,
    column sums <= 1) to an m-by-m doubly stochastic matrix: m - n padding
    rows take the column slacks by a north-west-corner fill, which keeps
    the padding sparse (at most 2m - n - 1 nonzeros).
-2. ``birkhoff_decompose`` peels the result into a convex combination of
+3. ``birkhoff_decompose`` peels the result into a convex combination of
    permutation matrices: each round takes a max-bottleneck perfect
    matching on the positive residual (its smallest entry as large as any
    perfect matching's, after Dufosse & Ucar, LAA 2016) and subtracts that
-   smallest entry.
-3. ``build_scheme`` names one signal per permutation; signal z_k occurs
-   with probability alpha_k, and under it state row i is paired with
-   column sigma_k(i).
+   smallest entry; one signal per permutation, where signal z_k occurs
+   with probability alpha_k and pairs state row i with column sigma_k(i).
 
 Everything is exact and runs on integers, with Fractions only at the
-boundaries: the column slacks are filled as integer numerators over the
-lcm of the conditional rows' denominators, and the padded square is
-validated on the integer grid (numerators over one common denominator L)
-that the decomposition then peels.  Each round zeroes at least one
-positive cell while both stochasticity constraints keep holding, so
-there are at most nnz - m + 1 <= m*m - 2m + 2 rounds; fewer padding
-nonzeros mean fewer signals.
+boundaries: the conditional's rows become integer numerators over the
+lcm L of its rows' denominators once per build, which the colouring and
+the padding both read; the column slacks are filled over L, and the
+padded square is validated on the integer grid that the decomposition
+then peels.  Each round zeroes at least one positive cell while both
+stochasticity constraints keep holding, so there are at most
+nnz - m + 1 <= m*m - 2m + 2 rounds; fewer padding nonzeros mean fewer
+signals.
 """
 
 from __future__ import annotations
@@ -322,9 +328,14 @@ def extend(cm: ConditionalMatrix) -> ExtendedMatrix:
     raises :class:`InfeasibleError` naming the columns.
     """
     _column_condition(cm, strict=True)
+    return _padded(cm, _numerator_rows(cm.entries, cm._columns[1]))
+
+
+def _padded(cm: ConditionalMatrix, rows: tuple[tuple[int, ...], ...]) -> ExtendedMatrix:
+    """:func:`extend`'s fill, given the column condition holds and ``rows``,
+    the conditional's numerators over ``cm._columns[1]``."""
     cols, L = cm._columns
     n, m = cm.n, cm.m
-    rows = _numerator_rows(cm.entries, L)
     pad = [[0] * m for _ in range(m - n)]
     r, room = 0, L  # the padding row being filled, and its room
     for j, c in enumerate(cols):
@@ -514,19 +525,31 @@ def birkhoff_decompose(
 def build_scheme(inst: Instance) -> Scheme:
     """Construct a scheme for a feasible instance.
 
-    Signals are labeled z1..zp in decomposition order.  Raises
-    :class:`InfeasibleError` (with the witness columns) when the instance
-    fails the column condition.
+    When König's criterion holds (see :func:`find_deterministic_scheme`)
+    the scheme is the colouring's, signals named as ``deterministic``
+    names them: it is deterministic and has ``p_lower_bound`` signals, the
+    fewest any scheme can have there.  Otherwise the conditional is padded
+    (:func:`extend`) and peeled (:func:`birkhoff_decompose`), and signals
+    are labeled z1..zp in decomposition order.  Both read one set of
+    integer rows.  Raises :class:`InfeasibleError` (with the witness
+    columns) when the instance fails the column condition.
     """
     cm = conditional_y_given_x(inst)
-    terms = birkhoff_decompose(extend(cm))
+    _column_condition(cm, strict=True)
+    rows = _numerator_rows(cm.entries, cm._columns[1])
+    signals, _ = _colouring(cm, rows)
+    if signals is not None:
+        return _coloured_scheme(inst, cm, signals)
+    terms = birkhoff_decompose(_padded(cm, rows))
     return _named_scheme(inst, cm, [a for a, _ in terms], [s for _, s in terms])
 
 
 def p_lower_bound(inst: Instance) -> int:
-    """The fewest signals any scheme for ``inst`` can have: the largest row
+    """A floor on any scheme's signals for ``inst``: the largest row
     support of P(Y|X).  A signal pairs each state with one column, so a
-    state needs a signal of its own for every column it reaches."""
+    state needs a signal of its own for every column it reaches.  It is a
+    floor, not always the minimum; ``build_scheme`` meets it whenever a
+    deterministic scheme exists."""
     return max(sum(1 for v in nums if v) for nums, _ in inst._rows)
 
 
@@ -612,60 +635,107 @@ def find_deterministic_scheme(inst: Instance) -> DeterministicSearch:
     is a signal of weight v.
 
     The colouring takes the support cells row by row, columns ascending,
-    on integer numerators over one denominator (``_numerator_rows``).  A
-    cell takes the first colour a of its value free at its row; if a is
-    taken at its column, the first colour b free there swaps with a along
-    the alternating a/b path from the column, which frees a there.  A
-    column with no free colour breaks (2).  Signals are named by row 0's
-    columns, ascending; each pairs the padding rows with its unused
-    columns, ascending.
+    on integer numerators over one denominator (``_numerator_rows``).  It
+    keeps the colours free at each row and at each column as int bitmasks,
+    and each value's colours as a palette mask.  A cell of value v takes
+    the lowest colour free at both its row and its column, the lowest set
+    bit of ``row_free & col_free & palette[v]``.  When there is none, a is
+    the lowest colour of v free at the row and b the lowest free at the
+    column, and a and b swap along the alternating a/b path from the
+    column, which frees a there; a column with no free colour of v breaks
+    (2).  A swap changes the free colours only at the path's two ends, so
+    both bits flip in their masks there and nowhere else.  Signals are
+    named by row 0's columns, ascending; each pairs the padding rows with
+    its unused columns, ascending.  The outcome is kept on the instance's
+    conditional, so :func:`build_scheme` does not colour it again.
 
     Raises :class:`InfeasibleError` for infeasible instances.
     """
     cm = conditional_y_given_x(inst)
     _column_condition(cm, strict=True)
-    rows = _numerator_rows(cm.entries, cm._columns[1])
+    signals, nodes = _colouring(cm, _numerator_rows(cm.entries, cm._columns[1]))
+    scheme = None if signals is None else _coloured_scheme(inst, cm, signals)
+    return DeterministicSearch(scheme=scheme, nodes=nodes)
+
+
+def _coloured_scheme(inst: Instance, cm: ConditionalMatrix, signals) -> Scheme:
+    """The deterministic scheme of ``_colouring``'s signals: each weighs
+    row 0's value at its column."""
+    weights = [cm.entries[0][sigma[0]] for sigma in signals]
+    return _named_scheme(inst, cm, weights, signals)
+
+
+def _colouring(
+    cm: ConditionalMatrix, rows: tuple[tuple[int, ...], ...]
+) -> tuple[Optional[tuple[tuple[int, ...], ...]], int]:
+    """König's colouring of ``cm``, whose integer rows ``rows`` are over
+    ``cm._columns[1]``, as ``(signals, nodes)``: each signal's assignment,
+    in naming order, or None when no deterministic scheme exists, and the
+    colouring steps (see :func:`find_deterministic_scheme`).  Memoised on
+    ``cm`` as ``_colouring``, outside its dataclass fields like
+    ``_columns``: each instance is coloured once."""
+    if "_colouring" not in cm.__dict__:
+        object.__setattr__(cm, "_colouring", _colour(rows, cm.m))
+    return cm._colouring
+
+
+def _colour(rows: tuple[tuple[int, ...], ...], m: int):
+    """The colouring :func:`_colouring` keeps, on m columns."""
     if not _same_values(rows):
-        return DeterministicSearch(scheme=None, nodes=0)
-    n, m = cm.n, cm.m
-    palette: dict[int, list[int]] = {}  # value -> its colours, one per signal
+        return None, 0
+    n = len(rows)
+    palette: dict[int, int] = {}  # value -> its colours' bits, one per signal
     for k, v in enumerate(filter(None, rows[0])):
-        palette.setdefault(v, []).append(k)
-    p = sum(map(len, palette.values()))
+        palette[v] = palette.get(v, 0) | 1 << k
+    p = sum(v > 0 for v in rows[0])
+    col_free = [(1 << p) - 1] * m
     col_of = [[-1] * n for _ in range(p)]  # colour k's column at each row
     row_of = [[-1] * m for _ in range(p)]  # colour k's row at each column
     nodes = 0
     for i, row in enumerate(rows):
+        # Only row i's free colours are kept: the rows before it meet every
+        # colour, and the rows after it none yet.
+        row_free = (1 << p) - 1
         for j, v in enumerate(row):
             if not v:
                 continue
-            colours = palette[v]
-            a = next(k for k in colours if col_of[k][i] < 0)
-            if row_of[a][j] >= 0:
-                b = next((k for k in colours if row_of[k][j] < 0), None)
-                if b is None:
-                    return DeterministicSearch(scheme=None, nodes=nodes)
-                nodes += _swap_path(col_of, row_of, j, a, b)
-            col_of[a][i], row_of[a][j] = j, i
+            free = row_free & palette[v]
+            both = free & col_free[j]
+            if both:
+                bit = both & -both
+            else:
+                bit = free & -free
+                other = col_free[j] & palette[v]
+                if not other:
+                    return None, nodes
+                nodes += _swap_path(col_of, row_of, col_free, j, bit, other & -other)
+            k = bit.bit_length() - 1
+            row_free ^= bit
+            col_free[j] ^= bit
+            col_of[k][i], row_of[k][j] = j, i
             nodes += 1
-
-    signals = sorted(range(p), key=lambda k: col_of[k][0])
-    weights = [cm.entries[0][col_of[k][0]] for k in signals]
-    assignments = [
-        col_of[k] + [c for c in range(m) if row_of[k][c] < 0] for k in signals
-    ]
-    scheme = _named_scheme(inst, cm, weights, assignments)
-    return DeterministicSearch(scheme=scheme, nodes=nodes)
+    unused = (-1).__eq__
+    signals = tuple(
+        tuple(col_of[k]) + tuple(compress(range(m), map(unused, row_of[k])))
+        for k in sorted(range(p), key=lambda k: col_of[k][0])
+    )
+    return signals, nodes
 
 
-def _swap_path(col_of, row_of, j: int, a: int, b: int) -> int:
+def _swap_path(col_of, row_of, col_free, j: int, a_bit: int, b_bit: int) -> int:
     """Swap colours a and b at each node of the path from column j that
-    alternates them, a first; b must be free at column j.  Returns the
-    number of cells recoloured, one fewer than the nodes."""
+    alternates them, a first; b must be free at column j.  Every row on
+    the path precedes the row being coloured, so it meets both colours and
+    the path ends at a column.  Only its two end columns change their free
+    colours, so both bits flip in their masks and nowhere else.  Returns
+    the number of cells recoloured, one fewer than the nodes."""
+    a, b = a_bit.bit_length() - 1, b_bit.bit_length() - 1
     recoloured, at, k, ends, across = -1, j, a, row_of, col_of
     while at >= 0:
-        to = ends[k][at]
+        last, to = at, ends[k][at]
         ends[a][at], ends[b][at] = ends[b][at], ends[a][at]
         at, k, ends, across = to, a + b - k, across, ends
         recoloured += 1
+    col_free[j] ^= a_bit | b_bit
+    col_free[last] ^= a_bit | b_bit
     return recoloured

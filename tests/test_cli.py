@@ -636,8 +636,8 @@ def test_deterministic_json_statuses(capsys, paths):
 
 
 def test_deterministic_decides_an_overfull_column(capsys, tmp_path):
-    # Rows alike, but y3 holds a row's one 1/4 twice: decided in a few
-    # dozen colouring steps.
+    # Rows alike, but y3 holds a row's one 1/4 twice: decided in a couple
+    # of dozen colouring steps.
     path = tmp_path / "overfull47.inst"
     path.write_text(sp.serialize_instance(overfull47()), encoding="utf-8")
     code, out, _ = run(capsys, "deterministic", str(path))
@@ -646,7 +646,7 @@ def test_deterministic_decides_an_overfull_column(capsys, tmp_path):
     )
     code, out, _ = run(capsys, "deterministic", str(path), "--json")
     assert code == 1
-    assert json.loads(out)["nodes"] == 55
+    assert json.loads(out)["nodes"] == 23
 
 
 @pytest.mark.parametrize("n, m", [(3, 12), (12, 12)])
@@ -883,7 +883,7 @@ CLI_GOLDEN = {
     ),
     'deterministic otp2 --json': (
         0,
-        '{"kind":"deterministic-search","status":"found","nodes":6,'
+        '{"kind":"deterministic-search","status":"found","nodes":4,'
         '"row_multisets_equal":true,"scheme":{"n":2,"m":2,"p":2,'
         '"x_labels":["x1","x2"],"y_labels":["y1","y2"],"z_labels":["z1",'
         '"z2"],"px":["1/2","1/2"],"weights":["1/2","1/2"],'

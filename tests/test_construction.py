@@ -1,19 +1,22 @@
 """Extension, matchings, the exact decomposition, and scheme building."""
 
+import dataclasses
 import gc
 import hashlib
 import itertools
 import random
 import sys
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import sidepad as sp
-from corpus import corpus, corr23, det22, mixed23, otp2, overfull47, skew22
+from corpus import (
+    corpus, corr23, det22, mixed23, otp2, overfull47, skew22, uniform_independent,
+)
 from test_simplex import _triage_instances
 
 
@@ -400,7 +403,7 @@ def test_deterministic_search_decides_what_the_reference_cannot():
     assert _reference_deterministic(inst, 10_000).status == "budget_exhausted"
     outcome = sp.find_deterministic_scheme(inst)
     assert (outcome.status, outcome.scheme) == ("none_found", None)
-    assert outcome.nodes == 55
+    assert outcome.nodes == 23
 
 
 def _marginal_x_calls(call, *args):
@@ -722,17 +725,30 @@ def _assert_terms_rebuild(ext, terms):
 
 
 def _assert_agrees_with_the_reference(inst):
-    ext = sp.extend(_conditional(inst))
+    """The Birkhoff terms of the padded conditional rebuild it and verify
+    with the Fraction reference's Q_XY, on every instance, whether or not
+    ``build_scheme`` takes the colouring; ``build_scheme`` is the
+    colouring's scheme when the search finds one, else the peeled one."""
+    cm = _conditional(inst)
+    ext = sp.extend(cm)
     terms = sp.birkhoff_decompose(ext)
     _assert_terms_rebuild(ext, terms)
-    scheme, reference = sp.build_scheme(inst), reference_scheme(inst)
-    assert scheme.weights == tuple(alpha for alpha, _ in terms)
-    assert scheme.assignments == tuple(sigma for _, sigma in terms)
-    reports = [sp.verify_scheme(s, inst) for s in (scheme, reference)]
+    peeled = sp.construction._named_scheme(
+        inst, cm, [alpha for alpha, _ in terms], [sigma for _, sigma in terms]
+    )
+    reference = reference_scheme(inst)
+    reports = [sp.verify_scheme(s, inst) for s in (peeled, reference)]
     assert all(report.all_ok for report in reports)
     assert reports[0].q_xy == reports[1].q_xy
-    assert sp.necessity_audit(scheme).ok and sp.necessity_audit(reference).ok
-    return scheme, reference
+    assert sp.necessity_audit(peeled).ok and sp.necessity_audit(reference).ok
+    _assert_build_takes_the_colouring_first(inst, peeled)
+    return peeled, reference
+
+
+def _assert_build_takes_the_colouring_first(inst, peeled):
+    # The search runs on a fresh twin, so each call colours on its own.
+    found = sp.find_deterministic_scheme(dataclasses.replace(inst)).scheme
+    assert sp.build_scheme(inst) == (peeled if found is None else found)
 
 
 def test_birkhoff_matches_the_fraction_reference_on_corpus():
@@ -888,3 +904,143 @@ def test_birkhoff_raises_when_the_matching_hits_a_zero_cell(monkeypatch):
     ext = sp.ExtendedMatrix(n=2, m=2, entries=((F(0), F(1)), (F(1), F(0))))
     with pytest.raises(sp.InternalInvariantError):
         sp.birkhoff_decompose(ext)
+
+
+def _koenig_criterion(inst):
+    """Rules (1) and (2) on the Fraction conditional: every row holds one
+    multiset of positive values, and no column holds a value more often
+    than a row does."""
+    entries = _conditional(inst).entries
+    counts = [Counter(filter(None, row)) for row in entries]
+    return all(c == counts[0] for c in counts) and not _overfull_columns(entries)
+
+
+def _overfull_columns(rows):
+    """How many columns hold a value more often than row 0 does."""
+    row = Counter(filter(None, rows[0]))
+    return sum(bool(Counter(filter(None, col)) - row) for col in zip(*rows))
+
+
+def test_build_meets_p_lower_bound_whenever_the_criterion_holds():
+    holds = 0
+    for inst in _differential_instances():
+        scheme = sp.build_scheme(inst)
+        m = scheme.m
+        assert scheme.p <= m * m - 2 * m + 2
+        if _koenig_criterion(inst):
+            holds += 1
+            assert scheme.p == sp.p_lower_bound(inst)
+    assert holds > 100
+
+
+def _shifted_rows(draw, max_m):
+    """Integer rows: one row of small parts shifted cyclically by a
+    distinct s_i per row, then the columns permuted alike.  Each column
+    takes each position of the row at most once, so no column holds a
+    value more often than a row does."""
+    m = draw(st.integers(1, max_m))
+    n = draw(st.integers(1, m))
+    parts = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(any))
+    shifts = draw(st.permutations(range(m)))[:n]
+    order = draw(st.permutations(range(m)))
+    return [[parts[(order[j] - s) % m] for j in range(m)] for s in shifts]
+
+
+def _instance_of_rows(draw, rows):
+    px = draw(st.lists(st.integers(1, 5), min_size=len(rows), max_size=len(rows)))
+    return sp.instance_from_conditional(
+        [F(w, sum(px)) for w in px],
+        [[F(v, sum(row)) for v in row] for row in rows],
+    )
+
+
+@st.composite
+def koenig_instances(draw, max_m=6):
+    """"Yes" instances: rows that permute one multiset of values, with no
+    column over a row's count of any value."""
+    return _instance_of_rows(draw, _shifted_rows(draw, max_m))
+
+
+@st.composite
+def near_misses(draw, max_m=6):
+    """A "yes" instance whose last row swaps two cells of different
+    values, so that exactly one column holds a value more often than a row
+    does: rule (1) holds and rule (2) fails at that column."""
+    rows = _shifted_rows(draw, max_m)
+    last, m = rows[-1], len(rows[-1])
+    swaps = []
+    for a, b in itertools.combinations(range(m), 2):
+        if last[a] != last[b]:
+            swapped = last[:]
+            swapped[a], swapped[b] = last[b], last[a]
+            if _overfull_columns(rows[:-1] + [swapped]) == 1:
+                swaps.append(rows[:-1] + [swapped])
+    assume(swaps)
+    return _instance_of_rows(draw, draw(st.sampled_from(swaps)))
+
+
+def _assert_colouring_decides(inst, found):
+    """The colouring's verdict is ``found`` and the Fraction criterion's;
+    ``_assert_reference_verdict`` checks it against the backtracking
+    search and checks the scheme found, and ``build_scheme`` takes it."""
+    if not sp.check_feasible(inst).feasible:
+        with pytest.raises(sp.InfeasibleError):
+            sp.find_deterministic_scheme(inst)
+        return
+    assert _koenig_criterion(inst) is found
+    outcome = sp.find_deterministic_scheme(inst)
+    assert (outcome.scheme is not None) is found
+    _assert_reference_verdict(inst)
+    scheme = sp.build_scheme(dataclasses.replace(inst))
+    assert sp.verify_scheme(scheme, inst).all_ok
+    assert (scheme == outcome.scheme) is found
+
+
+@given(koenig_instances())
+def test_colouring_finds_every_koenig_instance(inst):
+    _assert_colouring_decides(inst, True)
+
+
+@given(near_misses())
+def test_colouring_refuses_one_overfull_column(inst):
+    _assert_colouring_decides(inst, False)
+
+
+def test_colouring_swaps_along_an_alternating_path():
+    # A circulant of one 1/5 and two 2/5 per row.  Cell (1, 2) finds its
+    # row's free 2/5 colour taken at column 2, so that colour and the one
+    # free at the column swap along a path through row 0, which ends at
+    # column 0; cell (2, 0) then reads column 0's mask as that swap left it.
+    inst = sp.instance_from_conditional(
+        [F(1, 3)] * 3,
+        [[F(2, 5), F(1, 5), F(2, 5)],
+         [F(1, 5), F(2, 5), F(2, 5)],
+         [F(2, 5), F(2, 5), F(1, 5)]],
+    )
+    outcome = sp.find_deterministic_scheme(inst)
+    assert outcome.nodes == 11  # 9 cells coloured, 2 recoloured by the swap
+    scheme = outcome.scheme
+    assert scheme.weights == (F(2, 5), F(1, 5), F(2, 5))
+    assert scheme.assignments == ((0, 2, 1), (1, 0, 2), (2, 1, 0))
+    assert sp.verify_scheme(scheme, inst).all_ok
+    assert sp.necessity_audit(scheme).ok
+    assert scheme.p == sp.p_lower_bound(inst)
+    assert sp.build_scheme(inst) == scheme
+
+
+@pytest.mark.parametrize(("n", "m"), [(4, 8), (16, 32), (32, 64), (64, 64)])
+def test_colouring_takes_one_step_per_cell_on_shannon_grids(n, m):
+    # The lowest colour free at both a cell's row and its column is the
+    # least one its row's earlier cells and its column's earlier rows miss:
+    # i XOR j, the nim-sum table.  With m a power of two it stays below m,
+    # so no path is walked, signal k pairs row i with column i XOR k, and
+    # build takes p = m signals, the largest row support.
+    inst = uniform_independent(n, m)
+    outcome = sp.find_deterministic_scheme(inst)
+    assert outcome.nodes == n * m
+    assert [sigma[:n] for sigma in outcome.scheme.assignments] == [
+        tuple(i ^ k for i in range(n)) for k in range(m)
+    ]
+    scheme = sp.build_scheme(inst)
+    assert scheme.p == sp.p_lower_bound(inst) == m
+    assert sp.verify_scheme(scheme, inst).all_ok

@@ -381,10 +381,11 @@ def test_simulate_reports_are_pinned_on_corpus():
 
 
 def test_simulate_reports_of_built_schemes_are_pinned_on_corpus():
-    # Recorded with sparse padding and max-bottleneck matching, tallying
+    # Recorded with König's colouring wherever a deterministic scheme
+    # exists, else sparse padding and max-bottleneck matching, tallying
     # the (cell, signal) table by the halving walk.
     assert _simulate_digest(sp.build_scheme) == (
-        "bc11275933c750cf5f4910e6bc0140e88369ab654fd137b5079b1efa5e1ecded"
+        "565f72151bab4ca78f18ebf38748519711cfa7a7b7f93bdbc323cfbef5321997"
     )
 
 
