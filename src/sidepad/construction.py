@@ -8,7 +8,9 @@ peels:
    holds a value more often than a row does (König's criterion, see
    ``find_deterministic_scheme``), the support's edge colouring, kept on
    free-colour bitmasks, is the scheme: one signal per colour, and as few
-   signals as the largest row support, ``p_lower_bound``.
+   signals as the largest row support, ``p_lower_bound``.  The search's
+   outcome is kept on the instance's conditional, so the search and the
+   build return one scheme object.
 2. Otherwise ``extend`` pads the conditional matrix (n rows, m columns,
    column sums <= 1) to an m-by-m doubly stochastic matrix: m - n padding
    rows take the column slacks by a north-west-corner fill, which keeps
@@ -526,20 +528,21 @@ def build_scheme(inst: Instance) -> Scheme:
     """Construct a scheme for a feasible instance.
 
     When König's criterion holds (see :func:`find_deterministic_scheme`)
-    the scheme is the colouring's, signals named as ``deterministic``
-    names them: it is deterministic and has ``p_lower_bound`` signals, the
-    fewest any scheme can have there.  Otherwise the conditional is padded
-    (:func:`extend`) and peeled (:func:`birkhoff_decompose`), and signals
-    are labeled z1..zp in decomposition order.  Both read one set of
-    integer rows.  Raises :class:`InfeasibleError` (with the witness
-    columns) when the instance fails the column condition.
+    the scheme is the search's own object, kept on the instance's
+    conditional: it is deterministic and has ``p_lower_bound`` signals,
+    the fewest any scheme can have there.  Otherwise the conditional is
+    padded (:func:`extend`) and peeled (:func:`birkhoff_decompose`), and
+    signals are labeled z1..zp in decomposition order; that scheme is not
+    kept.  Both read one set of integer rows.  Raises
+    :class:`InfeasibleError` (with the witness columns) when the instance
+    fails the column condition.
     """
     cm = conditional_y_given_x(inst)
     _column_condition(cm, strict=True)
     rows = _numerator_rows(cm.entries, cm._columns[1])
-    signals, _ = _colouring(cm, rows)
-    if signals is not None:
-        return _coloured_scheme(inst, cm, signals)
+    scheme = _search(inst, cm, rows).scheme
+    if scheme is not None:
+        return scheme
     terms = birkhoff_decompose(_padded(cm, rows))
     return _named_scheme(inst, cm, [a for a, _ in terms], [s for _, s in terms])
 
@@ -601,7 +604,9 @@ class DeterministicSearch:
     exists.  ``nodes`` counts colouring steps: one per support cell
     coloured and one per cell recoloured on an alternating path.  It is 0
     exactly when the rows' value multisets differ: otherwise the first
-    support cell is always coloured.
+    support cell is always coloured.  One outcome is kept per instance,
+    on its conditional (``_search``): every search returns it, and on a
+    König instance :func:`build_scheme` returns its ``scheme``.
     """
 
     scheme: Optional[Scheme]
@@ -647,40 +652,33 @@ def find_deterministic_scheme(inst: Instance) -> DeterministicSearch:
     both bits flip in their masks there and nowhere else.  Signals are
     named by row 0's columns, ascending; each pairs the padding rows with
     its unused columns, ascending.  The outcome is kept on the instance's
-    conditional, so :func:`build_scheme` does not colour it again.
+    conditional, scheme included, so each instance is coloured and its
+    scheme named and validated once.
 
     Raises :class:`InfeasibleError` for infeasible instances.
     """
     cm = conditional_y_given_x(inst)
     _column_condition(cm, strict=True)
-    signals, nodes = _colouring(cm, _numerator_rows(cm.entries, cm._columns[1]))
-    scheme = None if signals is None else _coloured_scheme(inst, cm, signals)
-    return DeterministicSearch(scheme=scheme, nodes=nodes)
+    return _search(inst, cm, _numerator_rows(cm.entries, cm._columns[1]))
 
 
-def _coloured_scheme(inst: Instance, cm: ConditionalMatrix, signals) -> Scheme:
-    """The deterministic scheme of ``_colouring``'s signals: each weighs
-    row 0's value at its column."""
-    weights = [cm.entries[0][sigma[0]] for sigma in signals]
-    return _named_scheme(inst, cm, weights, signals)
-
-
-def _colouring(
-    cm: ConditionalMatrix, rows: tuple[tuple[int, ...], ...]
-) -> tuple[Optional[tuple[tuple[int, ...], ...]], int]:
-    """König's colouring of ``cm``, whose integer rows ``rows`` are over
-    ``cm._columns[1]``, as ``(signals, nodes)``: each signal's assignment,
-    in naming order, or None when no deterministic scheme exists, and the
-    colouring steps (see :func:`find_deterministic_scheme`).  Memoised on
-    ``cm`` as ``_colouring``, outside its dataclass fields like
-    ``_columns``: each instance is coloured once."""
-    if "_colouring" not in cm.__dict__:
-        object.__setattr__(cm, "_colouring", _colour(rows, cm.m))
-    return cm._colouring
+def _search(inst: Instance, cm: ConditionalMatrix, rows) -> DeterministicSearch:
+    """The search on ``inst``, whose conditional ``cm`` has integer rows
+    ``rows`` over ``cm._columns[1]``; each signal weighs row 0's value at
+    its column.  Memoised on ``cm`` as ``_search``, outside its dataclass
+    fields like ``_columns``."""
+    if "_search" not in cm.__dict__:
+        signals, nodes = _colour(rows, cm.m)
+        scheme = None if signals is None else _named_scheme(
+            inst, cm, [cm.entries[0][sigma[0]] for sigma in signals], signals
+        )
+        object.__setattr__(cm, "_search", DeterministicSearch(scheme, nodes))
+    return cm._search
 
 
 def _colour(rows: tuple[tuple[int, ...], ...], m: int):
-    """The colouring :func:`_colouring` keeps, on m columns."""
+    """König's colouring of integer ``rows`` on m columns: ``(signals,
+    nodes)``, signals in naming order or None (see ``DeterministicSearch``)."""
     if not _same_values(rows):
         return None, 0
     n = len(rows)

@@ -43,20 +43,19 @@ from typing import Callable
 
 from .construction import Scheme
 from .errors import InputError
-from .model import Instance, _clip, make_instance, rat_parse, rat_str
+from .model import Instance, _clip, _Memo, make_instance, rat_parse, rat_str
 
 INSTANCE_MAGIC = ("INSTANCE", "v1")
 SCHEME_MAGIC = ("SCHEME", "v1")
 
 
-class _Rationals(dict):
+class _Rationals(_Memo):
     """A document's rational tokens, token -> Fraction, each distinct token
     parsed on first lookup.  A token refused is never stored, so it is
     refused at its first position, as without the memo."""
 
-    def __missing__(self, token: str) -> Fraction:
-        value = self[token] = rat_parse(token)
-        return value
+    def __init__(self):
+        super().__init__(rat_parse)
 
     def __call__(self, tokens: list[str], what: Callable[[int], str]) -> list[Fraction]:
         """A run of rational tokens, as a ``_Cursor.run`` conversion."""

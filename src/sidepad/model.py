@@ -24,7 +24,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
@@ -307,17 +307,21 @@ def _numerators(values: Iterable[Fraction]) -> tuple[list[int], int]:
     return [p * (den // q) for p, q in ratios], den
 
 
-def _fractions(den: int):
-    """num -> Fraction(num, den), building each distinct value once."""
-    memo: dict[int, Fraction] = {}
+class _Memo(dict):
+    """key -> ``fill(key)``, filled on the key's first lookup and kept; a
+    fill that raises stores nothing.  It pickles when ``fill`` does."""
 
-    def fraction(num: int) -> Fraction:
-        value = memo.get(num)
-        if value is None:
-            value = memo[num] = Fraction(num, den)
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
         return value
 
-    return fraction
+
+def _fractions(den: int):
+    """num -> Fraction(num, den), building each distinct value once."""
+    return _Memo(partial(Fraction, denominator=den)).__getitem__
 
 
 def make_instance(

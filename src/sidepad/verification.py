@@ -40,7 +40,7 @@ code with the constructive pipeline, so the two can cross-check each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Optional
@@ -94,11 +94,6 @@ class VerificationReport:
     @property
     def all_ok(self) -> bool:
         return all(getattr(self, law).ok for law in LAWS)
-
-    def __getstate__(self) -> dict:
-        # The marginal memos share a closure, which does not pickle; a copy
-        # rebuilds them on first read.
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @cached_property
     def _fraction(self):

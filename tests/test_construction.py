@@ -933,6 +933,50 @@ def test_build_meets_p_lower_bound_whenever_the_criterion_holds():
     assert holds > 100
 
 
+@pytest.mark.parametrize("build_first", [False, True], ids=["find-build", "build-find"])
+def test_search_and_build_share_one_scheme(monkeypatch, build_first):
+    # The search's outcome is kept on the instance's conditional, so in
+    # either call order a König instance gets one Scheme object, which the
+    # build returns and a second verify against the instance does not check
+    # again; elsewhere the search finds none and the build makes the one.
+    instances = list(_differential_instances())
+    made, checks, found = Counter(), Counter(), 0
+    post_init = sp.Scheme.__post_init__
+
+    def counting_post_init(scheme):
+        made["schemes"] += 1
+        post_init(scheme)
+
+    monkeypatch.setattr(sp.Scheme, "__post_init__", counting_post_init)
+    for law in ("consistency", "informativeness", "secrecy"):
+        check = getattr(sp.verification, f"check_{law}")
+        monkeypatch.setattr(
+            sp.verification, f"check_{law}",
+            lambda *args, check=check, law=law: checks.update([law]) or check(*args),
+        )
+    for original in instances:
+        inst = dataclasses.replace(original)
+        made.clear()
+        if build_first:
+            scheme = sp.build_scheme(inst)
+            search = sp.find_deterministic_scheme(inst)
+        else:
+            search = sp.find_deterministic_scheme(inst)
+            scheme = sp.build_scheme(inst)
+        assert made["schemes"] == 1
+        assert sp.find_deterministic_scheme(inst) is search
+        if search.scheme is None:
+            assert not _koenig_criterion(inst)
+            continue
+        found += 1
+        assert scheme is search.scheme
+        assert sp.verify_scheme(search.scheme, inst).all_ok
+        checks.clear()
+        assert sp.verify_scheme(scheme, inst).all_ok
+        assert not checks
+    assert found > 100
+
+
 def _shifted_rows(draw, max_m):
     """Integer rows: one row of small parts shifted cyclically by a
     distinct s_i per row, then the columns permuted alike.  Each column

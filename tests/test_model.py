@@ -186,7 +186,7 @@ def test_conditional_keeps_only_its_column_sums():
     # Validation reads each row's integer numerators and then drops them:
     # every instance keeps its conditional, so per-row lists would stay
     # alive for as long as the instance does.  Only the column sums stay,
-    # with the colouring's outcome, which holds no row numerators.
+    # with the search's outcome, whose scheme holds no row numerators.
     inst = sp.make_instance(
         ["x1", "x2"], ["y1", "y2", "y3"],
         [["1/4", "1/4", "0"], ["0", "1/4", "1/4"]],
@@ -196,10 +196,9 @@ def test_conditional_keeps_only_its_column_sums():
     sp.find_deterministic_scheme(inst)
     sp.feasibility_oracle(inst)
     cm = sp.conditional_y_given_x(inst)
-    assert set(vars(cm)) == {"rows", "cols", "entries", "masses", "_columns", "_colouring"}
-    # The colouring's memo holds the signals the scheme holds, and a count.
-    outcome = sp.find_deterministic_scheme(inst)
-    assert cm._colouring == (outcome.scheme.assignments, outcome.nodes)
+    assert set(vars(cm)) == {"rows", "cols", "entries", "masses", "_columns", "_search"}
+    # The search's memo is the search's outcome itself.
+    assert cm._search is sp.find_deterministic_scheme(inst)
     assert cm._columns == ([1, 2, 1], 2)
     assert sp.column_sums(cm) == (F(1, 2), F(1), F(1, 2))
 
