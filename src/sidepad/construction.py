@@ -1,8 +1,8 @@
 """Scheme construction.
 
-``build_scheme`` turns a feasible instance into a working scheme.  It
-colours first whenever a deterministic scheme exists, else it pads and
-peels:
+``build_scheme`` turns a feasible instance into a working scheme by the
+public steps below, in order: it colours first whenever a deterministic
+scheme exists, else it pads and peels:
 
 1. When every row of P_{Y|X} holds one multiset of values and no column
    holds a value more often than a row does (König's criterion, see
@@ -10,7 +10,8 @@ peels:
    free-colour bitmasks, is the scheme: one signal per colour, and as few
    signals as the largest row support, ``p_lower_bound``.  The search's
    outcome is kept on the instance's conditional, so the search and the
-   build return one scheme object.
+   build return one scheme object.  The search stops at the first row
+   whose values differ from row 0's.
 2. Otherwise ``extend`` pads the conditional matrix (n rows, m columns,
    column sums <= 1) to an m-by-m doubly stochastic matrix: m - n padding
    rows take the column slacks by a north-west-corner fill, which keeps
@@ -23,14 +24,13 @@ peels:
    with probability alpha_k and pairs state row i with column sigma_k(i).
 
 Everything is exact and runs on integers, with Fractions only at the
-boundaries: the conditional's rows become integer numerators over the
-lcm L of its rows' denominators once per build, which the colouring and
-the padding both read; the column slacks are filled over L, and the
-padded square is validated on the integer grid that the decomposition
-then peels.  Each round zeroes at least one positive cell while both
-stochasticity constraints keep holding, so there are at most
-nnz - m + 1 <= m*m - 2m + 2 rounds; fewer padding nonzeros mean fewer
-signals.
+boundaries: each step that reads the conditional's rows rescales them,
+one at a time, to integer numerators over the lcm L of their
+denominators; the column slacks are filled over L, and the padded square
+is validated on the integer grid that the decomposition then peels.
+Each round zeroes at least one positive cell while both stochasticity
+constraints keep holding, so there are at most nnz - m + 1 <=
+m*m - 2m + 2 rounds; fewer padding nonzeros mean fewer signals.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from itertools import compress, repeat
 from math import lcm
 from operator import getitem, itemgetter
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import InfeasibleError, InputError, InternalInvariantError
 from .model import (
@@ -118,7 +118,7 @@ class ExtendedMatrix:
         checks the 2m sums on it and ``birkhoff_decompose`` peels a copy.
         Memoised outside the dataclass fields: eq, hash and repr ignore it."""
         L = lcm(*(v.denominator for row in self.entries for v in row))
-        return _numerator_rows(self.entries, L), L
+        return tuple(_numerator_rows(self.entries, L)), L
 
 
 @dataclass(frozen=True)
@@ -330,12 +330,6 @@ def extend(cm: ConditionalMatrix) -> ExtendedMatrix:
     raises :class:`InfeasibleError` naming the columns.
     """
     _column_condition(cm, strict=True)
-    return _padded(cm, _numerator_rows(cm.entries, cm._columns[1]))
-
-
-def _padded(cm: ConditionalMatrix, rows: tuple[tuple[int, ...], ...]) -> ExtendedMatrix:
-    """:func:`extend`'s fill, given the column condition holds and ``rows``,
-    the conditional's numerators over ``cm._columns[1]``."""
     cols, L = cm._columns
     n, m = cm.n, cm.m
     pad = [[0] * m for _ in range(m - n)]
@@ -353,7 +347,7 @@ def _padded(cm: ConditionalMatrix, rows: tuple[tuple[int, ...], ...]) -> Extende
         n,
         m,
         cm.entries + tuple(tuple(map(fraction, row)) for row in pad),
-        (rows + tuple(map(tuple, pad)), L),
+        (tuple(_numerator_rows(cm.entries, L)) + tuple(map(tuple, pad)), L),
     )
 
 
@@ -527,23 +521,20 @@ def birkhoff_decompose(
 def build_scheme(inst: Instance) -> Scheme:
     """Construct a scheme for a feasible instance.
 
-    When König's criterion holds (see :func:`find_deterministic_scheme`)
-    the scheme is the search's own object, kept on the instance's
-    conditional: it is deterministic and has ``p_lower_bound`` signals,
-    the fewest any scheme can have there.  Otherwise the conditional is
-    padded (:func:`extend`) and peeled (:func:`birkhoff_decompose`), and
-    signals are labeled z1..zp in decomposition order; that scheme is not
-    kept.  Both read one set of integer rows.  Raises
-    :class:`InfeasibleError` (with the witness columns) when the instance
-    fails the column condition.
+    The public steps in order: :func:`find_deterministic_scheme`, whose
+    scheme is returned when König's criterion holds (the search's own
+    object, kept on the instance's conditional: deterministic, with
+    ``p_lower_bound`` signals, the fewest any scheme can have there);
+    else :func:`birkhoff_decompose` of :func:`extend`, with signals
+    labeled z1..zp in decomposition order, a scheme that is not kept.
+    Raises :class:`InfeasibleError` (with the witness columns) when the
+    instance fails the column condition.
     """
-    cm = conditional_y_given_x(inst)
-    _column_condition(cm, strict=True)
-    rows = _numerator_rows(cm.entries, cm._columns[1])
-    scheme = _search(inst, cm, rows).scheme
+    scheme = find_deterministic_scheme(inst).scheme
     if scheme is not None:
         return scheme
-    terms = birkhoff_decompose(_padded(cm, rows))
+    cm = conditional_y_given_x(inst)
+    terms = birkhoff_decompose(extend(cm))
     return _named_scheme(inst, cm, [a for a, _ in terms], [s for _, s in terms])
 
 
@@ -570,19 +561,27 @@ def _named_scheme(inst: Instance, cm: ConditionalMatrix, weights, assignments):
 
 def _numerator_rows(
     rows: Sequence[Sequence[Fraction]], L: int
-) -> tuple[tuple[int, ...], ...]:
+) -> Iterator[tuple[int, ...]]:
     """Fraction rows as integer numerators over L, a common multiple of
-    every entry's denominator; a conditional passes the common denominator
-    of its column sums, ``cm._columns[1]``."""
-    return tuple(
-        tuple(v.numerator * (L // v.denominator) for v in row) for row in rows
-    )
+    every entry's denominator, yielded one row at a time; a conditional
+    passes the common denominator of its column sums, ``cm._columns[1]``."""
+    for row in rows:
+        yield tuple(v.numerator * (L // v.denominator) for v in row)
 
 
-def _same_values(rows: Sequence[Sequence[int]]) -> bool:
-    """Whether all rows hold one multiset of values (rows of one length)."""
-    first = sorted(rows[0])
-    return all(sorted(row) == first for row in rows[1:])
+def _same_values(cm: ConditionalMatrix) -> Optional[list[tuple[int, ...]]]:
+    """The criterion's rule (1): the conditional's rows as integer
+    numerators over ``cm._columns[1]`` when they all hold one multiset of
+    values, else None.  Rows are rescaled one at a time, and the first
+    whose sorted values differ from row 0's ends the scan."""
+    rows = _numerator_rows(cm.entries, cm._columns[1])
+    same = [next(rows)]
+    values = sorted(same[0])
+    for row in rows:
+        if sorted(row) != values:
+            return None
+        same.append(row)
+    return same
 
 
 def row_value_multisets_equal(cm: ConditionalMatrix) -> bool:
@@ -591,9 +590,10 @@ def row_value_multisets_equal(cm: ConditionalMatrix) -> bool:
 
     This is the first half of the criterion for a deterministic scheme
     (see :func:`find_deterministic_scheme`): each signal takes, in every
-    row, one cell whose value is the signal's weight.
+    row, one cell whose value is the signal's weight.  It is tested in one
+    place, ``_same_values``, which the search reads too.
     """
-    return _same_values(_numerator_rows(cm.entries, cm._columns[1]))
+    return _same_values(cm) is not None
 
 
 @dataclass(frozen=True)
@@ -639,9 +639,10 @@ def find_deterministic_scheme(inst: Instance) -> DeterministicSearch:
     or a column.  Every row meets each colour once, so each colour class
     is a signal of weight v.
 
-    The colouring takes the support cells row by row, columns ascending,
-    on integer numerators over one denominator (``_numerator_rows``).  It
-    keeps the colours free at each row and at each column as int bitmasks,
+    Rule (1) is tested first (``_same_values``), on integer rows over one
+    denominator, up to the first row whose values differ from row 0's.
+    The colouring takes the support cells row by row, columns ascending.
+    It keeps the colours free at each row and at each column as bitmasks,
     and each value's colours as a palette mask.  A cell of value v takes
     the lowest colour free at both its row and its column, the lowest set
     bit of ``row_free & col_free & palette[v]``.  When there is none, a is
@@ -652,23 +653,18 @@ def find_deterministic_scheme(inst: Instance) -> DeterministicSearch:
     both bits flip in their masks there and nowhere else.  Signals are
     named by row 0's columns, ascending; each pairs the padding rows with
     its unused columns, ascending.  The outcome is kept on the instance's
-    conditional, scheme included, so each instance is coloured and its
-    scheme named and validated once.
+    conditional as ``_search``, scheme included, so each instance is
+    coloured and its scheme named and validated once, and a later search
+    returns it at once, rescaling nothing.
 
     Raises :class:`InfeasibleError` for infeasible instances.
     """
     cm = conditional_y_given_x(inst)
-    _column_condition(cm, strict=True)
-    return _search(inst, cm, _numerator_rows(cm.entries, cm._columns[1]))
-
-
-def _search(inst: Instance, cm: ConditionalMatrix, rows) -> DeterministicSearch:
-    """The search on ``inst``, whose conditional ``cm`` has integer rows
-    ``rows`` over ``cm._columns[1]``; each signal weighs row 0's value at
-    its column.  Memoised on ``cm`` as ``_search``, outside its dataclass
-    fields like ``_columns``."""
+    # Only a feasible instance gets a memo, so a hit needs no column check.
     if "_search" not in cm.__dict__:
-        signals, nodes = _colour(rows, cm.m)
+        _column_condition(cm, strict=True)
+        rows = _same_values(cm)
+        signals, nodes = (None, 0) if rows is None else _colour(rows, cm.m)
         scheme = None if signals is None else _named_scheme(
             inst, cm, [cm.entries[0][sigma[0]] for sigma in signals], signals
         )
@@ -676,11 +672,10 @@ def _search(inst: Instance, cm: ConditionalMatrix, rows) -> DeterministicSearch:
     return cm._search
 
 
-def _colour(rows: tuple[tuple[int, ...], ...], m: int):
-    """König's colouring of integer ``rows`` on m columns: ``(signals,
-    nodes)``, signals in naming order or None (see ``DeterministicSearch``)."""
-    if not _same_values(rows):
-        return None, 0
+def _colour(rows: Sequence[tuple[int, ...]], m: int):
+    """König's colouring of integer ``rows`` on m columns, rows that hold
+    one multiset of values (``_same_values``): ``(signals, nodes)``,
+    signals in naming order or None (see ``DeterministicSearch``)."""
     n = len(rows)
     palette: dict[int, int] = {}  # value -> its colours' bits, one per signal
     for k, v in enumerate(filter(None, rows[0])):

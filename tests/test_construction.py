@@ -977,6 +977,70 @@ def test_search_and_build_share_one_scheme(monkeypatch, build_first):
     assert found > 100
 
 
+def test_build_is_its_public_steps(monkeypatch):
+    # build_scheme searches once, and pads and peels only through extend
+    # and birkhoff_decompose, and only when the search finds no scheme.
+    calls = Counter()
+    for name in ("find_deterministic_scheme", "extend", "birkhoff_decompose"):
+        step = getattr(sp.construction, name)
+        monkeypatch.setattr(
+            sp.construction, name,
+            lambda *args, step=step, name=name: calls.update([name]) or step(*args),
+        )
+    peeled = 0
+    for original in _differential_instances():
+        inst = dataclasses.replace(original)
+        calls.clear()
+        sp.build_scheme(inst)
+        pads = int(_conditional(inst)._search.scheme is None)
+        peeled += pads
+        assert dict(calls) == {
+            "find_deterministic_scheme": 1,
+            **({"extend": 1, "birkhoff_decompose": 1} if pads else {}),
+        }
+    assert peeled > 100
+
+
+def test_each_step_rescales_each_row_once(monkeypatch):
+    # Counted on fresh copies: a König build rescales each row once, a
+    # search stops at the first row whose values differ from row 0's, extend
+    # rescales every row once more, and a search after a build reads the
+    # memo and rescales nothing.
+    rescaled = Counter()
+    numerator_rows = sp.construction._numerator_rows
+
+    def counting(rows, L):
+        for row in numerator_rows(rows, L):
+            rescaled["rows"] += 1
+            yield row
+
+    monkeypatch.setattr(sp.construction, "_numerator_rows", counting)
+
+    def rows_read(step, inst):
+        rescaled.clear()
+        step(inst)
+        return rescaled["rows"]
+
+    stopped_early = 0
+    for original in _differential_instances():
+        entries = _conditional(original).entries
+        n, first = len(entries), sorted(entries[0])
+        differs = next((i for i, row in enumerate(entries) if sorted(row) != first), None)
+        searched, built = dataclasses.replace(original), dataclasses.replace(original)
+        search_rows = rows_read(sp.find_deterministic_scheme, searched)
+        if _conditional(searched)._search.scheme is not None:
+            assert search_rows == n
+            assert rows_read(sp.build_scheme, built) == n
+        else:
+            assert search_rows == (n if differs is None else differs + 1)
+            stopped_early += search_rows < n
+            assert rows_read(sp.build_scheme, searched) == n
+            assert rows_read(sp.build_scheme, built) == search_rows + n
+        assert rows_read(sp.find_deterministic_scheme, built) == 0
+        assert rows_read(sp.find_deterministic_scheme, searched) == 0
+    assert stopped_early > 100
+
+
 def _shifted_rows(draw, max_m):
     """Integer rows: one row of small parts shifted cyclically by a
     distinct s_i per row, then the columns permuted alike.  Each column

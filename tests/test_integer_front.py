@@ -585,3 +585,28 @@ def test_parse_and_check_hold_no_global_lcm_grid():
         f"{ref_peak / 1024:.0f} KiB in {ref_seconds * 1e3:.0f} ms"
     )
     assert peak <= 2 * ref_peak, (peak, ref_peak)
+
+
+def test_search_rescales_rows_only_up_to_the_first_that_differs():
+    # 30 rows over distinct primes near 10^9, so the conditional's common
+    # denominator has about 270 digits.  The rows' values differ from
+    # row 1 on: the search rescales two rows, not the 30-row integer grid,
+    # and a repeat call reads the memo and rescales nothing.
+    (x, y), grid = _prime_grid(n=30, m=60, seed=1)
+    inst = sp.make_instance(x, y, grid)
+    assert sp.check_feasible(inst).feasible
+    cm = sp.conditional_y_given_x(inst)
+    grid_peak, _, _ = _peak(
+        lambda: tuple(sp.construction._numerator_rows(cm.entries, cm._columns[1]))
+    )
+    peak, seconds, outcome = _peak(lambda: sp.find_deterministic_scheme(inst))
+    repeat_peak, repeat_seconds, again = _peak(lambda: sp.find_deterministic_scheme(inst))
+    assert outcome.scheme is None and outcome.nodes == 0 and again is outcome
+    print(
+        f"\nfind_deterministic_scheme, 30x60 over distinct primes: "
+        f"{peak / 1024:.0f} KiB in {seconds * 1e3:.2f} ms, repeat "
+        f"{repeat_peak} B in {repeat_seconds * 1e3:.3f} ms; the integer grid "
+        f"{grid_peak / 1024:.0f} KiB"
+    )
+    assert peak <= grid_peak / 4, (peak, grid_peak)
+    assert repeat_peak <= 1024, repeat_peak
