@@ -19,7 +19,8 @@ of SHA-256 of the ASCII string ``"{s}/{index}"``.  A sharded simulation
 tallies its samples on the fixed schedule "shard k tallies
 ceil-or-floor(n/shards) samples from sub-stream k", so any
 (seed, n, shards) triple reproduces bit-identical results; a shard with
-no samples is never seeded, so surplus shards cost nothing.
+no samples is never seeded, so surplus shards cost nothing, and
+``simulate`` seeds no generator for its own seed, only its shards'.
 
 ``sample_world`` and ``encode`` draw in two steps: a world cell (x, y)
 from P_XY, then, only when phi(x, y) holds several signals, one of them.
@@ -133,10 +134,7 @@ class RandomSource:
     """Deterministic pseudo-randomness with derivable sub-streams."""
 
     def __init__(self, seed: int):
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise InputError(f"seed must be an integer, got {seed!r}")
-        if not 0 <= seed < _SEED_LIMIT:
-            raise InputError(f"seed must be in [0, 2^64), got {seed}")
+        _check_seed(seed)
         self._seed = seed
         self._getrandbits = random.Random(seed).getrandbits
 
@@ -162,6 +160,22 @@ class RandomSource:
         _check_count(index, "substream index", 0)
         digest = hashlib.sha256(f"{self._seed}/{index}".encode("ascii")).digest()
         return RandomSource(int.from_bytes(digest[:8], "big"))
+
+    @classmethod
+    def _unseeded(cls, seed: int) -> "RandomSource":
+        """A source that only derives sub-streams: it seeds no generator."""
+        _check_seed(seed)
+        source = cls.__new__(cls)
+        source._seed = seed
+        return source
+
+
+def _check_seed(seed) -> None:
+    """Refuse, with InputError, anything but an int in [0, 2^64)."""
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise InputError(f"seed must be an integer, got {seed!r}")
+    if not 0 <= seed < _SEED_LIMIT:
+        raise InputError(f"seed must be in [0, 2^64), got {seed}")
 
 
 def sample_world(inst: Instance, rng: RandomSource) -> tuple[int, int]:
@@ -369,7 +383,7 @@ def simulate(
 
     slots = _slot_sampler(scheme, inst) if allow_unverified else scheme._joint.slots
     tally = [0] * len(slots.values)
-    base = RandomSource(seed)
+    base = RandomSource._unseeded(seed)
     quota, remainder = divmod(n_samples, shards)
     for shard in range(min(shards, n_samples)):
         _tally(slots, quota + (shard < remainder), base.substream(shard)._getrandbits, tally)

@@ -1,18 +1,23 @@
-"""Exact phase-1 simplex on an integer tableau.
+"""Exact phase-1 simplex on an integer-preserving tableau.
 
 Decides whether ``A x = b`` has a nonnegative solution and returns one.
 Minimizes the sum of artificial variables with Bland's smallest-index
 pivoting rule, which rules out cycling, so termination is unconditional.
 
-Each tableau row, the objective row included, is a list of integer
-numerators over one positive row denominator, reduced by its gcd after
-every pivot.  Every cell equals the rational a Fraction tableau would
-hold, so pivots, verdict and solution are exactly those of rational
-arithmetic, at integer cost.  Entries may be ints or Fractions (read
-through ``numerator``/``denominator``); Fractions appear again only in
-the returned solution, which is checked exactly against the input on
-integers: the basic values over one common denominator, each row over
-its own.
+Every cell is an integer and no row is ever reduced by a gcd.  Row r holds
+its coefficients and its artificial entry times s_r, the lcm of the row's
+coefficient denominators, and its right-hand side times s_r and one common
+B.  A pivot with entry p, after previous pivot ``prev`` (1 at the start),
+sets every other row to ``(p*row - f*pivot_row) // prev``, the objective
+row included, and leaves the pivot row as it is.  The division is exact:
+every cell is an entry of adj(basis) times the integer system (Edmonds,
+J. Res. NBS 71B, 1967; Bareiss, Math. Comp. 22, 1968).  Each row is the
+row of the rational tableau times a positive factor, so every sign and
+every cross-multiplied ratio comparison, hence every pivot, verdict and
+solution, is that of rational arithmetic.  Entries may be ints or
+Fractions (read through ``numerator``/``denominator``); Fractions appear
+again only in the returned solution, which is checked exactly against the
+input on integers.
 
 This backs the brute-force feasibility oracle, which must stay
 structurally independent of the constructive pipeline it cross-checks.
@@ -21,18 +26,22 @@ structurally independent of the constructive pipeline it cross-checks.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import InputError, InternalInvariantError
 
 
-def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
-    """The same rationals ``row / den`` with the common factor divided out."""
-    g = gcd(den, *row)
-    if g == 1:
-        return row, den
-    return [v // g for v in row], den // g
+def _objective(tableau: list[list[int]], scales: list[int], n_vars: int) -> list[int]:
+    """Reduced costs for minimizing the artificial sum, c_j - c_B.col_j,
+    times the lcm of the row scales s_r: 0 at every (basic) artificial, and
+    the last cell minus the objective value."""
+    L = lcm(*scales)
+    weights = [L // s for s in scales]
+    obj = [-sum(map(mul, column, weights)) for column in zip(*tableau)]
+    obj[n_vars:-1] = [0] * (len(obj) - n_vars - 1)
+    return obj
 
 
 def feasible_nonnegative_solution(
@@ -49,37 +58,32 @@ def feasible_nonnegative_solution(
         return ()
 
     # Tableau: real columns, artificial identity, rhs; flip rows to b >= 0.
-    # Row r holds the rationals tableau[r][j] / dens[r].
+    # The objective row comes last and is updated as the others are.
     width = n_vars + n_rows
+    B = lcm(*(b.denominator for b in rhs))
     tableau: list[list[int]] = []
-    dens: list[int] = []
+    scales: list[int] = []
     for r in range(n_rows):
-        cells = [*rows[r], rhs[r]]
-        den = lcm(*(v.denominator for v in cells))
-        sign = -1 if rhs[r] < 0 else 1
-        row = [sign * v.numerator * (den // v.denominator) for v in cells]
-        row[n_vars:n_vars] = [0] * n_rows
-        row[n_vars + r] = den
-        row, den = _reduced(row, den)
+        s = lcm(*(v.denominator for v in rows[r]))
+        b = rhs[r]
+        sign = -1 if b < 0 else 1
+        row = [sign * v.numerator * (s // v.denominator) for v in rows[r]]
+        row += [0] * n_rows
+        row[n_vars + r] = s
+        row.append(sign * b.numerator * s * (B // b.denominator))
         tableau.append(row)
-        dens.append(den)
+        scales.append(s)
+    tableau.append(_objective(tableau, scales, n_vars))
     basis = [n_vars + r for r in range(n_rows)]
 
-    # Reduced costs for minimizing the artificial sum: objective row holds
-    # c_j - c_B.col_j; the last cell tracks minus the objective value.
-    obj_den = lcm(*dens)
-    scales = [obj_den // d for d in dens]
-    obj = [0] * (width + 1)
-    for j in (*range(n_vars), width):
-        obj[j] = -sum(row[j] * s for row, s in zip(tableau, scales))
-    obj, obj_den = _reduced(obj, obj_den)
-
+    prev = 1
     while True:
+        obj = tableau[n_rows]
         entering = next((j for j in range(width) if obj[j] < 0), None)
         if entering is None:
             break
         # Bland's ratio test: the least rhs/coeff over positive coefficients
-        # (row denominators cancel), ties to the smallest basic variable.
+        # (row factors cancel), ties to the smallest basic variable.
         pivot_row = None
         for r in range(n_rows):
             coeff = tableau[r][entering]
@@ -93,31 +97,23 @@ def feasible_nonnegative_solution(
                     pivot_row = r
         if pivot_row is None:
             raise InternalInvariantError("phase-1 objective unbounded")
-        # Scaling the pivot row to a unit pivot is a change of denominator.
-        pivot, pivot_den = _reduced(tableau[pivot_row], tableau[pivot_row][entering])
-        tableau[pivot_row], dens[pivot_row] = pivot, pivot_den
-        for r in range(n_rows):
-            factor = tableau[r][entering]
-            if r != pivot_row and factor != 0:
-                tableau[r], dens[r] = _reduced(
-                    [v * pivot_den - factor * pv for v, pv in zip(tableau[r], pivot)],
-                    dens[r] * pivot_den,
-                )
-        factor = obj[entering]
-        if factor != 0:
-            obj, obj_den = _reduced(
-                [v * pivot_den - factor * pv for v, pv in zip(obj, pivot)],
-                obj_den * pivot_den,
-            )
+        pivot = tableau[pivot_row]
+        p = pivot[entering]
+        for r, row in enumerate(tableau):
+            f = row[entering]
+            if r != pivot_row and (f or p != prev):
+                tableau[r] = [(p * v - f * pv) // prev for v, pv in zip(row, pivot)]
+        prev = p
         basis[pivot_row] = entering
 
-    if obj[width] != 0:
+    if tableau[n_rows][width] != 0:
         return None
 
-    # The positive basic values as integers xs[j] over one denominator D.
-    D = lcm(*(dens[r] for r, var in enumerate(basis) if var < n_vars))
+    # Every row pivoted on holds the last pivot in its basic cell, so the
+    # positive basic values are integers xs[j] over one denominator D.
+    D = prev * B
     xs = {
-        var: tableau[r][width] * (D // dens[r])
+        var: tableau[r][width]
         for r, var in enumerate(basis)
         if var < n_vars and tableau[r][width]
     }

@@ -372,5 +372,5 @@ def feasibility_oracle(inst: Instance) -> OracleReport:
         return OracleReport(feasible=False, support=None)
     return OracleReport(feasible=True, support=tuple(
         (weight, inj + tuple(j for j in range(cm.m) if j not in inj))
-        for inj, weight in zip(injections, solution) if weight > 0
+        for inj, weight in zip(injections, solution) if weight
     ))

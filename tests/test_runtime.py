@@ -1038,6 +1038,35 @@ def test_simulate_seeds_no_shard_that_draws_nothing(monkeypatch):
     assert wide == dataclasses.replace(narrow, shards=10**12)
 
 
+def test_simulate_seeds_a_generator_only_for_shards_that_draw(monkeypatch):
+    # Every generator seeded is a shard's that draws: none for the seed
+    # itself, none for the shards past the tenth, whose quota is 0.
+    inst = otp2()
+    scheme = sp.build_scheme(inst)
+    seeded = []
+
+    class Recording(random.Random):
+        def seed(self, a=None, version=2):
+            seeded.append(a)
+            super().seed(a, version)
+
+    monkeypatch.setattr(runtime.random, "Random", Recording)
+    three = sp.simulate(scheme, inst, 100, 42, shards=3)
+    wide = sp.simulate(scheme, inst, 10, 42, shards=10**12)
+    monkeypatch.undo()
+    streams = [sp.RandomSource(42).substream(k).seed for k in range(10)]
+    assert seeded == streams[:3] + streams
+    assert three == sp.simulate(scheme, inst, 100, 42, shards=3)
+    assert wide == sp.simulate(scheme, inst, 10, 42, shards=10**12)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
+def test_simulate_refuses_a_bad_seed_even_with_nothing_to_draw(seed):
+    inst = otp2()
+    with pytest.raises(sp.InputError, match="seed must be"):
+        sp.simulate(sp.build_scheme(inst), inst, 0, seed)
+
+
 def test_simulate_zero_samples_is_vacuous():
     inst = otp2()
     report = sp.simulate(sp.build_scheme(inst), inst, 0, 1)

@@ -10,8 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sidepad as sp
+from sidepad import verification
 from sidepad.simplex import feasible_nonnegative_solution
-from corpus import corpus, mixed23
+from corpus import corpus, mixed23, uniform_independent
 
 
 def _reference_simplex(rows, rhs):
@@ -229,19 +230,53 @@ def test_matches_the_fraction_reference_on_triage_instances():
     assert digest.hexdigest() == _TRIAGE_SEED1_DIGEST
 
 
+def test_matches_the_fraction_reference_on_triage_injection_lps(monkeypatch):
+    # The LPs the oracle solves: one variable per support injection, one
+    # row per supported cell, on every triage instance of seed 1 that
+    # reaches the solver.
+    systems = []
+    solve = verification.feasible_nonnegative_solution
+
+    def recording(rows, rhs):
+        systems.append((rows, rhs))
+        return solve(rows, rhs)
+
+    monkeypatch.setattr(verification, "feasible_nonnegative_solution", recording)
+    for inst in _triage_instances(1):
+        sp.feasibility_oracle(inst)
+    assert len(systems) == 422
+    for rows, rhs in systems:
+        _assert_same_solution(rows, rhs)
+
+
+# SHA-256 over repr() of the oracle's support on the dense uniform grids:
+# every cell positive, so every injection is a variable.  The 5x5 makes 83
+# pivots, 51 of them with a pivot or previous pivot other than 1, so the
+# tableau's exact division is exercised.
+_UNIFORM_SUPPORT_DIGESTS = {
+    (5, 5): "70221b30f08385b7aab7031507f2473064940afb3b7f9e44c659da97b94c8bba",
+    (4, 6): "90b007e8f05c8c5b66de80abedd58c8de1c13b39e2069677b3a47cd0e30ee1da",
+}
+
+
+@pytest.mark.parametrize("n, m", sorted(_UNIFORM_SUPPORT_DIGESTS))
+def test_oracle_support_on_dense_uniform_grids_is_pinned(n, m):
+    support = sp.feasibility_oracle(uniform_independent(n, m)).support
+    digest = hashlib.sha256(repr(support).encode()).hexdigest()
+    assert digest == _UNIFORM_SUPPORT_DIGESTS[n, m]
+
+
 def test_unbounded_phase_one_raises(monkeypatch):
     # Exact arithmetic keeps phase 1 bounded; a corrupted objective row (a
     # negative reduced cost over an all-zero column) must not pass silently.
-    reduced = sp.simplex._reduced
-    calls = []
+    objective = sp.simplex._objective
 
-    def corrupt_objective(row, den):
-        calls.append(row)
-        if len(calls) == 2:  # the objective row, after the single tableau row
-            row = [row[0], -1, *row[2:]]
-        return reduced(row, den)
+    def corrupt_objective(*args):
+        obj = objective(*args)
+        obj[1] = -1  # column 1 of [[1, 0]] is all zero
+        return obj
 
-    monkeypatch.setattr(sp.simplex, "_reduced", corrupt_objective)
+    monkeypatch.setattr(sp.simplex, "_objective", corrupt_objective)
     with pytest.raises(sp.InternalInvariantError, match="unbounded"):
         feasible_nonnegative_solution([[1, 0]], [1])
 
