@@ -15,9 +15,12 @@ from sidepad.simplex import feasible_nonnegative_solution
 from corpus import corpus, mixed23, uniform_independent
 
 
-def _reference_simplex(rows, rhs):
+def _reference_simplex(rows, rhs, artificial_entries=None):
     """The Fraction phase-1 simplex (Bland's rule) the integer tableau
-    replaced: a reference for ``feasible_nonnegative_solution``."""
+    replaced, artificial columns kept: a reference for
+    ``feasible_nonnegative_solution``.  Each time an artificial column
+    enters, the objective cell (minus the artificial sum) is appended to
+    ``artificial_entries`` when it is a list."""
     n_rows = len(rows)
     assert n_rows == len(rhs)
     n_vars = len(rows[0]) if n_rows else 0
@@ -45,6 +48,8 @@ def _reference_simplex(rows, rhs):
         entering = next((j for j in range(width) if obj[j] < 0), None)
         if entering is None:
             break
+        if entering >= n_vars and artificial_entries is not None:
+            artificial_entries.append(obj[width])
         pivot_row = None
         best = None
         for r in range(n_rows):
@@ -178,6 +183,26 @@ def test_zero_rows_and_empty_systems():
         feasible_nonnegative_solution([[1]], [1, 2])
     with pytest.raises(sp.InputError):
         feasible_nonnegative_solution([[1], [1, 2]], [1, 2])
+
+
+@pytest.mark.parametrize("rows, rhs, objective, solution", [
+    # Feasible: the artificial column enters once the objective is 0, and
+    # every pivot after it is degenerate.
+    ([[F(2, 3), 0], [-1, F(-2, 3)], [-1, F(1, 3)]], [0, F(-2, 3), F(1, 3)],
+     0, (0, 1)),
+    # Infeasible: the artificial column enters with the objective short of 0.
+    ([[0, 1, F(3, 2)], [F(2, 3), 1, F(1, 3)], [1, -1, 0], [2, 0, F(-1, 3)]],
+     [1, 1, -1, F(1, 2)], F(-39, 76), None),
+])
+def test_stops_where_the_reference_enters_an_artificial_column(
+    rows, rhs, objective, solution
+):
+    # The tableau holds no artificial columns, so it stops at the basis
+    # where the reference enters one; both edge cases end as the reference.
+    entries = []
+    assert _reference_simplex(rows, rhs, entries) == solution
+    assert entries and entries[0] == objective
+    assert feasible_nonnegative_solution(rows, rhs) == solution
 
 
 def _triage_instances(seed):
