@@ -49,6 +49,7 @@ from .errors import InfeasibleError, InputError, InternalInvariantError
 from .model import (
     ConditionalMatrix,
     Instance,
+    _SLOT_SPARE_BITS,
     _Sampler,
     _check_label,
     _clip_rat,
@@ -285,7 +286,7 @@ class _Joint:
                 for k in row[j]:
                     slots.append((i, j, k))
                     weights.append(b * a[k])
-        return _Sampler(slots, weights)
+        return _Sampler(slots, weights, _SLOT_SPARE_BITS)
 
     @cached_property
     def table(self) -> Mapping[tuple[int, int], int]:

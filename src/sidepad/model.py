@@ -233,9 +233,13 @@ class Instance:
         return _Sampler(cells.keys(), cells.values())
 
 
-# A sampler whose limit needs at most this many bits keeps its lookup table
-# as a list of 2**bits entries (at most 64 Ki); a wider one bisects.
+# A sampler whose table needs at most this many bits keeps it as a list of
+# 2**bits entries (at most 64 Ki); a wider one bisects.
 _TABLE_BITS = 16
+
+# ``simulate``'s slot tables widen a limit that is not a power of two by
+# this many bits, so that under a quarter of the table rejects.
+_SLOT_SPARE_BITS = 2
 
 
 class _Sampler:
@@ -253,25 +257,38 @@ class _Sampler:
     bisection, on the same integers; it matches CPython's ``randrange(L)``
     except where L is a power of two, whose table has no -1 and is read
     once per draw (L = 1 reads 0 bits).  Up to ``_TABLE_BITS`` bits the
-    table is a list; past it, an object that bisects."""
+    table is a list; past it, an object that bisects.
 
-    __slots__ = ("bits", "limit", "table", "thresholds", "values")
+    With ``spare`` bits (``simulate``'s slot tables take
+    ``_SLOT_SPARE_BITS``) a limit that is not a power of two gets a wider
+    table: ``bits`` grows by ``spare``, ``scale`` is 2**bits // L, index k
+    spans ``scale`` times its threshold run, so ``table[u]`` is
+    ``bisect_right(thresholds, u // scale)`` below scale * L, and the
+    2**bits mod L entries past it, fewer than L and so under
+    2**bits / 2**spare, are -1.  Otherwise ``scale`` is 1; ``draw`` is
+    only for such tables."""
 
-    def __init__(self, values: Sequence[object], weights: Sequence[int]):
+    __slots__ = ("bits", "limit", "scale", "table", "thresholds", "values")
+
+    def __init__(self, values: Sequence[object], weights: Sequence[int], spare: int = 0):
         g = gcd(*weights)
         self.values = list(values)
         self.thresholds = list(accumulate(w // g for w in weights))
         self.limit = limit = self.thresholds[-1]
-        self.bits = bits = (limit - 1).bit_length()
+        bits = (limit - 1).bit_length()
+        if limit & (limit - 1):
+            bits += spare
+        self.bits = bits
+        self.scale = scale = (1 << bits) // limit
         if bits > _TABLE_BITS:
-            self.table = _Bisection(self.thresholds)
+            self.table = _Bisection(self.thresholds, scale)
             return
         table: list[int] = []
         prev = 0
         for k, t in enumerate(self.thresholds):
-            table += [k] * (t - prev)
+            table += [k] * (scale * (t - prev))
             prev = t
-        table += [-1] * ((1 << bits) - limit)
+        table += [-1] * ((1 << bits) - scale * limit)
         self.table = table
 
     def draw(self, rng) -> object:
@@ -282,21 +299,25 @@ class _Sampler:
 
 class _Bisection:
     """A wide sampler's table, or its window from ``offset`` on: ``self[u]``
-    bisects ``offset + u`` into the thresholds, or is -1 when that is not
-    below the last one.  ``self[lo:hi]`` is the window from ``lo`` on, as a
-    list table's slice is (a window does not check ``hi``)."""
+    bisects ``(offset + u) // scale`` into the thresholds, or is -1 when
+    ``offset + u`` is not below ``scale`` times the last one.
+    ``self[lo:hi]`` is the window from ``lo`` on, as a list table's slice
+    is (a window does not check ``hi``)."""
 
-    __slots__ = ("limit", "offset", "thresholds")
+    __slots__ = ("limit", "offset", "scale", "thresholds")
 
-    def __init__(self, thresholds: list[int], offset: int = 0):
+    def __init__(self, thresholds: list[int], scale: int, offset: int = 0):
         self.thresholds = thresholds
+        self.scale = scale
         self.offset = offset
-        self.limit = thresholds[-1] - offset
+        self.limit = scale * thresholds[-1] - offset
 
     def __getitem__(self, u):
         if isinstance(u, slice):
-            return _Bisection(self.thresholds, self.offset + u.start)
-        return bisect_right(self.thresholds, self.offset + u) if u < self.limit else -1
+            return _Bisection(self.thresholds, self.scale, self.offset + u.start)
+        if u < self.limit:
+            return bisect_right(self.thresholds, (self.offset + u) // self.scale)
+        return -1
 
 
 def _numerators(values: Iterable[Fraction]) -> tuple[list[int], int]:

@@ -28,10 +28,15 @@ from P_XY, then, only when phi(x, y) holds several signals, one of them.
 slots, whose masses are the product of those two steps, and it does not
 draw its samples one at a time: it tallies a shard's count by halving
 it down the table's binary tree (Knuth and Yao's discrete-distribution
-tree, applied to counts).  With T the slot table of width 2**bits
-described below (-1 past the limit L) and K slots, a node (lo, d, c)
-holds c samples whose index u is uniform on [lo, lo + 2**d).  A stack
-starts as the one node (0, bits, c) and pops one node at a time:
+tree, applied to counts).  The slot table is two bits wider than the
+point samplers' tables below where its limit L is not a power of two:
+with bits the bit length of L - 1 plus 2 and scale = 2**bits // L, slot
+s spans scale times its threshold run, and only the last 2**bits mod L
+entries, fewer than L and so under a quarter of the table, are -1 (a
+power-of-two L keeps its table, scale 1, with no -1).  With T that
+table and K slots, a node (lo, d, c) holds c samples whose index u is
+uniform on [lo, lo + 2**d).  A stack starts as the one node
+(0, bits, c) and pops one node at a time:
 
 - a = T[lo] equals b = T[lo + 2**d - 1]: the node is pure.  Its c
   samples are added to slot a, or, when a is -1 (all rejected), the node
@@ -50,12 +55,13 @@ starts as the one node (0, bits, c) and pops one node at a time:
 A sample's index has i.i.d. fair bits, so a node's count splits
 Binomial(c, 1/2) and each half's samples stay uniform on that half, and
 a rejected sample is replaced by an independent full-range draw: the
-tally has exactly the multinomial law of c independent draws.  It reads
-the integers c draws by the rule read only when no node splits, that is
-when c <= bits * span of the root; at that count a deterministic
-scheme's ``simulate`` reads exactly the integers a loop of
-``sample_world`` and ``encode`` reads.  A randomized scheme's does not:
-its outputs are those of the one-table walk, not of that loop.
+tally has exactly the multinomial law of c independent draws (slot s
+holds scale times its threshold run of the scale * L accepted indices,
+so its mass is that of the narrow table).  It reads what c draws of
+``getrandbits(bits)`` below scale * L read only when no node splits,
+that is when c <= bits * span of the root.  Its outputs are those of
+the one-table walk, not of a loop of ``sample_world`` and ``encode``,
+which keep the draw rule and its narrow tables.
 
 Exactness contract
 ------------------
@@ -69,9 +75,10 @@ bisection by lookup: with k the bit length of L - 1, ``table[u]`` for every
 u < 2**k is the index bisection gives when u < L and -1 otherwise, so a
 draw reads ``table[getrandbits(k)]`` and reads again on -1.  That is the
 same integer, in the same order, mapped to the same index as the rule
-followed by bisection.  Up to 16 bits the table is a list of 2**k
-entries; a wider one bisects on lookup.  ``sample_world``'s table passes
-P_XY's numerators over their lcm (so G = 1 and L is that lcm); an
+followed by bisection.  ``simulate``'s slot table takes the two spare
+bits described above, and u // scale is bisected in place of u.  Up to
+16 bits a table is a list of 2**k entries; a wider one bisects on
+lookup.  ``sample_world``'s table passes P_XY's numerators over their lcm (so G = 1 and L is that lcm); an
 encoder cell passes its signals' weight numerators, giving the masses
 alpha_k / sum(alpha); ``simulate``'s table passes, for each pair
 (cell, k) of a verified scheme, the numerator of Q(x, y, z_k) =
@@ -83,8 +90,9 @@ empirical frequencies.  A deterministic encoder cell and a point mass
 consume no randomness; every other draw consumes k bits per read, and a
 limit that is a power of two never reads twice.  ``simulate`` reads per
 node of its walk: one read per 2**20 bits of a split's popcount, one per
-sample at a leaf plus its redraws, none at a pure node.  An
-instance keeps the sampler of its joint for ``sample_world``, and a
+sample at a leaf plus its redraws (under a third of a read per sample,
+in expectation, with the spare bits), none at a pure node.  An instance
+keeps the sampler of its joint for ``sample_world``, and a
 scheme's compiled joint (``Scheme._joint``, read here directly) keeps
 each cell's encoder distribution for ``encode`` and, once built,
 ``simulate``'s table; ``simulate`` builds neither that world sampler nor
@@ -109,7 +117,7 @@ from .errors import (
     OffSupportError,
     UnverifiedSchemeError,
 )
-from .model import Instance, _Sampler, _numerators
+from .model import Instance, _SLOT_SPARE_BITS, _Sampler, _numerators
 from .verification import (
     LAWS,
     _scheme_rows,
@@ -234,7 +242,7 @@ def _slot_sampler(scheme: Scheme, inst: Instance) -> _Sampler:
                 for k in ks:
                     slots.append((i, j, k))
                     masses.append(Fraction(c * a[k], T))
-    return _Sampler(slots, _numerators(masses)[0])
+    return _Sampler(slots, _numerators(masses)[0], _SLOT_SPARE_BITS)
 
 
 # A split's popcount reads its bits in chunks of this many, a multiple of 32

@@ -27,7 +27,9 @@ with the nonbasic artificials fixed at 0 is optimal.  If ``A x = b`` has
 a solution x* >= 0, (x*, 0) is feasible there, so the objective is 0 and
 every further pivot is degenerate and leaves x as it is; otherwise the
 objective is not 0 and there is no solution.  So stopping there gives the
-solution the full tableau gives.
+solution the full tableau gives.  For the same reason the loop stops as
+soon as the objective reaches 0: a further pivot, real or artificial, is
+degenerate and leaves x as it is.
 
 This backs the brute-force feasibility oracle, which must stay
 structurally independent of the constructive pipeline it cross-checks.
@@ -84,6 +86,8 @@ def feasible_nonnegative_solution(
     prev = 1
     while True:
         obj = tableau[n_rows]
+        if obj[n_vars] == 0:
+            break  # objective 0: every further pivot would be degenerate
         entering = next((j for j in range(n_vars) if obj[j] < 0), None)
         if entering is None:
             break

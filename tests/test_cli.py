@@ -998,18 +998,18 @@ CLI_GOLDEN = {
         0,
         'samples: 3000\n'
         'decode success: 1.000000\n'
-        'empirical Q_Z: z1=0.478667 z2=0.348000 z3=0.173333\n'
-        'TV from P_X by signal (min count 1000): z1=0.010446 z2=0.003831 z3=n'
+        'empirical Q_Z: z1=0.498667 z2=0.338000 z3=0.163333\n'
+        'TV from P_X by signal (min count 1000): z1=0.005348 z2=0.003945 z3=n'
         '/a\n'
-        'max TV: 0.010446\n',
+        'max TV: 0.005348\n',
         '',
     ),
     'simulate mixed23.scheme --against mixed23 -n 3000 --seed 7 --json': (
         0,
         '{"kind":"simulation","samples":3000,"decode_success":1.0,'
-        '"empirical_qz":[0.4786666666666667,0.348,'
-        '0.17333333333333334],"tv_secrecy":[0.010445682451253463,'
-        '0.0038314176245210774,null],"max_tv":0.010445682451253463,'
+        '"empirical_qz":[0.49866666666666665,0.338,'
+        '0.16333333333333333],"tv_secrecy":[0.005347593582887722,'
+        '0.0039447731755424265,null],"max_tv":0.005347593582887722,'
         '"min_count":1000,"shards":1,'
         '"seed":7}',
         '',
@@ -1036,17 +1036,17 @@ CLI_GOLDEN = {
         0,
         'samples: 3000\n'
         'decode success: 1.000000\n'
-        'empirical Q_Z: z1=0.667667 z2=0.332333\n'
-        'TV from P_X by signal (min count 1000): z1=0.011233 z2=n/a\n'
-        'max TV: 0.011233\n',
+        'empirical Q_Z: z1=0.672333 z2=0.327667\n'
+        'TV from P_X by signal (min count 1000): z1=0.007685 z2=n/a\n'
+        'max TV: 0.007685\n',
         '',
     ),
     'simulate det22.scheme --against det22 -n 3000 --seed 7 --json': (
         0,
         '{"kind":"simulation","samples":3000,"decode_success":1.0,'
-        '"empirical_qz":[0.6676666666666666,0.3323333333333333],'
-        '"tv_secrecy":[0.011233150274588127,null],'
-        '"max_tv":0.011233150274588127,"min_count":1000,"shards":1,'
+        '"empirical_qz":[0.6723333333333333,0.32766666666666666],'
+        '"tv_secrecy":[0.007684680218145751,null],'
+        '"max_tv":0.007684680218145751,"min_count":1000,"shards":1,'
         '"seed":7}',
         '',
     ),
@@ -1055,17 +1055,17 @@ CLI_GOLDEN = {
         0,
         'samples: 2500\n'
         'decode success: 1.000000\n'
-        'empirical Q_Z: z1=0.523200 z2=0.323600 z3=0.153200\n'
-        'TV from P_X by signal (min count 900): z1=0.006881 z2=n/a z3=n/a\n'
-        'max TV: 0.006881\n',
+        'empirical Q_Z: z1=0.496000 z2=0.335600 z3=0.168400\n'
+        'TV from P_X by signal (min count 900): z1=0.000806 z2=n/a z3=n/a\n'
+        'max TV: 0.000806\n',
         '',
     ),
     ('simulate mixed23.scheme --against mixed23 -n 2500 --seed 11'
      ' --shards 3 --min-count 900 --json'): (
         0,
         '{"kind":"simulation","samples":2500,"decode_success":1.0,'
-        '"empirical_qz":[0.5232,0.3236,0.1532],"tv_secrecy":['
-        '0.006880733944954143,null,null],"max_tv":0.006880733944954143,'
+        '"empirical_qz":[0.496,0.3356,0.1684],"tv_secrecy":['
+        '0.0008064516129032417,null,null],"max_tv":0.0008064516129032417,'
         '"min_count":900,"shards":3,"seed":11}',
         '',
     ),

@@ -293,17 +293,32 @@ def test_oracle_support_on_dense_uniform_grids_is_pinned(n, m):
 
 def test_unbounded_phase_one_raises(monkeypatch):
     # Exact arithmetic keeps phase 1 bounded; a corrupted objective row (a
-    # negative reduced cost over an all-zero column) must not pass silently.
+    # negative reduced cost over an all-zero column, which enters first
+    # while the objective is still negative) must not pass silently.
     objective = sp.simplex._objective
 
     def corrupt_objective(*args):
         obj = objective(*args)
-        obj[1] = -1  # column 1 of [[1, 0]] is all zero
+        obj[0] = -1  # column 0 of [[0, 1]] is all zero
         return obj
 
     monkeypatch.setattr(sp.simplex, "_objective", corrupt_objective)
     with pytest.raises(sp.InternalInvariantError, match="unbounded"):
-        feasible_nonnegative_solution([[1, 0]], [1])
+        feasible_nonnegative_solution([[0, 1]], [1])
+
+
+def test_phase_one_stops_at_objective_zero(monkeypatch):
+    # Column 0 of [[1, 0]] enters first and brings the objective to 0, so
+    # the loop stops before the corrupted, all-zero column 1 could enter.
+    objective = sp.simplex._objective
+
+    def corrupt_objective(*args):
+        obj = objective(*args)
+        obj[1] = -1
+        return obj
+
+    monkeypatch.setattr(sp.simplex, "_objective", corrupt_objective)
+    assert feasible_nonnegative_solution([[1, 0]], [1]) == (1, 0)
 
 
 class _TwoFacedRow(list):
