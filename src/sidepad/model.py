@@ -238,7 +238,8 @@ class Instance:
 _TABLE_BITS = 16
 
 # ``simulate``'s slot tables widen a limit that is not a power of two by
-# this many bits, so that under a quarter of the table rejects.
+# this many bits, so that under a quarter of the table rejects; a table
+# that fits a list takes only as many as keep it one.
 _SLOT_SPARE_BITS = 2
 
 
@@ -261,11 +262,13 @@ class _Sampler:
 
     With ``spare`` bits (``simulate``'s slot tables take
     ``_SLOT_SPARE_BITS``) a limit that is not a power of two gets a wider
-    table: ``bits`` grows by ``spare``, ``scale`` is 2**bits // L, index k
-    spans ``scale`` times its threshold run, so ``table[u]`` is
-    ``bisect_right(thresholds, u // scale)`` below scale * L, and the
-    2**bits mod L entries past it, fewer than L and so under
-    2**bits / 2**spare, are -1.  Otherwise ``scale`` is 1; ``draw`` is
+    table: ``bits`` grows by ``spare``, but not past ``_TABLE_BITS`` when
+    it starts there or below, so a table that fits a list stays one;
+    ``scale`` is 2**bits // L, index k spans ``scale`` times its threshold
+    run, so ``table[u]`` is ``bisect_right(thresholds, u // scale)`` below
+    scale * L, and the 2**bits mod L entries past it, fewer than L, are
+    -1: under 2**bits / 2**spare with every spare bit taken, and under
+    half of the table with any.  Otherwise ``scale`` is 1; ``draw`` is
     only for such tables."""
 
     __slots__ = ("bits", "limit", "scale", "table", "thresholds", "values")
@@ -277,7 +280,8 @@ class _Sampler:
         self.limit = limit = self.thresholds[-1]
         bits = (limit - 1).bit_length()
         if limit & (limit - 1):
-            bits += spare
+            # A table that fits a list keeps fitting one.
+            bits = bits + spare if bits > _TABLE_BITS else min(bits + spare, _TABLE_BITS)
         self.bits = bits
         self.scale = scale = (1 << bits) // limit
         if bits > _TABLE_BITS:

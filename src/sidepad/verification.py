@@ -36,6 +36,9 @@ refuses unverified schemes through ``verify_scheme``.
 ``feasibility_oracle`` answers "does any scheme exist?" by brute force —
 an exact phase-1 simplex over mixtures of support injections — sharing no
 code with the constructive pipeline, so the two can cross-check each other.
+It reads each supported state's integer numerators, never the column
+sums, and hands the LP to the solver as sparse columns: one per injection,
+listing the rows of the cells it hits, over an integer right-hand side.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Mapping, Optional
 from weakref import ref
 
@@ -52,8 +56,8 @@ from .errors import (
     DimensionMismatchError,
     UnverifiedSchemeError,
 )
-from .model import Instance, _fractions, conditional_y_given_x, supp_x
-from .simplex import feasible_nonnegative_solution
+from .model import Instance, _fractions, supp_x
+from .simplex import feasible_sparse_solution
 
 Witness = dict[str, object]
 
@@ -354,23 +358,34 @@ def feasibility_oracle(inst: Instance) -> OracleReport:
     One variable per injection of the states into their supports and one
     row per supported cell thus keep the same feasible mixtures, and no
     injection (Hall fails on the support) means no scheme, with no solve.
+    Each injection's column lists the cell rows where it has a 1, and the
+    right-hand side is read off each state's integer numerators: the
+    conditional row of numerators ``nums`` is nums / sum(nums), so over the
+    lcm of those sums every cell is an integer.
     Refuses m above ``_ORACLE_MAX_M`` with :class:`CapExceededError`.
     """
     if inst.m > _ORACLE_MAX_M:
         raise CapExceededError(f"oracle caps at m={_ORACLE_MAX_M} columns; got {inst.m}")
-    cm = conditional_y_given_x(inst)
-    supports = [[j for j in range(cm.m) if cm.entries[i][j]] for i in range(cm.n)]
-    injections = [()]
-    for cols in supports:
-        injections = [inj + (j,) for inj in injections for j in cols if j not in inj]
-    cells = [(i, j) for i, cols in enumerate(supports) for j in cols]
-    solution = injections and feasible_nonnegative_solution(
-        [[1 if inj[i] == j else 0 for inj in injections] for i, j in cells],
-        [cm.entries[i][j] for i, j in cells],
+    states = [inst._rows[i][0] for i in supp_x(inst)]
+    totals = [sum(nums) for nums in states]
+    den = lcm(*totals)
+    # Each injection with its column: the supported cells are the rows,
+    # state by state, and the injection's cell in state i is row
+    # base + k for its k-th supported column.
+    injections: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
+    rhs: list[int] = []
+    for nums, total in zip(states, totals):
+        base = len(rhs)
+        cols = [j for j, v in enumerate(nums) if v]
+        injections = [(inj + (j,), rows + (base + k,)) for inj, rows in injections
+                      for k, j in enumerate(cols) if j not in inj]
+        rhs += [nums[j] * (den // total) for j in cols]
+    solution = injections and feasible_sparse_solution(
+        [rows for _, rows in injections], rhs, den
     )
     if not solution:
         return OracleReport(feasible=False, support=None)
     return OracleReport(feasible=True, support=tuple(
-        (weight, inj + tuple(j for j in range(cm.m) if j not in inj))
-        for inj, weight in zip(injections, solution) if weight
+        (weight, inj + tuple(j for j in range(inst.m) if j not in inj))
+        for (inj, _), weight in zip(injections, solution) if weight
     ))

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: outputs, pipes, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -525,6 +526,26 @@ def test_oracle_output_is_pinned(capsys, paths, name):
     assert run(capsys, "oracle", paths[name], "--json") == (
         code, json.dumps(payload, indent=2) + "\n", ""
     )
+
+
+# SHA-256 of ``oracle --json`` on the dense n x n Shannon grids, the values
+# CI pins: every cell is positive, so all 120 and 720 permutations are
+# variables of the oracle's LP, and the report pins its pivot path.
+DENSE_ORACLE_DIGESTS = {
+    5: "921945bdd014be5642ddf8f7d74694b358846e76136f47fd2ed5ccebb02de4d1",
+    6: "ee40d582702e779706c0ec7c4ba9f305c07279323c628a7617f4e918dec40b32",
+}
+
+
+@pytest.mark.parametrize("n", sorted(DENSE_ORACLE_DIGESTS))
+def test_dense_oracle_json_is_pinned(capsys, tmp_path, n):
+    code, document, _ = run(capsys, "shannon", "-n", str(n), "-m", str(n))
+    assert code == 0
+    path = tmp_path / f"dense{n}.inst"
+    path.write_text(document, encoding="utf-8")
+    code, out, err = run(capsys, "oracle", str(path), "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == DENSE_ORACLE_DIGESTS[n]
 
 
 def test_oracle_refuses_large_alphabets(capsys, tmp_path):

@@ -86,9 +86,11 @@ def _is_power_of_two(bound):
 def _slot_width(limit):
     """simulate's slot table width written out from its rule: ``bits`` is
     the bit length of limit - 1, plus two spare bits unless the limit is a
-    power of two, and each threshold unit spans ``scale`` = 2**bits //
-    limit entries."""
-    bits = (limit - 1).bit_length() + (0 if _is_power_of_two(limit) else 2)
+    power of two, but at most 16 when that bit length is at most 16, and
+    each threshold unit spans ``scale`` = 2**bits // limit entries."""
+    bits = (limit - 1).bit_length()
+    if not _is_power_of_two(limit):
+        bits = bits + 2 if bits > 16 else min(bits + 2, 16)
     return bits, 2**bits // limit
 
 
@@ -145,7 +147,8 @@ def test_wide_sampler_table_is_the_bisection(limit, seed):
 def _assert_slot_layout(slots):
     """A slot table follows its width rule: slot s spans scale times its
     threshold run, in order, and the 2**bits mod limit entries past them,
-    fewer than the limit and than a quarter of the table, are -1.  A list
+    fewer than the limit and than a quarter of the table (half where fewer
+    than two spare bits keep a table a list), are -1.  A list
     holds exactly 2**bits entries, at most 2**16; a wider table bisects,
     and so does each window of it.  A power-of-two limit gets the table a
     sampler without spare bits builds."""
@@ -154,7 +157,8 @@ def _assert_slot_layout(slots):
     assert (slots.bits, slots.scale) == (bits, scale)
     rejected = 2**bits - scale * limit
     assert rejected == 2**bits % limit
-    assert rejected < limit and 4 * rejected < 2**bits
+    spare = bits - (limit - 1).bit_length()
+    assert rejected < limit and (4 if spare == 2 else 2) * rejected < 2**bits
     runs = list(enumerate(zip([0, *thresholds], thresholds)))
     table = slots.table
     if bits <= _TABLE_BITS:
@@ -178,10 +182,16 @@ def _assert_slot_layout(slots):
 
 def test_slot_tables_follow_the_width_rule():
     # Every limit up to 4,096, and limits around and past the list cap.
+    # Below 2**16 every table is a list: limits past 2**14 take one spare
+    # bit, and limits past 2**15 none.
     rng = random.Random("slot layout")
-    past = [2**14 + 1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**20, 2**33 + 1, 2**50 + 3]
-    for limit in [*range(1, 4097), *past]:
-        _assert_slot_layout(_sampler_of_limit(limit, rng, _SLOT_SPARE_BITS))
+    near = [2**14 - 1, 2**14 + 1, 2**15 - 1, 2**15 + 1, 65521, 2**16 - 1]
+    past = [2**16, 2**16 + 1, 3 * 2**20, 2**33 + 1, 2**50 + 3]
+    for limit in [*range(1, 4097), *near, *past]:
+        slots = _sampler_of_limit(limit, rng, _SLOT_SPARE_BITS)
+        _assert_slot_layout(slots)
+        assert (type(slots.table) is list) == (limit <= 2**16)
+    assert [_slot_width(limit)[0] for limit in near] == [16, 16, 16, 16, 16, 16]
 
 
 def test_random_source_validates_seed():
@@ -436,9 +446,11 @@ def test_simulate_reports_of_built_schemes_are_pinned_on_corpus():
     # Recorded with König's colouring wherever a deterministic scheme
     # exists, else sparse padding and max-bottleneck matching, tallying
     # the (cell, signal) table, two bits wider where its limit is not a
-    # power of two, by the halving walk.
+    # power of two but never past a list that fits (the doubled-weight
+    # twins of three instances have limits 27300, 27720 and 39600), by the
+    # halving walk.
     assert _simulate_digest(sp.build_scheme) == (
-        "5a9faecd1ef0fef3ab69642aa3ba0ae15e71e8ddaea48fc5d3110a56e9f23c4f"
+        "94eaf87ed8e8f694572b92ecb70c7e2a3e075a2e60dab079b021f7d8aca5b1e9"
     )
 
 

@@ -1,4 +1,5 @@
-"""The integer phase-1 simplex against the Fraction tableau it replaced."""
+"""The integer phase-1 simplex, dense and sparse entries, against the
+Fraction tableau it replaced."""
 
 import hashlib
 import itertools
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import sidepad as sp
 from sidepad import verification
-from sidepad.simplex import feasible_nonnegative_solution
+from sidepad.simplex import feasible_nonnegative_solution, feasible_sparse_solution
 from corpus import corpus, mixed23, uniform_independent
 
 
@@ -255,23 +256,125 @@ def test_matches_the_fraction_reference_on_triage_instances():
     assert digest.hexdigest() == _TRIAGE_SEED1_DIGEST
 
 
+def _dense(columns, rhs, den=1):
+    """The dense system a sparse one stands for: ``rows @ x == rhs / den``
+    with column j holding 1 at rows ``columns[j]`` and 0 elsewhere."""
+    rows = [[0] * len(columns) for _ in rhs]
+    for j, listed in enumerate(columns):
+        for r in listed:
+            rows[r][j] = 1
+    return rows, [F(b, den) for b in rhs]
+
+
+def _assert_sparse_is_the_reference(columns, rhs, den=1):
+    got = feasible_sparse_solution(columns, rhs, den)
+    assert got == _reference_simplex(*_dense(columns, rhs, den))
+    if got is not None:
+        assert all(type(v) is F and v >= 0 for v in got)
+    return got
+
+
 def test_matches_the_fraction_reference_on_triage_injection_lps(monkeypatch):
     # The LPs the oracle solves: one variable per support injection, one
     # row per supported cell, on every triage instance of seed 1 that
     # reaches the solver.
     systems = []
-    solve = verification.feasible_nonnegative_solution
+    solve = verification.feasible_sparse_solution
 
-    def recording(rows, rhs):
-        systems.append((rows, rhs))
-        return solve(rows, rhs)
+    def recording(*args):
+        systems.append(args)
+        return solve(*args)
 
-    monkeypatch.setattr(verification, "feasible_nonnegative_solution", recording)
+    monkeypatch.setattr(verification, "feasible_sparse_solution", recording)
     for inst in _triage_instances(1):
         sp.feasibility_oracle(inst)
     assert len(systems) == 422
-    for rows, rhs in systems:
-        _assert_same_solution(rows, rhs)
+    for system in systems:
+        _assert_sparse_is_the_reference(*system)
+
+
+def _injection_systems(rng, count):
+    """Random 0/1 injection systems as the oracle poses them: n states with
+    random supports in m columns, one row per supported cell, one column
+    per injection of the states into their supports listing its cells'
+    rows, and a right-hand side mixed from up to four injections with
+    random integer weights over their total, so each is feasible."""
+    out = []
+    while len(out) < count:
+        m = rng.randint(2, 5)
+        n = rng.randint(1, m)
+        supports = [sorted(rng.sample(range(m), rng.randint(1, m))) for _ in range(n)]
+        injections = [()]
+        for cols in supports:
+            injections = [inj + (j,) for inj in injections for j in cols if j not in inj]
+        if not injections:
+            continue
+        rows = {}
+        for i, cols in enumerate(supports):
+            for j in cols:
+                rows[i, j] = len(rows)
+        columns = [tuple(rows[i, j] for i, j in enumerate(inj)) for inj in injections]
+        rhs = [0] * len(rows)
+        for _ in range(rng.randint(1, 4)):
+            weight = rng.randint(1, 9)
+            for r in rng.choice(columns):
+                rhs[r] += weight
+        out.append((n, columns, rhs, sum(rhs) // n))
+    return out
+
+
+def test_sparse_entry_matches_the_reference_on_feasible_injection_systems():
+    for n, columns, rhs, den in _injection_systems(random.Random("mixtures"), 500):
+        assert _assert_sparse_is_the_reference(columns, rhs, den) is not None
+
+
+def test_sparse_entry_matches_the_reference_with_one_cell_moved():
+    # The same systems.  Every injection puts one unit in each state's
+    # cells, so moving mass from a cell of the first state to one of the
+    # second leaves two state totals unequal: no mixture fits.
+    moved = 0
+    for n, columns, rhs, den in _injection_systems(random.Random("mixtures"), 500):
+        if n < 2:
+            continue
+        # Each column lists the first state's cell first, the second's next.
+        source = next(c[0] for c in columns if rhs[c[0]])
+        rhs = list(rhs)
+        rhs[source] -= 1
+        rhs[columns[0][1]] += 1
+        assert _assert_sparse_is_the_reference(columns, rhs, den) is None
+        moved += 1
+    assert moved == 334
+
+
+@st.composite
+def zero_one_systems(draw):
+    """Small 0/1 systems as the sparse entry takes them: each column's rows
+    (possibly none), the rhs as integer numerators (often negative, so rows
+    get flipped) over a positive ``den``."""
+    n_rows = draw(st.integers(1, 4))
+    rows = st.lists(st.integers(0, n_rows - 1), max_size=n_rows, unique=True)
+    columns = draw(st.lists(rows, min_size=1, max_size=5))
+    rhs = draw(st.lists(st.integers(-4, 6), min_size=n_rows, max_size=n_rows))
+    return columns, rhs, draw(st.integers(1, 6))
+
+
+@given(zero_one_systems())
+def test_sparse_and_dense_entries_agree_on_small_systems(system):
+    assert feasible_sparse_solution(*system) == feasible_nonnegative_solution(
+        *_dense(*system)
+    )
+
+
+def test_sparse_entry_refuses_malformed_columns():
+    with pytest.raises(sp.InputError):
+        feasible_sparse_solution([(0, 1)], [1])
+    with pytest.raises(sp.InputError):
+        feasible_sparse_solution([(-1,)], [1])
+    with pytest.raises(sp.InputError):
+        feasible_sparse_solution([(0,)], [1], 0)
+    with pytest.raises(sp.InputError):
+        feasible_sparse_solution([(0,)], [1], -1)
+    assert feasible_sparse_solution([(), ()], []) == (0, 0)
 
 
 # SHA-256 over repr() of the oracle's support on the dense uniform grids:
@@ -291,18 +394,24 @@ def test_oracle_support_on_dense_uniform_grids_is_pinned(n, m):
     assert digest == _UNIFORM_SUPPORT_DIGESTS[n, m]
 
 
+def _plant_negative_reduced_cost(monkeypatch, planted):
+    """Corrupt the pricing hook: column ``planted`` prices out on top of
+    the real reduced costs, so Bland's rule enters it unless a column
+    before it prices out."""
+    entering = sp.simplex._entering
+
+    def corrupt_entering(*args):
+        found = entering(*args)
+        return planted if found is None or found > planted else found
+
+    monkeypatch.setattr(sp.simplex, "_entering", corrupt_entering)
+
+
 def test_unbounded_phase_one_raises(monkeypatch):
-    # Exact arithmetic keeps phase 1 bounded; a corrupted objective row (a
-    # negative reduced cost over an all-zero column, which enters first
-    # while the objective is still negative) must not pass silently.
-    objective = sp.simplex._objective
-
-    def corrupt_objective(*args):
-        obj = objective(*args)
-        obj[0] = -1  # column 0 of [[0, 1]] is all zero
-        return obj
-
-    monkeypatch.setattr(sp.simplex, "_objective", corrupt_objective)
+    # Exact arithmetic keeps phase 1 bounded; a corrupted reduced cost (a
+    # negative one over an all-zero column, which enters first while the
+    # objective is still negative) must not pass silently.
+    _plant_negative_reduced_cost(monkeypatch, 0)  # column 0 of [[0, 1]] is all zero
     with pytest.raises(sp.InternalInvariantError, match="unbounded"):
         feasible_nonnegative_solution([[0, 1]], [1])
 
@@ -310,14 +419,7 @@ def test_unbounded_phase_one_raises(monkeypatch):
 def test_phase_one_stops_at_objective_zero(monkeypatch):
     # Column 0 of [[1, 0]] enters first and brings the objective to 0, so
     # the loop stops before the corrupted, all-zero column 1 could enter.
-    objective = sp.simplex._objective
-
-    def corrupt_objective(*args):
-        obj = objective(*args)
-        obj[1] = -1
-        return obj
-
-    monkeypatch.setattr(sp.simplex, "_objective", corrupt_objective)
+    _plant_negative_reduced_cost(monkeypatch, 1)
     assert feasible_nonnegative_solution([[1, 0]], [1]) == (1, 0)
 
 

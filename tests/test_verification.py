@@ -390,13 +390,13 @@ def test_oracle_matches_the_dense_permutation_lp(source):
 def lp_columns(monkeypatch):
     """The column count of every system the oracle hands the solver."""
     columns = []
-    solve = verification.feasible_nonnegative_solution
+    solve = verification.feasible_sparse_solution
 
-    def recording(rows, rhs):
-        columns.append(len(rows[0]))
-        return solve(rows, rhs)
+    def recording(*args):
+        columns.append(len(args[0]))
+        return solve(*args)
 
-    monkeypatch.setattr(verification, "feasible_nonnegative_solution", recording)
+    monkeypatch.setattr(verification, "feasible_sparse_solution", recording)
     return columns
 
 
