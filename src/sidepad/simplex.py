@@ -4,23 +4,20 @@ Decides whether ``A x = b`` has a nonnegative solution and returns one.
 Minimizes the sum of artificial variables with Bland's smallest-index
 pivoting rule, which rules out cycling, so termination is unconditional.
 
-The core takes the system as sparse columns: column j lists the rows where
-A_j is nonzero and its values there.  ``feasible_sparse_solution`` takes
-0/1 columns, each listing only its rows, over an integer rhs (the
-oracle's, one column per support injection);
-``feasible_nonnegative_solution`` takes dense rows of any coefficients and
-hands their nonzero cells, with their values, to the same core.
+``feasible_sparse_solution`` takes A as 0/1 columns, each listing the rows
+where it is 1, over b as integer numerators with a positive common
+denominator: the oracle's LP, one column per support injection.  No
+nonnegative mix of such columns reaches a negative value, so a negative
+b_r means no solution, before any pivot; otherwise b >= 0 and no row is
+flipped or scaled.
 
-Row r is scaled by s_r, the lcm of its coefficient denominators, and
-flipped to b_r >= 0; S A and S b (times the rhs's common denominator) are
-integers and are never stored as a tableau.  The solver keeps only the
-artificial block, started at the identity, and the rhs: ``n_rows + 1``
-integers per row.  Every row operation of a pivot acts on the whole row,
-so the block is the row operator M of all pivots so far, the real column
-j of the tableau is M (S A_j) and the rhs column is M (S b).  The
-objective row minimizes the artificial sum times L, the lcm of the s_r:
-its block u starts at -w with w_r = L / s_r and is updated as every other
-row, so its real cell j, the reduced cost, is u (S A_j).
+A is never stored as a tableau.  The solver keeps only the artificial
+block, started at the identity, and the rhs: ``n_rows + 1`` integers per
+row.  Every row operation of a pivot acts on the whole row, so the block
+is the row operator M of all pivots so far, the real column j of the
+tableau is M A_j and the rhs column is M b.  The objective row minimizes
+the artificial sum: its block u starts at all -1 and is updated as every
+other row, so its real cell j, the reduced cost, is u A_j.
 
 A pivot with entry p, after previous pivot ``prev`` (1 at the start), sets
 every other row to ``(p*row - f*pivot_row) // prev``, the objective row
@@ -28,18 +25,17 @@ included, and leaves the pivot row as it is; when ``p == prev == 1`` and f
 is 1 or -1 that is one subtraction or addition of the pivot row.  No row
 is ever reduced by a gcd.  The division is exact: every cell, in the
 block, the rhs or a column computed from them, is a minor of the integer
-matrix [S A | I | S b] with the objective row appended (Edmonds, J. Res.
-NBS 71B, 1967; Bareiss, Math. Comp. 22, 1968).  Each row is the row of the
+matrix [A | I | b] with the objective row appended (Edmonds, J. Res. NBS
+71B, 1967; Bareiss, Math. Comp. 22, 1968).  Each row is the row of the
 rational tableau times a positive factor, so every sign and every
 cross-multiplied ratio comparison, hence every pivot, verdict and
 solution, is that of rational arithmetic.
 
 Bland's rule is priced lazily: columns are priced in index order and the
 first negative reduced cost enters, so only the columns up to it are
-priced; a column whose coefficients are all 1 is priced as the plain sum
-of the cells of u it selects.  Then only the entering column, ``a_r =
-sum(M[r][c] * v)`` over its nonzeros, is computed, for the ratio test and
-the row updates.
+priced, each as the plain sum of the cells of u it selects.  Then only the
+entering column, ``a_r = sum(M[r][c])`` over its rows, is computed, for
+the ratio test and the row updates.
 
 The pivots never enter an artificial column.  Those come after the real
 ones, so Bland's rule would enter one only once no real column prices
@@ -50,8 +46,8 @@ is; otherwise the objective is not 0 and there is no solution.  So
 stopping there gives the solution the full tableau gives.  For the same
 reason the loop stops as soon as the objective reaches 0: a further
 pivot, real or artificial, is degenerate and leaves x as it is.  The
-solution is checked exactly against the input (on integers when the input
-is integers, as the oracle's is) before it is returned as Fractions.
+solution is checked exactly against the input, on integers, before it is
+returned as Fractions.
 
 This backs the brute-force feasibility oracle, which must stay
 structurally independent of the constructive pipeline it cross-checks.
@@ -61,15 +57,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import lcm
-from operator import add, itemgetter, mul, sub
+from operator import add, itemgetter, sub
 from typing import Callable, Optional, Sequence
 
 from .errors import InputError, InternalInvariantError
-
-# A column as the solver prices it: a getter of the cells at its rows, and
-# its integer coefficients there, None when every one is 1.
-_Priced = tuple[Callable, Optional[tuple[int, ...]]]
 
 
 def _cells(rows: Sequence[int]) -> Callable:
@@ -79,63 +70,41 @@ def _cells(rows: Sequence[int]) -> Callable:
     return itemgetter(slice(rows[0], rows[0] + 1) if rows else slice(0))
 
 
-def _entering(u: list[int], columns: Sequence[_Priced]) -> Optional[int]:
-    """Bland's entering column: the first whose reduced cost, ``u`` times
-    the column, is negative; None when no column prices out."""
-    for j, (get, coef) in enumerate(columns):
-        if (sum(get(u)) if coef is None else sum(map(mul, get(u), coef))) < 0:
+def _entering(u: list[int], columns: Sequence[Callable]) -> Optional[int]:
+    """Bland's entering column: the first whose reduced cost, the sum of
+    the cells of ``u`` its getter selects, is negative; None when no column
+    prices out."""
+    for j, get in enumerate(columns):
+        if sum(get(u)) < 0:
             return j
     return None
 
 
 def _phase_one(
-    columns: Sequence[Sequence[int]],
-    values: Optional[Sequence[Sequence[int | Fraction]]],
-    rhs: Sequence[int],
+    columns: Sequence[Sequence[int]], rhs: Sequence[int]
 ) -> Optional[tuple[dict[int, int], int]]:
-    """Solve ``sum_j x_j A_j == rhs`` for x >= 0, A_j holding ``values[j]``
-    (all 1 when ``values`` is None) at rows ``columns[j]``.  Returns the
-    positive basic values as integers over the last pivot, ``(xs, prev)``
-    with x_j = xs[j] / prev, or None when there is no solution."""
+    """Solve ``sum_j x_j A_j == rhs`` for x >= 0, A_j 1 at the rows
+    ``columns[j]`` and 0 elsewhere, over ``rhs >= 0``.  Returns the positive
+    basic values as integers over the last pivot, ``(xs, prev)`` with x_j =
+    xs[j] / prev, or None when there is no solution."""
     n_rows = len(rhs)
-    signs = [-1 if b < 0 else 1 for b in rhs]
-    scales = [1] * n_rows
     getters = list(map(_cells, columns))
-    if values is None:
-        coefs = [tuple(get(signs)) for get in getters]  # each its row's sign
-    else:
-        for rows, vals in zip(columns, values):
-            for r, v in zip(rows, vals):
-                scales[r] = lcm(scales[r], v.denominator)
-        coefs = [tuple(signs[r] * v.numerator * (scales[r] // v.denominator)
-                       for r, v in zip(rows, vals))
-                 for rows, vals in zip(columns, values)]
-    priced: list[_Priced] = [
-        (get, None if coef.count(1) == len(coef) else coef)
-        for get, coef in zip(getters, coefs)
-    ]
 
-    # The block of row r starts at e_r; the objective's at -w, w_r = L / s_r.
-    rhs_cells = list(map(mul, map(abs, rhs), scales))
-    tableau = [[0] * n_rows + [b] for b in rhs_cells]
+    # The block of row r starts at e_r; the objective's at all -1.
+    tableau = [[0] * n_rows + [b] for b in rhs]
     for r, row in enumerate(tableau):
         row[r] = 1
-    L = lcm(*scales)
-    weights = [L // s for s in scales]
-    tableau.append([-w for w in weights] + [-sum(map(mul, weights, rhs_cells))])
-    n_vars = len(priced)
+    tableau.append([-1] * n_rows + [-sum(rhs)])
+    n_vars = len(getters)
     basis = list(range(n_vars, n_vars + n_rows))
 
     prev = 1
     while tableau[n_rows][n_rows]:  # objective 0: further pivots are degenerate
-        entering = _entering(tableau[n_rows], priced)
+        entering = _entering(tableau[n_rows], getters)
         if entering is None:
             break
-        get, coef = priced[entering]
-        if coef is None:
-            column = [sum(get(row)) for row in tableau]
-        else:
-            column = [sum(map(mul, get(row), coef)) for row in tableau]
+        get = getters[entering]
+        column = [sum(get(row)) for row in tableau]
         # Bland's ratio test: the least rhs/coeff over positive coefficients
         # (row factors cancel), ties to the smallest basic variable.
         pivot_row = None
@@ -176,39 +145,22 @@ def _phase_one(
     }, prev
 
 
-def _checked(
-    n_vars: int,
-    xs: dict[int, int],
-    D: int,
-    totals: Sequence[int | Fraction],
-    rhs: Sequence[int],
-    den: int,
-) -> tuple[Fraction, ...]:
-    """x with x_j = xs[j] / D, once every row r holds: its left-hand side,
-    ``totals[r]`` over D, equals rhs[r] / den."""
-    if any(t * den != b * D for t, b in zip(totals, rhs)):
-        raise InternalInvariantError("phase-1 solution fails its constraints")
-    solution = [Fraction(0)] * n_vars
-    for var, x in xs.items():
-        solution[var] = Fraction(x, D)
-    return tuple(solution)
-
-
 def feasible_sparse_solution(
     columns: Sequence[Sequence[int]], rhs: Sequence[int], den: int = 1
 ) -> Optional[tuple[Fraction, ...]]:
     """Return x >= 0 with ``sum_j x_j A_j == rhs / den`` exactly, or None if
     none exists.  Column A_j is 1 at the rows ``columns[j]`` lists (each at
     most once) and 0 elsewhere; ``rhs`` holds integer numerators over the
-    positive integer ``den``.  Systems with other coefficients go through
-    :func:`feasible_nonnegative_solution`."""
+    positive integer ``den``."""
     n_rows = len(rhs)
     if den <= 0:
         raise InputError("den must be positive")
     listed = list(chain.from_iterable(columns))
     if listed and not 0 <= min(listed) <= max(listed) < n_rows:
         raise InputError("column row out of range")
-    found = _phase_one(columns, None, rhs)
+    if any(b < 0 for b in rhs):
+        return None
+    found = _phase_one(columns, rhs)
     if found is None:
         return None
     xs, prev = found
@@ -216,36 +168,9 @@ def feasible_sparse_solution(
     for j, x in xs.items():
         for r in columns[j]:
             totals[r] += x
-    return _checked(len(columns), xs, prev * den, totals, rhs, den)
-
-
-def feasible_nonnegative_solution(
-    rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction]
-) -> Optional[tuple[Fraction, ...]]:
-    """Return x >= 0 with ``rows @ x == rhs`` exactly, or None if none exists.
-
-    The dense entry: the nonzero cells become sparse columns and the rhs
-    integer numerators over B, the lcm of its denominators.  Entries may be
-    ints or Fractions (read through ``numerator``/``denominator``); the
-    solution is checked against ``rows`` as given."""
-    n_rows = len(rows)
-    if n_rows != len(rhs):
-        raise InputError("one right-hand side per row")
-    n_vars = len(rows[0]) if n_rows else 0
-    if any(len(r) != n_vars for r in rows):
-        raise InputError("ragged constraint matrix")
-    columns: list[list[int]] = [[] for _ in range(n_vars)]
-    values: list[list[int | Fraction]] = [[] for _ in range(n_vars)]
-    for r, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v:
-                columns[j].append(r)
-                values[j].append(v)
-    B = lcm(*(b.denominator for b in rhs))
-    nums = [b.numerator * (B // b.denominator) for b in rhs]
-    found = _phase_one(columns, values, nums)
-    if found is None:
-        return None
-    xs, prev = found
-    totals = [sum(row[j] * x for j, x in xs.items()) for row in rows]
-    return _checked(n_vars, xs, prev * B, totals, nums, B)
+    if any(t != b * prev for t, b in zip(totals, rhs)):
+        raise InternalInvariantError("phase-1 solution fails its constraints")
+    solution = [Fraction(0)] * len(columns)
+    for var, x in xs.items():
+        solution[var] = Fraction(x, prev * den)
+    return tuple(solution)

@@ -1,10 +1,11 @@
-"""The integer phase-1 simplex, dense and sparse entries, against the
-Fraction tableau it replaced."""
+"""The integer phase-1 simplex's one entry, on 0/1 columns over an integer
+rhs, against the Fraction tableau it replaced."""
 
 import hashlib
 import itertools
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -12,14 +13,14 @@ from hypothesis import strategies as st
 
 import sidepad as sp
 from sidepad import verification
-from sidepad.simplex import feasible_nonnegative_solution, feasible_sparse_solution
-from corpus import corpus, mixed23, uniform_independent
+from sidepad.simplex import feasible_sparse_solution
+from corpus import corpus, uniform_independent
 
 
 def _reference_simplex(rows, rhs, artificial_entries=None):
     """The Fraction phase-1 simplex (Bland's rule) the integer tableau
-    replaced, artificial columns kept: a reference for
-    ``feasible_nonnegative_solution``.  Each time an artificial column
+    replaced, artificial columns kept, on dense rows: a reference for
+    ``feasible_sparse_solution``.  Each time an artificial column
     enters, the objective cell (minus the artificial sum) is appended to
     ``artificial_entries`` when it is a list."""
     n_rows = len(rows)
@@ -87,8 +88,20 @@ def _reference_simplex(rows, rhs, artificial_entries=None):
     return tuple(solution)
 
 
+def _sparse(rows, rhs):
+    """The sparse system a dense 0/1 one stands for: column j lists the
+    rows where it is 1, and the rhs becomes integer numerators over the
+    lcm of its denominators."""
+    assert all(v in (0, 1) for row in rows for v in row)
+    n_vars = len(rows[0]) if rows else 0
+    columns = [tuple(r for r, row in enumerate(rows) if row[j])
+               for j in range(n_vars)]
+    den = lcm(*(b.denominator for b in rhs))
+    return columns, [b.numerator * (den // b.denominator) for b in rhs], den
+
+
 def _assert_same_solution(rows, rhs):
-    got = feasible_nonnegative_solution(rows, rhs)
+    got = feasible_sparse_solution(*_sparse(rows, rhs))
     assert got == _reference_simplex(rows, rhs)
     if got is not None:
         assert all(type(v) is F and v >= 0 for v in got)
@@ -120,80 +133,37 @@ def test_matches_the_fraction_reference_on_every_corpus_oracle_lp():
     assert checked > 500
 
 
-def test_takes_fraction_entries_as_well_as_ints():
-    rows, rhs = next(_oracle_lps([mixed23()]))
-    as_fractions = [[F(v) for v in row] for row in rows]
-    assert (feasible_nonnegative_solution(as_fractions, rhs)
-            == feasible_nonnegative_solution(rows, rhs))
-
-
-_VALUES = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-
-
-@st.composite
-def systems(draw):
-    """Small systems ``rows @ x == rhs``: entries in [-3, 3] with small
-    denominators, mixed int/Fraction; rhs either drawn freely (often
-    infeasible, often negative, so rows get flipped) or made from a sparse
-    x >= 0 (feasible and often degenerate, which exercises ratio ties);
-    rows may be all zero."""
-    n_rows = draw(st.integers(1, 4))
-    n_vars = draw(st.integers(1, 5))
-    entry = st.one_of(st.integers(-3, 3), _VALUES, st.just(0))
-    rows = [draw(st.lists(entry, min_size=n_vars, max_size=n_vars))
-            for _ in range(n_rows)]
-    if draw(st.booleans()):
-        for r in draw(st.lists(st.integers(0, n_rows - 1), max_size=2)):
-            rows[r] = [0] * n_vars
-    if draw(st.booleans()):
-        x = draw(st.lists(st.one_of(st.just(0), _VALUES.map(abs)),
-                          min_size=n_vars, max_size=n_vars))
-        rhs = [sum((F(a) * b for a, b in zip(row, x)), F(0)) for row in rows]
-    else:
-        rhs = draw(st.lists(st.one_of(st.integers(-3, 3), _VALUES),
-                            min_size=n_rows, max_size=n_rows))
-    return rows, rhs
-
-
-@given(systems())
-def test_matches_the_fraction_reference_on_small_systems(system):
-    _assert_same_solution(*system)
-
-
 def test_degenerate_ties_follow_blands_rule():
     # Every ratio is zero at the first pivot; the tie goes to the row whose
     # basic variable has the smallest index.
     rows = [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
     assert _assert_same_solution(rows, [0, 0, 0]) == (0, 0, 0)
-    rows = [[1, 1, 1, 1], [1, -1, 1, -1], [2, 0, 2, 0]]
-    assert _assert_same_solution(rows, [1, 0, 1]) is not None
 
 
-def test_negative_right_hand_sides_flip_their_rows():
-    assert _assert_same_solution([[-1, 0], [0, -2]], [F(-1, 3), -1]) == (
-        F(1, 3), F(1, 2),
-    )
-    assert _assert_same_solution([[1, 1]], [-1]) is None
+def test_a_negative_right_hand_side_returns_none_before_solving(monkeypatch):
+    # No nonnegative mix of 0/1 columns reaches a negative value; the
+    # reference, which flips the row, finds no solution either.
+    def no_solve(*args):
+        raise AssertionError("phase 1 ran")
+
+    monkeypatch.setattr(sp.simplex, "_phase_one", no_solve)
+    for rows, rhs in [([[1, 1]], [-1]), ([[1, 0], [0, 1]], [2, F(-1, 3)])]:
+        assert _reference_simplex(rows, rhs) is None
+        assert feasible_sparse_solution(*_sparse(rows, rhs)) is None
 
 
 def test_zero_rows_and_empty_systems():
     assert _assert_same_solution([[0, 0], [1, 1]], [0, F(1, 2)]) is not None
     assert _assert_same_solution([[0, 0], [1, 1]], [1, F(1, 2)]) is None
-    assert feasible_nonnegative_solution([], []) == ()
-    with pytest.raises(sp.InputError):
-        feasible_nonnegative_solution([[1]], [1, 2])
-    with pytest.raises(sp.InputError):
-        feasible_nonnegative_solution([[1], [1, 2]], [1, 2])
+    assert feasible_sparse_solution([], []) == ()
 
 
 @pytest.mark.parametrize("rows, rhs, objective, solution", [
     # Feasible: the artificial column enters once the objective is 0, and
     # every pivot after it is degenerate.
-    ([[F(2, 3), 0], [-1, F(-2, 3)], [-1, F(1, 3)]], [0, F(-2, 3), F(1, 3)],
-     0, (0, 1)),
+    ([[1, 0], [1, 1], [0, 1], [0, 1]], [1, 1, 0, 0], 0, (1, 0)),
     # Infeasible: the artificial column enters with the objective short of 0.
-    ([[0, 1, F(3, 2)], [F(2, 3), 1, F(1, 3)], [1, -1, 0], [2, 0, F(-1, 3)]],
-     [1, 1, -1, F(1, 2)], F(-39, 76), None),
+    ([[1, 0], [1, 1], [0, 1], [0, 1]], [0, 0, 0, 1], F(-1), None),
 ])
 def test_stops_where_the_reference_enters_an_artificial_column(
     rows, rhs, objective, solution
@@ -203,7 +173,7 @@ def test_stops_where_the_reference_enters_an_artificial_column(
     entries = []
     assert _reference_simplex(rows, rhs, entries) == solution
     assert entries and entries[0] == objective
-    assert feasible_nonnegative_solution(rows, rhs) == solution
+    assert feasible_sparse_solution(*_sparse(rows, rhs)) == solution
 
 
 def _triage_instances(seed):
@@ -250,7 +220,7 @@ def test_matches_the_fraction_reference_on_triage_instances():
     digest = hashlib.sha256()
     systems_seen = 0
     for rows, rhs in _oracle_lps(_triage_instances(1)):
-        digest.update(repr(feasible_nonnegative_solution(rows, rhs)).encode())
+        digest.update(repr(feasible_sparse_solution(*_sparse(rows, rhs))).encode())
         systems_seen += 1
     assert systems_seen == 428
     assert digest.hexdigest() == _TRIAGE_SEED1_DIGEST
@@ -349,8 +319,8 @@ def test_sparse_entry_matches_the_reference_with_one_cell_moved():
 @st.composite
 def zero_one_systems(draw):
     """Small 0/1 systems as the sparse entry takes them: each column's rows
-    (possibly none), the rhs as integer numerators (often negative, so rows
-    get flipped) over a positive ``den``."""
+    (possibly none), the rhs as integer numerators (often negative, which
+    no nonnegative mix reaches) over a positive ``den``."""
     n_rows = draw(st.integers(1, 4))
     rows = st.lists(st.integers(0, n_rows - 1), max_size=n_rows, unique=True)
     columns = draw(st.lists(rows, min_size=1, max_size=5))
@@ -360,9 +330,7 @@ def zero_one_systems(draw):
 
 @given(zero_one_systems())
 def test_sparse_and_dense_entries_agree_on_small_systems(system):
-    assert feasible_sparse_solution(*system) == feasible_nonnegative_solution(
-        *_dense(*system)
-    )
+    assert feasible_sparse_solution(*system) == _reference_simplex(*_dense(*system))
 
 
 def test_sparse_entry_refuses_malformed_columns():
@@ -411,25 +379,26 @@ def test_unbounded_phase_one_raises(monkeypatch):
     # Exact arithmetic keeps phase 1 bounded; a corrupted reduced cost (a
     # negative one over an all-zero column, which enters first while the
     # objective is still negative) must not pass silently.
-    _plant_negative_reduced_cost(monkeypatch, 0)  # column 0 of [[0, 1]] is all zero
+    _plant_negative_reduced_cost(monkeypatch, 0)  # column 0 is all zero
     with pytest.raises(sp.InternalInvariantError, match="unbounded"):
-        feasible_nonnegative_solution([[0, 1]], [1])
+        feasible_sparse_solution([(), (0,)], [1])
 
 
 def test_phase_one_stops_at_objective_zero(monkeypatch):
-    # Column 0 of [[1, 0]] enters first and brings the objective to 0, so
-    # the loop stops before the corrupted, all-zero column 1 could enter.
+    # Column 0 enters first and brings the objective to 0, so the loop
+    # stops before the corrupted, all-zero column 1 could enter.
     _plant_negative_reduced_cost(monkeypatch, 1)
-    assert feasible_nonnegative_solution([[1, 0]], [1]) == (1, 0)
+    assert feasible_sparse_solution([(0,), ()], [1]) == (1, 0)
 
 
-class _TwoFacedRow(list):
-    """Iterates as its values but indexes as their doubles."""
+def test_solution_failing_its_constraints_raises(monkeypatch):
+    # A phase 1 that returns doubled values must not pass silently.
+    phase_one = sp.simplex._phase_one
 
-    def __getitem__(self, j):
-        return 2 * list.__getitem__(self, j)
+    def corrupt_phase_one(*args):
+        xs, prev = phase_one(*args)
+        return {j: 2 * x for j, x in xs.items()}, prev
 
-
-def test_solution_failing_its_constraints_raises():
+    monkeypatch.setattr(sp.simplex, "_phase_one", corrupt_phase_one)
     with pytest.raises(sp.InternalInvariantError, match="fails its constraints"):
-        feasible_nonnegative_solution([_TwoFacedRow([1, 1])], [1])
+        feasible_sparse_solution([(0,), (0,)], [1])

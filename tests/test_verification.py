@@ -5,12 +5,13 @@ import itertools
 import pickle
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
 import sidepad as sp
 from sidepad import verification
-from sidepad.simplex import feasible_nonnegative_solution
+from sidepad.simplex import feasible_sparse_solution
 from corpus import (
     corpus, corr23, det22, mixed23, otp2, skew22, uniform_independent,
 )
@@ -335,17 +336,21 @@ def test_oracle_matches_column_condition_on_random_instances():
 
 def _dense_oracle(inst):
     """The LP the support-injection oracle replaced: one variable per
-    permutation of all m columns, one 0/1 row per (supported state, column),
-    zero cells included, right-hand side the conditional entry; more
-    supported states than columns is infeasible without a solve."""
+    permutation of all m columns, one row per (supported state, column),
+    zero cells included, so permutation perm is 1 at rows i*m + perm[i];
+    right-hand side the conditional entries as integer numerators over
+    their lcm.  More supported states than columns is infeasible without a
+    solve."""
     cm = sp.conditional_y_given_x(inst)
     if cm.n > cm.m:
         return sp.OracleReport(feasible=False, support=None)
     perms = list(itertools.permutations(range(cm.m)))
-    rows = [[1 if perm[i] == j else 0 for perm in perms]
-            for i in range(cm.n) for j in range(cm.m)]
+    columns = [tuple(i * cm.m + perm[i] for i in range(cm.n)) for perm in perms]
     rhs = [cm.entries[i][j] for i in range(cm.n) for j in range(cm.m)]
-    solution = feasible_nonnegative_solution(rows, rhs)
+    den = lcm(*(b.denominator for b in rhs))
+    solution = feasible_sparse_solution(
+        columns, [b.numerator * (den // b.denominator) for b in rhs], den
+    )
     if solution is None:
         return sp.OracleReport(feasible=False, support=None)
     return sp.OracleReport(feasible=True, support=tuple(
