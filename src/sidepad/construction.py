@@ -24,10 +24,10 @@ scheme exists, else it pads and peels:
    with probability alpha_k and pairs state row i with column sigma_k(i).
 
 Everything is exact and runs on integers, with Fractions only at the
-boundaries: each step that reads the conditional's rows rescales them,
-one at a time, to integer numerators over the lcm L of their
-denominators; the column slacks are filled over L, and the padded square
-is validated on the integer grid that the decomposition then peels.
+boundaries: the search compares the conditional's integer rows
+(``ConditionalMatrix._rows``) as they are, ``extend`` scales each once to
+the lcm L of their denominators and fills the column slacks over L, and
+the padded square is validated on the integer grid the decomposition peels.
 Each round zeroes at least one positive cell while both stochasticity
 constraints keep holding, so there are at most nnz - m + 1 <=
 m*m - 2m + 2 rounds; fewer padding nonzeros mean fewer signals.
@@ -43,7 +43,7 @@ from itertools import compress, repeat
 from math import lcm
 from operator import getitem, itemgetter
 from types import MappingProxyType
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import InfeasibleError, InputError, InternalInvariantError
 from .model import (
@@ -115,11 +115,12 @@ class ExtendedMatrix:
     @cached_property
     def _grid(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """The entries as integer numerators over L, the lcm of all their
-        denominators (``_numerator_rows``): ``(rows, L)``.  Validation
+        denominators: ``(rows, L)``, which ``extend`` seeds.  Validation
         checks the 2m sums on it and ``birkhoff_decompose`` peels a copy.
         Memoised outside the dataclass fields: eq, hash and repr ignore it."""
         L = lcm(*(v.denominator for row in self.entries for v in row))
-        return tuple(_numerator_rows(self.entries, L)), L
+        return tuple(tuple(v.numerator * (L // v.denominator) for v in row)
+                     for row in self.entries), L
 
 
 @dataclass(frozen=True)
@@ -323,8 +324,8 @@ def extend(cm: ConditionalMatrix) -> ExtendedMatrix:
     then into the next.  The fill runs on the integer column sums over
     their common denominator L (``cm._columns``), so slacks and room are
     integers and Fractions appear only in the padding rows it returns.
-    L is also the lcm of every entry's denominator, so the conditional's
-    numerators over L and the padding's give the matrix its ``_grid``.
+    L is also the lcm of the conditional's row denominators: its integer
+    rows ``cm._rows``, scaled once to L, and the padding's give ``_grid``.
     The padding block so holds at most 2m - n - 1 nonzeros, and a single
     padding row is the slack row itself.  For n = m every column sums to
     1, so there is no slack and no padding row.  A column summing beyond 1
@@ -348,7 +349,8 @@ def extend(cm: ConditionalMatrix) -> ExtendedMatrix:
         n,
         m,
         cm.entries + tuple(tuple(map(fraction, row)) for row in pad),
-        (tuple(_numerator_rows(cm.entries, L)) + tuple(map(tuple, pad)), L),
+        (tuple(tuple(v * (L // d) for v in nums) for nums, d in cm._rows)
+         + tuple(map(tuple, pad)), L),
     )
 
 
@@ -560,28 +562,19 @@ def _named_scheme(inst: Instance, cm: ConditionalMatrix, weights, assignments):
     )
 
 
-def _numerator_rows(
-    rows: Sequence[Sequence[Fraction]], L: int
-) -> Iterator[tuple[int, ...]]:
-    """Fraction rows as integer numerators over L, a common multiple of
-    every entry's denominator, yielded one row at a time; a conditional
-    passes the common denominator of its column sums, ``cm._columns[1]``."""
-    for row in rows:
-        yield tuple(v.numerator * (L // v.denominator) for v in row)
-
-
-def _same_values(cm: ConditionalMatrix) -> Optional[list[tuple[int, ...]]]:
-    """The criterion's rule (1): the conditional's rows as integer
-    numerators over ``cm._columns[1]`` when they all hold one multiset of
-    values, else None.  Rows are rescaled one at a time, and the first
-    whose sorted values differ from row 0's ends the scan."""
-    rows = _numerator_rows(cm.entries, cm._columns[1])
-    same = [next(rows)]
-    values = sorted(same[0])
-    for row in rows:
-        if sorted(row) != values:
+def _same_values(cm: ConditionalMatrix) -> Optional[list[list[int]]]:
+    """The criterion's rule (1): the numerators of the conditional's rows
+    (``cm._rows``, in lowest terms) when they hold one multiset of values,
+    which is when their sorted numerators are equal, and then over one
+    denominator; else None.  Nothing is rescaled, and the first row whose
+    sorted numerators differ from row 0's ends the scan."""
+    rows = iter(cm._rows)
+    first, _ = next(rows)
+    same, values = [first], sorted(first)
+    for nums, _ in rows:
+        if sorted(nums) != values:
             return None
-        same.append(row)
+        same.append(nums)
     return same
 
 
@@ -640,8 +633,8 @@ def find_deterministic_scheme(inst: Instance) -> DeterministicSearch:
     or a column.  Every row meets each colour once, so each colour class
     is a signal of weight v.
 
-    Rule (1) is tested first (``_same_values``), on integer rows over one
-    denominator, up to the first row whose values differ from row 0's.
+    Rule (1) is tested first (``_same_values``) on the conditional's integer
+    rows as they are, up to the first whose values differ from row 0's.
     The colouring takes the support cells row by row, columns ascending.
     It keeps the colours free at each row and at each column as bitmasks,
     and each value's colours as a palette mask.  A cell of value v takes
@@ -656,7 +649,7 @@ def find_deterministic_scheme(inst: Instance) -> DeterministicSearch:
     its unused columns, ascending.  The outcome is kept on the instance's
     conditional as ``_search``, scheme included, so each instance is
     coloured and its scheme named and validated once, and a later search
-    returns it at once, rescaling nothing.
+    returns it at once, reading no row.
 
     Raises :class:`InfeasibleError` for infeasible instances.
     """
@@ -673,7 +666,7 @@ def find_deterministic_scheme(inst: Instance) -> DeterministicSearch:
     return cm._search
 
 
-def _colour(rows: Sequence[tuple[int, ...]], m: int):
+def _colour(rows: Sequence[Sequence[int]], m: int):
     """König's colouring of integer ``rows`` on m columns, rows that hold
     one multiset of values (``_same_values``): ``(signals, nodes)``,
     signals in naming order or None (see ``DeterministicSearch``)."""

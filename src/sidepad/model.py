@@ -7,14 +7,14 @@ rejected at the boundary; statistical *estimates* elsewhere may be floats,
 probabilities never are.
 
 Arithmetic runs on integers.  Each row of a grid is rescaled once
-(``_numerators``) to integer numerators over its own lcm, and for P_XY
-that form, ``Instance._rows``, is the only one later stages read.
-Validation, the marginals, the supports, the conditional and its column
-sums are sums and comparisons of those integers; Fractions are built
-only for the values handed back.  Two tables put the whole grid over one
-lcm, which grows with n: ``Instance._world``, kept for ``sample_world``,
-and the (cell, signal) slot table of ``simulate`` with ``allow_unverified``,
-``runtime._slot_sampler``.
+(``_numerators``) to integer numerators over its own lcm, the one form
+later stages read: ``Instance._rows`` for P_XY, ``ConditionalMatrix._rows``
+for P_{Y|X}.  Validation, the marginals, the supports, the conditional
+and its column sums are sums and comparisons of those integers;
+Fractions are built only for the values handed back.  Two tables put the
+whole grid over one lcm, which grows with n: ``Instance._world``, kept
+for ``sample_world``, and the (cell, signal) slot table of ``simulate``
+with ``allow_unverified``, ``runtime._slot_sampler``.
 """
 
 from __future__ import annotations
@@ -412,11 +412,12 @@ class ConditionalMatrix:
     Entries and masses are coerced by :func:`as_fraction`, as in
     :class:`Instance`, so floats are refused and tokens parse.
     Each row sums to exactly one; signs and sums are checked on each row's
-    integer numerators over its own lcm, which are dropped once they have
-    given the column sums ``_columns``.  ``masses``, P_X of the covered
-    rows, is filled by :func:`conditional_y_given_x` so that its callers
-    need not sum P_X again; it may be left empty and takes no part in
-    equality.
+    integer numerators over its own lcm, kept as ``_rows`` in lowest terms
+    (gcd 1, summing to the denominator): the one integer form of P_{Y|X},
+    which the column sums ``_columns`` and the construction read.
+    ``masses``, P_X of the covered rows, is filled by
+    :func:`conditional_y_given_x` so that its callers need not sum P_X
+    again; it may be left empty and takes no part in equality.
     """
 
     rows: tuple[int, ...]
@@ -445,11 +446,7 @@ class ConditionalMatrix:
                     "conditional matrix row sums to "
                     f"{_clip_rat(Fraction(sum(nums), den))}, expected 1"
                 )
-        # The column sums as ``(cols, L)``: integer numerators over L, the
-        # lcm of the rows' denominators.  ``column_sums``, the column test
-        # ``cols[j] > L`` and ``extend``'s slacks ``L - cols[j]`` all read
-        # it.  Kept outside the dataclass fields: eq, hash and repr ignore it.
-        object.__setattr__(self, "_columns", _column_numerators(rows, len(self.cols)))
+        object.__setattr__(self, "_rows", rows)
 
     @classmethod
     def _of_rows(cls, rows, m, entries, masses, numerators) -> "ConditionalMatrix":
@@ -458,10 +455,17 @@ class ConditionalMatrix:
         denominators: valid by construction, so nothing is coerced or
         checked again."""
         cm = object.__new__(cls)
-        columns = _column_numerators(numerators, m)
         cm.__dict__.update(rows=rows, cols=tuple(range(m)), entries=entries,
-                           masses=masses, _columns=columns)
+                           masses=masses, _rows=tuple(numerators))
         return cm
+
+    @cached_property
+    def _columns(self) -> tuple[list[int], int]:
+        """The column sums ``(cols, L)``: integer numerators over L, the lcm
+        of the rows' denominators, read by ``column_sums``, the column test
+        and ``extend``.  Memoised outside the dataclass fields: eq, hash and
+        repr ignore it."""
+        return _column_numerators(self._rows, len(self.cols))
 
     @property
     def n(self) -> int:

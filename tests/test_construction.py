@@ -1001,43 +1001,71 @@ def test_build_is_its_public_steps(monkeypatch):
     assert peeled > 100
 
 
-def test_each_step_rescales_each_row_once(monkeypatch):
-    # Counted on fresh copies: a König build rescales each row once, a
-    # search stops at the first row whose values differ from row 0's, extend
-    # rescales every row once more, and a search after a build reads the
-    # memo and rescales nothing.
-    rescaled = Counter()
-    numerator_rows = sp.construction._numerator_rows
+class _CountedReads(tuple):
+    """A tuple that tallies each item read from it, by index or by
+    iteration, as ``reads[key, index]``."""
 
-    def counting(rows, L):
-        for row in numerator_rows(rows, L):
-            rescaled["rows"] += 1
-            yield row
+    def __new__(cls, items, reads, key):
+        counted = super().__new__(cls, items)
+        counted.reads, counted.key = reads, key
+        return counted
 
-    monkeypatch.setattr(sp.construction, "_numerator_rows", counting)
+    def __getitem__(self, i):
+        self.reads[self.key, i] += 1
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        for i, item in enumerate(super().__iter__()):
+            self.reads[self.key, i] += 1
+            yield item
+
+
+def test_each_step_rescales_each_row_once():
+    # Counted on fresh copies whose conditional's integer rows (``_rows``)
+    # and Fraction rows (``entries``) tally every row read.  A search
+    # compares the integer rows as they are, up to the first whose values
+    # differ from row 0's, and reads no Fraction row but row 0, for the
+    # weights it returns; extend scales each integer row once; and a search
+    # after a build reads the memo and no row.  So a rule-(2) failure
+    # scales n rows, in extend, not 2n.  The column sums are the
+    # conditional's own, computed before counting.
+    reads = Counter()
+
+    def counted(inst):
+        cm = _conditional(inst)
+        cm._columns
+        cm.__dict__.update(
+            _rows=_CountedReads(cm._rows, reads, "rows"),
+            entries=_CountedReads(cm.entries, reads, "entries"),
+        )
+        return inst
 
     def rows_read(step, inst):
-        rescaled.clear()
+        reads.clear()
         step(inst)
-        return rescaled["rows"]
+        rows = sum(count for (kind, _), count in reads.items() if kind == "rows")
+        return rows, {i for kind, i in reads if kind == "entries"}
 
     stopped_early = 0
     for original in _differential_instances():
         entries = _conditional(original).entries
         n, first = len(entries), sorted(entries[0])
         differs = next((i for i, row in enumerate(entries) if sorted(row) != first), None)
-        searched, built = dataclasses.replace(original), dataclasses.replace(original)
-        search_rows = rows_read(sp.find_deterministic_scheme, searched)
+        searched = counted(dataclasses.replace(original))
+        built = counted(dataclasses.replace(original))
+        search_rows, weights_read = rows_read(sp.find_deterministic_scheme, searched)
         if _conditional(searched)._search.scheme is not None:
-            assert search_rows == n
-            assert rows_read(sp.build_scheme, built) == n
+            assert (search_rows, weights_read) == (n, {0})
+            assert rows_read(sp.build_scheme, built) == (n, {0})
         else:
             assert search_rows == (n if differs is None else differs + 1)
+            assert weights_read == set()
             stopped_early += search_rows < n
-            assert rows_read(sp.build_scheme, searched) == n
-            assert rows_read(sp.build_scheme, built) == search_rows + n
-        assert rows_read(sp.find_deterministic_scheme, built) == 0
-        assert rows_read(sp.find_deterministic_scheme, searched) == 0
+            assert rows_read(sp.build_scheme, searched) == (n, set())
+            assert reads == Counter({("rows", i): 1 for i in range(n)})
+            assert rows_read(sp.build_scheme, built) == (search_rows + n, set())
+        assert rows_read(sp.find_deterministic_scheme, built) == (0, set())
+        assert rows_read(sp.find_deterministic_scheme, searched) == (0, set())
     assert stopped_early > 100
 
 

@@ -587,17 +587,20 @@ def test_parse_and_check_hold_no_global_lcm_grid():
     assert peak <= 2 * ref_peak, (peak, ref_peak)
 
 
-def test_search_rescales_rows_only_up_to_the_first_that_differs():
+def test_search_compares_rows_only_up_to_the_first_that_differs():
     # 30 rows over distinct primes near 10^9, so the conditional's common
     # denominator has about 270 digits.  The rows' values differ from
-    # row 1 on: the search rescales two rows, not the 30-row integer grid,
-    # and a repeat call reads the memo and rescales nothing.
+    # row 1 on: the search sorts two of the conditional's integer rows as
+    # they are and rescales none, so it holds nothing the size of the
+    # 30-row grid over that denominator, which extend builds, and a repeat
+    # call reads the memo.
     (x, y), grid = _prime_grid(n=30, m=60, seed=1)
     inst = sp.make_instance(x, y, grid)
     assert sp.check_feasible(inst).feasible
     cm = sp.conditional_y_given_x(inst)
+    L = cm._columns[1]
     grid_peak, _, _ = _peak(
-        lambda: tuple(sp.construction._numerator_rows(cm.entries, cm._columns[1]))
+        lambda: tuple(tuple(v * (L // d) for v in nums) for nums, d in cm._rows)
     )
     peak, seconds, outcome = _peak(lambda: sp.find_deterministic_scheme(inst))
     repeat_peak, repeat_seconds, again = _peak(lambda: sp.find_deterministic_scheme(inst))

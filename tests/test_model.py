@@ -3,6 +3,7 @@
 import sys
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -182,11 +183,13 @@ def test_conditional_is_built_once_per_instance():
     assert twin == inst
 
 
-def test_conditional_keeps_only_its_column_sums():
-    # Validation reads each row's integer numerators and then drops them:
-    # every instance keeps its conditional, so per-row lists would stay
-    # alive for as long as the instance does.  Only the column sums stay,
-    # with the search's outcome, whose scheme holds no row numerators.
+def test_conditional_keeps_its_integer_rows_and_column_sums():
+    # Validation's integer rows are kept as the one integer form of the
+    # conditional: the column sums derive from them, the search compares
+    # them and extend scales them, so no step converts the Fraction entries
+    # again.  They cost what the instance's own ``_rows`` cost.  Beside
+    # them stay the column sums and the search's outcome, whose scheme
+    # holds no row numerators.
     inst = sp.make_instance(
         ["x1", "x2"], ["y1", "y2", "y3"],
         [["1/4", "1/4", "0"], ["0", "1/4", "1/4"]],
@@ -196,24 +199,72 @@ def test_conditional_keeps_only_its_column_sums():
     sp.find_deterministic_scheme(inst)
     sp.feasibility_oracle(inst)
     cm = sp.conditional_y_given_x(inst)
-    assert set(vars(cm)) == {"rows", "cols", "entries", "masses", "_columns", "_search"}
+    assert set(vars(cm)) == {
+        "rows", "cols", "entries", "masses", "_rows", "_columns", "_search"
+    }
     # The search's memo is the search's outcome itself.
     assert cm._search is sp.find_deterministic_scheme(inst)
+    assert cm._rows == (([1, 1, 0], 2), ([0, 1, 1], 2))
     assert cm._columns == ([1, 2, 1], 2)
     assert sp.column_sums(cm) == (F(1, 2), F(1), F(1, 2))
 
 
 def test_instance_conditional_equals_the_validated_constructor():
     # Instance._conditional builds its matrix without coercing or checking
-    # again; the public constructor, which does both, gives the same matrix
-    # and the same integer column sums.
+    # again; the public constructor, which does both, gives the same matrix,
+    # the same integer rows and the same integer column sums.  Every row is
+    # in lowest terms: its numerators have gcd 1 and sum to its denominator,
+    # which makes the search's rule (1) a plain comparison.
     for inst in corpus():
         cm = sp.conditional_y_given_x(inst)
         checked = sp.ConditionalMatrix(
             rows=cm.rows, cols=cm.cols, entries=cm.entries, masses=cm.masses
         )
         assert checked == cm
-        assert (checked.masses, checked._columns) == (cm.masses, cm._columns)
+        assert (checked.masses, checked._rows, checked._columns) == (
+            cm.masses, cm._rows, cm._columns
+        )
+        for nums, den in cm._rows:
+            assert gcd(*nums) == 1 and sum(nums) == den
+
+
+@st.composite
+def conditional_tokens(draw, max_n=4, max_m=4):
+    """Conditional rows written as tokens: each row a shuffle of one shared
+    row or of its own, each row's parts over a denominator up to 6, with
+    zero columns, unreduced ``"a/b"`` tokens and plain ints mixed in."""
+    m = draw(st.integers(1, max_m))
+
+    def parts():
+        den = draw(st.integers(1, 6))
+        cuts = draw(st.lists(st.integers(0, den), min_size=m - 1, max_size=m - 1))
+        cuts.sort()
+        return [b - a for a, b in zip([0] + cuts, cuts + [den])], den
+
+    shared = parts()
+    rows = []
+    for _ in range(draw(st.integers(1, max_n))):
+        nums, den = shared if draw(st.booleans()) else parts()
+        nums = draw(st.permutations(nums))
+        scale = draw(st.integers(1, 3))
+        rows.append([
+            v // den if v % den == 0 and draw(st.booleans())
+            else f"{v * scale}/{den * scale}"
+            for v in nums
+        ])
+    return rows
+
+
+@given(conditional_tokens())
+def test_rule_one_compares_the_kept_rows_like_sorted_fraction_rows(rows):
+    cm = sp.ConditionalMatrix(
+        rows=range(len(rows)), cols=range(len(rows[0])), entries=rows
+    )
+    values = [sorted(map(F, row)) for row in rows]
+    same = all(v == values[0] for v in values)
+    assert sp.row_value_multisets_equal(cm) == same
+    if same:  # one denominator, the column sums' own
+        assert {den for _, den in cm._rows} == {cm._columns[1]}
 
 
 def test_conditional_matrix_validates_rows():
