@@ -258,7 +258,8 @@ class _Sampler:
     bisection, on the same integers; it matches CPython's ``randrange(L)``
     except where L is a power of two, whose table has no -1 and is read
     once per draw (L = 1 reads 0 bits).  Up to ``_TABLE_BITS`` bits the
-    table is a list; past it, an object that bisects.
+    table is a list; past it, an object that bisects.  Either is read one
+    index at a time, as ``table[u]``; nothing slices a table.
 
     With ``spare`` bits (``simulate``'s slot tables take
     ``_SLOT_SPARE_BITS``) a limit that is not a power of two gets a wider
@@ -302,25 +303,20 @@ class _Sampler:
 
 
 class _Bisection:
-    """A wide sampler's table, or its window from ``offset`` on: ``self[u]``
-    bisects ``(offset + u) // scale`` into the thresholds, or is -1 when
-    ``offset + u`` is not below ``scale`` times the last one.
-    ``self[lo:hi]`` is the window from ``lo`` on, as a list table's slice
-    is (a window does not check ``hi``)."""
+    """A wide sampler's table: ``self[u]`` bisects ``u // scale`` into the
+    thresholds, or is -1 when ``u`` is not below ``scale`` times the last
+    one."""
 
-    __slots__ = ("limit", "offset", "scale", "thresholds")
+    __slots__ = ("limit", "scale", "thresholds")
 
-    def __init__(self, thresholds: list[int], scale: int, offset: int = 0):
+    def __init__(self, thresholds: list[int], scale: int):
         self.thresholds = thresholds
         self.scale = scale
-        self.offset = offset
-        self.limit = scale * thresholds[-1] - offset
+        self.limit = scale * thresholds[-1]
 
-    def __getitem__(self, u):
-        if isinstance(u, slice):
-            return _Bisection(self.thresholds, self.scale, self.offset + u.start)
+    def __getitem__(self, u: int) -> int:
         if u < self.limit:
-            return bisect_right(self.thresholds, (self.offset + u) // self.scale)
+            return bisect_right(self.thresholds, u // self.scale)
         return -1
 
 

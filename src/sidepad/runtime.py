@@ -35,22 +35,32 @@ s spans scale times its threshold run, and only the last 2**bits mod L
 entries, fewer than L and so under a quarter of the table, are -1 (a
 power-of-two L keeps its table, scale 1, with no -1).  With T that
 table and K slots, a node (lo, d, c) holds c samples whose index u is
-uniform on [lo, lo + 2**d).  A stack starts as the one node
-(0, bits, c) and pops one node at a time:
+uniform on [lo, lo + 2**d).  The walk starts at the root (0, bits, c),
+keeps the node it is on in locals, and stacks the right halves it has
+still to walk:
 
 - a = T[lo] equals b = T[lo + 2**d - 1]: the node is pure.  Its c
-  samples are added to slot a, or, when a is -1 (all rejected), the node
-  (0, bits, c) is pushed to draw them afresh.
+  samples are added to slot a, or, when a is -1 (all rejected), the walk
+  goes on at (0, bits, c) to draw them afresh.
 - Otherwise let span = (b if b >= 0 else K) - a + 1, the slots the node
   touches with the reject region counted as one.  When c > d * span the
   node splits: left is the popcount of c fresh bits, Binomial(c, 1/2),
-  read as ``getrandbits(c)`` in chunks of 2**20 bits (a multiple of 32,
-  so the chunks read what one call reads).  The right half
-  (lo + 2**(d-1), d - 1, c - left) is pushed, then the left half
-  (lo, d - 1, left), which pops first.
-- Otherwise each of the c samples is one read, ``T[lo +
-  getrandbits(d)]``, and on -1 ``T[getrandbits(bits)]`` again until it is
-  not: the draw rule's redraw, from the full range.
+  read as one ``getrandbits(c)`` up to 2**20 bits and in chunks of 2**20
+  past it (a multiple of 32, so the chunks read what one call reads).  A
+  half whose first and last entries name one slot reads nothing, so its
+  count is added to that slot at the split.  The walk goes on in place
+  to the left half (lo, d - 1, left) and pushes the right half
+  (lo + 2**(d-1), d - 1, c - left), or goes straight to the right half
+  when the left one is empty or pure.  A half that is all -1 is not
+  pure in this sense and keeps its place in that depth-first order.
+- Otherwise the node is a leaf: each of its c samples is one read at an
+  offset, ``T[lo + getrandbits(d)]``, with no copy of the window, and on
+  -1 ``T[getrandbits(bits)]`` again until it is not, before the next
+  sample: the draw rule's redraw, from the full range.
+
+Counting a pure half at its split and walking left halves in place only
+save loop turns: the walk reads the same widths, in the same order, as
+one that pushes both halves of every split and pops each node.
 
 A sample's index has i.i.d. fair bits, so a node's count splits
 Binomial(c, 1/2) and each half's samples stay uniform on that half, and
@@ -108,6 +118,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Optional
 
 from .construction import Scheme
@@ -268,31 +279,48 @@ def _tally(slots: _Sampler, count: int, getrandbits, tally: list[int]) -> None:
     the module docstring's walk."""
     bits, table = slots.bits, slots.table
     rejects = len(slots.values)  # the reject region's place in a span
-    stack = [(0, bits, count)]
-    while stack:
-        lo, d, c = stack.pop()
-        if not c:
-            continue
-        size = 1 << d
-        a, b = table[lo], table[lo + size - 1]
+    stack = []
+    lo, d, c = 0, bits, count
+    while True:
+        a, b = table[lo], table[lo + (1 << d) - 1]
         if a == b:
             if a < 0:
-                stack.append((0, bits, c))
-            else:
-                tally[a] += c
+                lo, d = 0, bits  # all rejected: draw them afresh
+                continue
+            tally[a] += c
         elif c > d * ((b if b >= 0 else rejects) - a + 1):
-            left = _popcount(getrandbits, c)
-            stack.append((lo + (size >> 1), d - 1, c - left))
-            stack.append((lo, d - 1, left))
+            left = getrandbits(c).bit_count() if c <= _CHUNK_BITS else _popcount(getrandbits, c)
+            right = c - left
+            d -= 1
+            mid = lo + (1 << d)
+            # A pure half reads no bits, so it is counted at the split.  An
+            # all-rejected half is walked in its depth-first turn: its
+            # redraw reads after every node to its left.
+            if table[mid - 1] == a:
+                tally[a] += left
+                left = 0
+            if table[mid] == b >= 0:
+                tally[b] += right
+                right = 0
+            if left:
+                if right:
+                    stack.append((mid, d, right))
+                c = left
+                continue
+            if right:
+                lo, c = mid, right
+                continue
         else:
             # A leaf: one read per sample, a rejected one redrawn over the
             # whole range by the draw rule.
-            node = table if d == bits else table[lo:lo + size]
-            for _ in range(c):
-                s = node[getrandbits(d)]
+            for u in map(getrandbits, repeat(d, c)):
+                s = table[lo + u]
                 while s < 0:
                     s = table[getrandbits(bits)]
                 tally[s] += 1
+        if not stack:
+            return
+        lo, d, c = stack.pop()
 
 
 def encode(scheme: Scheme, x_index: int, y_index: int, rng: RandomSource) -> int:

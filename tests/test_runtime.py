@@ -26,7 +26,7 @@ from corpus import (
     PINNED_SEEDS, corpus, corr23, det22, mixed23, otp2, uniform_independent,
 )
 from sidepad import runtime
-from sidepad.model import _SLOT_SPARE_BITS, _TABLE_BITS, _Sampler
+from sidepad.model import _SLOT_SPARE_BITS, _TABLE_BITS, _Bisection, _Sampler
 from sidepad.runtime import _conditional_signals, _slot_sampler
 from sidepad.verification import _scheme_rows
 from test_construction import reference_scheme
@@ -149,9 +149,9 @@ def _assert_slot_layout(slots):
     threshold run, in order, and the 2**bits mod limit entries past them,
     fewer than the limit and than a quarter of the table (half where fewer
     than two spare bits keep a table a list), are -1.  A list
-    holds exactly 2**bits entries, at most 2**16; a wider table bisects,
-    and so does each window of it.  A power-of-two limit gets the table a
-    sampler without spare bits builds."""
+    holds exactly 2**bits entries, at most 2**16; a wider table bisects.
+    A power-of-two limit gets the table a sampler without spare bits
+    builds."""
     limit, thresholds = slots.limit, slots.thresholds
     bits, scale = _slot_width(limit)
     assert (slots.bits, slots.scale) == (bits, scale)
@@ -170,9 +170,9 @@ def _assert_slot_layout(slots):
         assert not isinstance(table, list)
         for s, (a, b) in runs:
             assert table[scale * a] == table[scale * b - 1] == s
-            assert table[scale * a:][scale * (b - a) - 1] == s
         assert table[2**bits - 1] == (-1 if rejected else len(thresholds) - 1)
-        assert table[scale * limit:][0] == table[scale * limit]
+        if rejected:
+            assert table[scale * limit] == -1
     if _is_power_of_two(limit):
         plain = _Sampler(slots.values, [b - a for _, (a, b) in runs])
         assert scale == 1 and plain.bits == bits
@@ -660,6 +660,85 @@ def test_popcount_chunks_read_what_one_read_reads(shift):
     gen, twin = random.Random(count), random.Random(count)
     assert runtime._popcount(gen.getrandbits, count) == twin.getrandbits(count).bit_count()
     assert gen.getstate() == twin.getstate()
+
+
+def _assert_walk_reads_the_reference(limit, count, seed):
+    """The walk and ``_reference_tally`` on twin generators: the same
+    tally, and the generators end in the same state, so they read the same
+    bits."""
+    slots = _sampler_of_limit(limit, random.Random(seed), _SLOT_SPARE_BITS)
+    gen, twin = random.Random(seed), random.Random(seed)
+    tally = [0] * len(slots.values)
+    runtime._tally(slots, count, gen.getrandbits, tally)
+    assert tally == _reference_tally(limit, slots.thresholds, count, twin)
+    assert gen.getstate() == twin.getstate()
+
+
+WALK_LIMITS = st.one_of(
+    st.integers(0, 40).map(lambda k: 2**k),  # no reject region
+    st.integers(3, 2**16),  # a reject region unless a power of two
+    st.integers(2**16 + 1, 2**32),  # bisected tables
+    st.integers(2**32 + 1, 2**80),  # reads that span several 32-bit words
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(WALK_LIMITS, st.integers(0, 3000), st.integers(0, 2**64 - 1))
+def test_walk_reads_exactly_the_reference_bits(limit, count, seed):
+    _assert_walk_reads_the_reference(limit, count, seed)
+
+
+@pytest.mark.parametrize("limit", [2**12, 1000, 2**20 + 7, 2**40 + 3])
+def test_walk_reads_the_reference_bits_past_one_chunk(limit):
+    # The root's popcount reads its bits in two chunks.
+    _assert_walk_reads_the_reference(limit, runtime._CHUNK_BITS + 5, limit)
+
+
+class _Unsliced:
+    """A table that refuses to be sliced."""
+
+    __slots__ = ()
+
+    def __getitem__(self, u):
+        if isinstance(u, slice):
+            raise AssertionError("the walk copied a window of its table")
+        return super().__getitem__(u)
+
+
+class _UnslicedList(_Unsliced, list):
+    pass
+
+
+class _UnslicedBisection(_Unsliced, _Bisection):
+    __slots__ = ()
+
+
+@pytest.mark.parametrize("limit", [1000, 2**33 + 1])
+def test_walk_reads_its_table_in_place(limit):
+    # Leaves below the root read T[lo + u] from the table itself: a list
+    # table and a bisected one that refuse slicing give the reference's
+    # counts.
+    for seed in PINNED_SEEDS:
+        slots = _sampler_of_limit(limit, random.Random(seed), _SLOT_SPARE_BITS)
+        if type(slots.table) is list:
+            slots.table = _UnslicedList(slots.table)
+        else:
+            slots.table = _UnslicedBisection(slots.thresholds, slots.scale)
+        gen, widths = random.Random(seed), []
+
+        def getrandbits(k):
+            widths.append(k)
+            return gen.getrandbits(k)
+
+        tally = [0] * len(slots.values)
+        runtime._tally(slots, 3000, getrandbits, tally)
+        assert tally == _reference_tally(limit, slots.thresholds, 3000, random.Random(seed))
+        # A leaf below the root read d < bits bits for several samples in a
+        # row.
+        assert any(
+            0 < w < slots.bits and widths[i + 1] == widths[i + 2] == w
+            for i, w in enumerate(widths[:-2])
+        )
 
 
 def _clash_twin(scheme):
